@@ -265,6 +265,7 @@ fn verify_pending_disjuncts(
             continue;
         }
         let cancel = options.cancel.clone();
+        let invariant_start = Instant::now();
         let mut sub = FixpointPipeline::with_entry(
             program,
             ts,
@@ -273,13 +274,10 @@ fn verify_pending_disjuncts(
             termite_lp::Interrupt::new(move || cancel.is_cancelled()),
             candidate.clone(),
         );
-        let verified = prove_with_pipeline(ts, &mut sub, options);
-        report.stats.lp_instances += verified.stats.lp_instances;
-        report.stats.lp_pivots += verified.stats.lp_pivots;
-        report.stats.smt_queries += verified.stats.smt_queries;
-        report.stats.smt_millis += verified.stats.smt_millis;
-        report.stats.lp_millis += verified.stats.lp_millis;
-        report.stats.invariant_millis += verified.stats.invariant_millis;
+        let initial_invariant_millis = invariant_start.elapsed().as_secs_f64() * 1000.0;
+        let mut verified = prove_with_pipeline(ts, &mut sub, options);
+        verified.stats.invariant_millis += initial_invariant_millis;
+        report.stats.merge(&verified.stats);
         if let Verdict::Terminates(rf) = verified.verdict {
             disjuncts.push(Precondition::with_ranking(candidate.clone(), rf));
         }
@@ -496,6 +494,38 @@ mod tests {
             }
             other => panic!("expected a disjunctive conditional verdict, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn verified_disjuncts_fold_their_stats_into_the_report() {
+        // The ¬g re-verification runs whole sub-analyses: their CEGIS
+        // iterations and time belong in the job's report, not only the
+        // primary pipeline's.
+        let p = parse_program(
+            "var x, y; if (x >= 5) { y = 0 - 1; } else { y = y; } \
+             while (x > 0) { x = x + y; }",
+        )
+        .unwrap();
+        let options = AnalysisOptions::default();
+        let ts = p.transition_system();
+        let mut primary = FixpointPipeline::new(
+            &p,
+            &ts,
+            &options.invariants,
+            options.max_refinements,
+            termite_lp::Interrupt::never(),
+        );
+        let alone = prove_with_pipeline(&ts, &mut primary, &options);
+        let report = prove_termination(&p, &options);
+        assert!(report.preconditions().len() >= 2, "{report}");
+        assert!(
+            report.stats.iterations > alone.stats.iterations,
+            "{} iterations with the verified disjunct, {} without",
+            report.stats.iterations,
+            alone.stats.iterations
+        );
+        assert!(report.stats.counterexamples > alone.stats.counterexamples);
+        assert_eq!(report.stats.dimension, alone.stats.dimension);
     }
 
     #[test]

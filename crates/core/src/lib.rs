@@ -91,6 +91,7 @@ pub use regions::{
     strengthen_with_regions,
 };
 pub use report::{
-    Precondition, RankingFunction, SynthesisStats, TerminationReport, UnknownReason, Verdict,
+    Precondition, RankingFunction, StatField, StatKind, StatLine, StatMerge, StatValue,
+    SynthesisStats, TerminationReport, UnknownReason, Verdict, STAT_FIELDS,
 };
 pub use workspace::{FarkasMemo, LpReuse, SynthesisLpWorkspace};

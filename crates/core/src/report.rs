@@ -251,6 +251,9 @@ impl Verdict {
 
 /// Statistics of a synthesis run (the quantities reported in Table 1 of the
 /// paper: number and size of LP instances, SMT activity).
+///
+/// How each field is encoded, merged, totalled and shown is decided by its
+/// row of [`STAT_FIELDS`]; adding a field means adding one row there.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct SynthesisStats {
     /// Counterexample-guided refinement iterations (SMT→LP round trips).
@@ -274,7 +277,8 @@ pub struct SynthesisStats {
     pub lp_rows_avg: f64,
     /// Average number of columns (`c`) of the LP instances.
     pub lp_cols_avg: f64,
-    /// Largest LP instance solved, as (rows, columns).
+    /// Largest LP instance solved, as (rows, columns). After a
+    /// [`merge`](SynthesisStats::merge), each side is the larger of the two.
     pub lp_max: (usize, usize),
     /// Number of SMT (optimizing) queries issued.
     pub smt_queries: usize,
@@ -330,7 +334,208 @@ impl SynthesisStats {
             self.lp_max = (rows, cols);
         }
     }
+
+    /// Folds `other` into these stats under each row's [`StatMerge`] rule:
+    /// how a job absorbs the stats of its sub-analyses, and how a batch
+    /// totals its jobs.
+    pub fn merge(&mut self, other: &SynthesisStats) {
+        let base = self.clone();
+        let (n, m) = (base.lp_instances as f64, other.lp_instances as f64);
+        for field in STAT_FIELDS {
+            let (a, b) = ((field.get)(&base), (field.get)(other));
+            let merged = match field.merge {
+                StatMerge::First => a,
+                StatMerge::Sum => StatValue::Number(a.number() + b.number()),
+                StatMerge::Max => StatValue::Number(a.number().max(b.number())),
+                StatMerge::LpMean if n + m > 0.0 => {
+                    StatValue::Number((a.number() * n + b.number() * m) / (n + m))
+                }
+                StatMerge::LpMean => a,
+            };
+            (field.set)(self, merged);
+        }
+    }
 }
+
+/// What a stat measures, which decides where it is aggregated.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum StatKind {
+    /// Work done (LP solves, pivots, SMT queries): a metrics-registry row.
+    Counter,
+    /// Wall time of a phase in milliseconds: a registry row and a total.
+    Millis,
+    /// A size of the job or its certificate: not work, so not a registry row.
+    Size,
+    /// A name, such as the winning engine.
+    Label,
+}
+
+/// How two values of one stat combine (see [`SynthesisStats::merge`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum StatMerge {
+    /// Add them.
+    Sum,
+    /// Keep the larger.
+    Max,
+    /// Keep the value already held (the primary run's).
+    First,
+    /// Average, weighting each side by its `lp_instances`.
+    LpMean,
+}
+
+/// The human-readable totals line that shows a stat, with its label there.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum StatLine {
+    /// None: the stat is in JSON (and, by kind, the registry) only.
+    Hidden,
+    /// The suite table's `lp:` line.
+    Lp(&'static str),
+    /// The `phases:` lines, as a sibling of the other (overlapping) phases.
+    Phase(&'static str),
+    /// The `ir:` lines: rows come in (before, after) pairs sharing a label.
+    Ir(&'static str),
+}
+
+/// One value of a stat, as the schema's accessors read and write it.
+#[derive(Clone, Debug, PartialEq)]
+pub enum StatValue {
+    /// Counters, times and sizes (counts are exact as `f64` below 2^53).
+    Number(f64),
+    /// A label, `None` when none applies.
+    Label(Option<String>),
+}
+
+impl StatValue {
+    /// The numeric value (`0` for a label).
+    pub fn number(&self) -> f64 {
+        match self {
+            StatValue::Number(n) => *n,
+            StatValue::Label(_) => 0.0,
+        }
+    }
+}
+
+/// One row of the stats schema [`STAT_FIELDS`].
+#[derive(Clone, Copy, Debug)]
+pub struct StatField {
+    /// Key in report JSON, `suite --json` and the serve stats verb.
+    pub name: &'static str,
+    /// What the stat measures.
+    pub kind: StatKind,
+    /// How two values combine.
+    pub merge: StatMerge,
+    /// Whether readers accept a record without this stat (writers older
+    /// than the stat omit it). Absent means unknown, never a measured 0.
+    pub optional: bool,
+    /// The totals line that shows the stat.
+    pub line: StatLine,
+    /// Reads the stat.
+    pub get: fn(&SynthesisStats) -> StatValue,
+    /// Writes the stat.
+    pub set: fn(&mut SynthesisStats, StatValue),
+}
+
+/// The field types a stat can live in.
+trait StatSlot {
+    fn read(&self) -> StatValue;
+    fn write(&mut self, value: StatValue);
+}
+
+impl StatSlot for usize {
+    fn read(&self) -> StatValue {
+        StatValue::Number(*self as f64)
+    }
+    fn write(&mut self, value: StatValue) {
+        *self = value.number() as usize;
+    }
+}
+
+impl StatSlot for f64 {
+    fn read(&self) -> StatValue {
+        StatValue::Number(*self)
+    }
+    fn write(&mut self, value: StatValue) {
+        *self = value.number();
+    }
+}
+
+impl StatSlot for Option<String> {
+    fn read(&self) -> StatValue {
+        StatValue::Label(self.clone())
+    }
+    fn write(&mut self, value: StatValue) {
+        if let StatValue::Label(label) = value {
+            *self = label;
+        }
+    }
+}
+
+/// One [`StatField`] row: `stat!(json name, kind, merge, required|optional,
+/// totals line, struct field)`.
+macro_rules! stat {
+    (@required) => (false);
+    (@optional) => (true);
+    ($name:literal, $kind:ident, $merge:ident, $absent:ident, $line:ident $(($label:literal))?,
+     $($field:tt)+) => {
+        StatField {
+            name: $name,
+            kind: StatKind::$kind,
+            merge: StatMerge::$merge,
+            optional: stat!(@$absent),
+            line: StatLine::$line $(($label))?,
+            get: |s| StatSlot::read(&s.$($field)+),
+            set: |s, v| StatSlot::write(&mut s.$($field)+, v),
+        }
+    };
+}
+
+/// The stats schema, one row per reported stat in display order. Report
+/// JSON, [`SynthesisStats::merge`], batch and `suite --json` totals, the
+/// metrics registry and every totals line iterate it, so adding a stat is
+/// one row here. IR sizes `Sum`: only a job's final report carries them.
+/// `synthesis_millis` is the headline time (the suite's `totals:` line and
+/// `bench-diff`'s gate), so no `phases:` line repeats it.
+#[rustfmt::skip]
+pub static STAT_FIELDS: &[StatField] = &[
+    //    JSON name            kind     merge   on read   totals line              field
+    stat!("iterations",        Counter, Sum,    required, Hidden,                  iterations),
+    stat!("lp_pivots",         Counter, Sum,    optional, Lp("pivots"),            lp_pivots),
+    stat!("lp_instances",      Counter, Sum,    required, Lp("instances"),         lp_instances),
+    stat!("lp_warm_hits",      Counter, Sum,    optional, Lp("warm"),              lp_warm_hits),
+    stat!("basis_reuses",      Counter, Sum,    optional, Lp("basis reuses"),      basis_reuses),
+    stat!("farkas_cache_hits", Counter, Sum,    optional, Lp("farkas memo hits"),  farkas_cache_hits),
+    stat!("smt_queries",       Counter, Sum,    required, Hidden,                  smt_queries),
+    stat!("counterexamples",   Counter, Sum,    required, Hidden,                  counterexamples),
+    stat!("refinements",       Counter, Sum,    optional, Hidden,                  refinements),
+    stat!("lp_rows_avg",       Size,    LpMean, required, Hidden,                  lp_rows_avg),
+    stat!("lp_cols_avg",       Size,    LpMean, required, Hidden,                  lp_cols_avg),
+    stat!("lp_max_rows",       Size,    Max,    required, Hidden,                  lp_max.0),
+    stat!("lp_max_cols",       Size,    Max,    required, Hidden,                  lp_max.1),
+    stat!("dimension",         Size,    First,  required, Hidden,                  dimension),
+    stat!("synthesis_millis",  Millis,  Sum,    required, Hidden,                  synthesis_millis),
+    stat!("smt_millis",        Millis,  Sum,    optional, Phase("smt"),            smt_millis),
+    stat!("lp_millis",         Millis,  Sum,    optional, Phase("lp"),             lp_millis),
+    stat!("invariant_millis",  Millis,  Sum,    optional, Phase("invariants"),     invariant_millis),
+    stat!("ir_nodes_before",   Size,    Sum,    optional, Ir("nodes"),             ir_nodes_before),
+    stat!("ir_nodes_after",    Size,    Sum,    optional, Ir("nodes"),             ir_nodes_after),
+    stat!("ir_vars_before",    Size,    Sum,    optional, Ir("vars"),              ir_vars_before),
+    stat!("ir_vars_after",     Size,    Sum,    optional, Ir("vars"),              ir_vars_after),
+    stat!("engine_won",        Label,   First,  optional, Hidden,                  engine_won),
+];
+
+/// Exhaustiveness guard: a new [`SynthesisStats`] field fails to build here,
+/// next to the table its row belongs in (`schema_covers_every_field` checks
+/// that the rows write every field).
+#[rustfmt::skip]
+const _: fn(SynthesisStats) = |stats| {
+    let SynthesisStats {
+        iterations: _, lp_instances: _, lp_pivots: _, lp_warm_hits: _, basis_reuses: _,
+        farkas_cache_hits: _, lp_rows_avg: _, lp_cols_avg: _, lp_max: _, smt_queries: _,
+        counterexamples: _, dimension: _, refinements: _, synthesis_millis: _, smt_millis: _,
+        lp_millis: _, invariant_millis: _, ir_nodes_before: _, ir_nodes_after: _,
+        ir_vars_before: _, ir_vars_after: _, engine_won: _,
+    } = stats;
+};
 
 /// Report returned by the top-level analysis entry points.
 #[derive(Clone, Debug, PartialEq)]
@@ -494,6 +699,87 @@ mod tests {
         assert!((s.lp_rows_avg - 3.0).abs() < 1e-9);
         assert!((s.lp_cols_avg - 15.0).abs() < 1e-9);
         assert_eq!(s.lp_max, (4, 20));
+    }
+
+    #[test]
+    fn schema_covers_every_field() {
+        let mut stats = SynthesisStats::default();
+        let mut names = std::collections::BTreeSet::new();
+        for field in STAT_FIELDS {
+            assert!(names.insert(field.name), "duplicate row `{}`", field.name);
+            let value = match field.kind {
+                StatKind::Label => StatValue::Label(Some("x".to_string())),
+                _ => StatValue::Number(7.5),
+            };
+            (field.set)(&mut stats, value);
+            assert_ne!((field.get)(&stats), (field.get)(&SynthesisStats::default()));
+        }
+        // A field no row writes keeps its zero default.
+        let shown = format!("{stats:?}");
+        for unset in [": 0", "(0,", " 0)", "None"] {
+            assert!(!shown.contains(unset), "a field has no row: {shown}");
+        }
+        // Every time row is named for its unit, which the ticker relies on.
+        for field in STAT_FIELDS {
+            assert_eq!(
+                field.kind == StatKind::Millis,
+                field.name.ends_with("_millis"),
+                "{}",
+                field.name
+            );
+        }
+        // `ir` rows pair up as (before, after) under one label.
+        let ir: Vec<&StatField> = STAT_FIELDS
+            .iter()
+            .filter(|f| matches!(f.line, StatLine::Ir(_)))
+            .collect();
+        assert_eq!(ir.len() % 2, 0);
+        for pair in ir.chunks(2) {
+            assert_eq!(pair[0].line, pair[1].line);
+            assert!(pair[0].name.ends_with("_before") && pair[1].name.ends_with("_after"));
+        }
+    }
+
+    #[test]
+    fn merge_follows_each_rows_rule() {
+        let mut primary = SynthesisStats {
+            iterations: 3,
+            dimension: 1,
+            synthesis_millis: 1.5,
+            engine_won: Some("Lasso".to_string()),
+            ..SynthesisStats::default()
+        };
+        primary.record_lp(2, 10);
+        let mut sub = SynthesisStats {
+            iterations: 2,
+            dimension: 2,
+            synthesis_millis: 2.0,
+            ir_nodes_before: 5,
+            engine_won: Some("Termite".to_string()),
+            ..SynthesisStats::default()
+        };
+        sub.record_lp(4, 20);
+        sub.record_lp(4, 5);
+        primary.merge(&sub);
+        assert_eq!(primary.iterations, 5, "counters sum");
+        assert_eq!(primary.lp_instances, 3);
+        assert!((primary.synthesis_millis - 3.5).abs() < 1e-9, "times sum");
+        assert!(
+            (primary.lp_rows_avg - 10.0 / 3.0).abs() < 1e-9,
+            "weighted mean"
+        );
+        assert!(
+            (primary.lp_cols_avg - 35.0 / 3.0).abs() < 1e-9,
+            "weighted mean"
+        );
+        assert_eq!(primary.lp_max, (4, 20), "per-side maximum");
+        assert_eq!(primary.dimension, 1, "the primary certificate's");
+        assert_eq!(primary.engine_won.as_deref(), Some("Lasso"));
+        assert_eq!(primary.ir_nodes_before, 5);
+        // Merging into empty stats keeps the other side's LP shape.
+        let mut empty = SynthesisStats::default();
+        empty.merge(&sub);
+        assert_eq!(empty.lp_rows_avg, sub.lp_rows_avg);
     }
 
     #[test]

@@ -13,7 +13,7 @@ use crate::portfolio::EngineSelection;
 use crate::service::{with_scheduler, SchedulerConfig, TaskSpec};
 use std::sync::Arc;
 use std::time::Duration;
-use termite_core::{AnalysisOptions, Engine, TerminationReport};
+use termite_core::{AnalysisOptions, Engine, SynthesisStats, TerminationReport};
 use termite_obs::Recorder;
 
 /// Configuration of one batch run.
@@ -131,7 +131,7 @@ pub fn run_batch(
         .collect()
 }
 
-/// Aggregate counts over a batch, for the CLI's totals line.
+/// Aggregate counts over a batch, for the CLI's totals lines.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct BatchTotals {
     /// Number of jobs.
@@ -147,16 +147,11 @@ pub struct BatchTotals {
     pub cache_hits: usize,
     /// Sum of the per-job driver wall-clock times (milliseconds).
     pub wall_millis: f64,
-    /// Sum of the per-job synthesis times (milliseconds).
-    pub synthesis_millis: f64,
-    /// Sum of the per-job SMT solver times (milliseconds).
-    pub smt_millis: f64,
-    /// Sum of the per-job LP solver times (milliseconds).
-    pub lp_millis: f64,
-    /// Sum of the per-job invariant-generation times (milliseconds).
-    pub invariant_millis: f64,
     /// Sum of the driver wall-clock spent serving cache hits (milliseconds).
     pub cache_millis: f64,
+    /// Every job's stats folded together with [`SynthesisStats::merge`]:
+    /// counters, times and IR sizes summed under the schema's rules.
+    pub stats: SynthesisStats,
 }
 
 impl BatchTotals {
@@ -181,10 +176,7 @@ impl BatchTotals {
                 totals.cache_millis += r.wall_millis;
             }
             totals.wall_millis += r.wall_millis;
-            totals.synthesis_millis += r.report.stats.synthesis_millis;
-            totals.smt_millis += r.report.stats.smt_millis;
-            totals.lp_millis += r.report.stats.lp_millis;
-            totals.invariant_millis += r.report.stats.invariant_millis;
+            totals.stats.merge(&r.report.stats);
         }
         totals
     }
@@ -292,5 +284,12 @@ mod tests {
         assert_eq!(totals.expected, expected);
         assert!(totals.proved <= totals.total);
         assert_eq!(totals.cache_hits, 0);
+        assert_eq!(
+            totals.stats.iterations,
+            results
+                .iter()
+                .map(|r| r.report.stats.iterations)
+                .sum::<usize>()
+        );
     }
 }

@@ -37,12 +37,14 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
 use termite_bench::{format_table, prepare_suite, run_suite};
-use termite_core::{AnalysisOptions, CancelToken, Engine};
+use termite_core::{
+    AnalysisOptions, CancelToken, Engine, StatKind, StatLine, StatValue, STAT_FIELDS,
+};
 use termite_driver::json::Json;
 use termite_driver::{
-    cache_key, install_sigterm_handler, parse_selection, report_to_json, run_batch, serve,
-    serve_tcp, verdict_name, verdict_rank, AnalysisJob, BatchConfig, BatchResult, BatchTotals,
-    EngineSelection, ResultCache, ServeConfig,
+    cache_key, install_sigterm_handler, parse_selection, report_from_json, report_to_json,
+    run_batch, serve, serve_tcp, stat_entries, stat_rows_from_json, verdict_name, verdict_rank,
+    AnalysisJob, BatchConfig, BatchResult, BatchTotals, EngineSelection, ResultCache, ServeConfig,
 };
 use termite_invariants::InvariantOptions;
 use termite_ir::parse_named_program;
@@ -514,7 +516,6 @@ fn suite_command(name: &str, flags: Flags) -> Result<ExitCode, String> {
         );
     }
     let totals = BatchTotals::of(&results);
-    let sum = |f: &dyn Fn(&BatchResult) -> usize| results.iter().map(f).sum::<usize>();
     println!(
         "\ntotals: {}/{} proved ({} conditional, {} expected), {} cache hits ({:.0}%), \
          synthesis {:.1} ms, batch wall {:.1} ms ({} workers)",
@@ -524,45 +525,42 @@ fn suite_command(name: &str, flags: Flags) -> Result<ExitCode, String> {
         totals.expected,
         totals.cache_hits,
         100.0 * totals.cache_hits as f64 / totals.total.max(1) as f64,
-        totals.synthesis_millis,
+        totals.stats.synthesis_millis,
         wall,
         flags.jobs,
     );
+    let row_totals: Vec<Option<f64>> = STAT_FIELDS
+        .iter()
+        .map(|field| Some((field.get)(&totals.stats).number()))
+        .collect();
+    let lp: Vec<String> = STAT_FIELDS
+        .iter()
+        .zip(&row_totals)
+        .filter_map(|(field, total)| match field.line {
+            StatLine::Lp(label) => Some(format!("{} {label}", total.unwrap_or(0.0))),
+            _ => None,
+        })
+        .collect();
+    println!("lp: {}", lp.join(", "));
     println!(
-        "lp: {} pivots across {} instances ({} warm, {} basis reuses, {} farkas memo hits)",
-        sum(&|r| r.report.stats.lp_pivots),
-        sum(&|r| r.report.stats.lp_instances),
-        sum(&|r| r.report.stats.lp_warm_hits),
-        sum(&|r| r.report.stats.basis_reuses),
-        sum(&|r| r.report.stats.farkas_cache_hits),
-    );
-    println!(
-        "phases: smt {:.1} ms, lp {:.1} ms, invariants {:.1} ms (within {:.1} ms synthesis); \
-         cache served {} hit(s) in {:.1} ms",
-        totals.smt_millis,
-        totals.lp_millis,
-        totals.invariant_millis,
-        totals.synthesis_millis,
+        "phases: {}; cache served {} hit(s) in {:.1} ms",
+        phase_figures(&row_totals),
         totals.cache_hits,
         totals.cache_millis,
     );
     let optimized = results
         .iter()
-        .filter(|r| r.report.stats.ir_nodes_before > 0)
+        .filter(|r| pre_optimized(|i| Some((STAT_FIELDS[i].get)(&r.report.stats).number())))
         .count();
     if optimized > 0 {
         println!(
-            "ir: {} benchmark(s) pre-optimized, nodes {}\u{2192}{}, vars {}\u{2192}{}",
-            optimized,
-            sum(&|r| r.report.stats.ir_nodes_before),
-            sum(&|r| r.report.stats.ir_nodes_after),
-            sum(&|r| r.report.stats.ir_vars_before),
-            sum(&|r| r.report.stats.ir_vars_after),
+            "ir: {optimized} benchmark(s) pre-optimized, {}",
+            ir_figures(&row_totals)
         );
     }
 
     if let Some(path) = &flags.json_path {
-        let doc = results_to_json(&results, &suite_of, &totals);
+        let doc = results_to_json(&results, &suite_of, totals.wall_millis);
         std::fs::write(path, doc.to_string()).map_err(|e| format!("write {path:?}: {e}"))?;
         eprintln!("wrote per-benchmark JSON report to {}", path.display());
     }
@@ -620,12 +618,13 @@ fn run_jobs(jobs: Vec<AnalysisJob>, flags: &Flags) -> Result<Vec<BatchResult>, S
 
 /// The machine-readable `--json` report: one record per benchmark plus
 /// aggregate totals (the shape future `BENCH_*.json` trajectories read).
-fn results_to_json(results: &[BatchResult], suites: &[&'static str], totals: &BatchTotals) -> Json {
+/// `wall_millis` is the totals' wall time (the sum of per-job walls).
+fn results_to_json(results: &[BatchResult], suites: &[&'static str], wall_millis: f64) -> Json {
     let benchmarks: Vec<Json> = results
         .iter()
         .zip(suites)
         .map(|(r, suite)| {
-            Json::object([
+            let mut fields = vec![
                 ("name", Json::String(r.name.clone())),
                 ("suite", Json::String(suite.to_string())),
                 (
@@ -635,102 +634,108 @@ fn results_to_json(results: &[BatchResult], suites: &[&'static str], totals: &Ba
                 ("terminating", Json::Bool(r.proved())),
                 (
                     "expected_terminating",
-                    match r.expected_terminating {
-                        Some(b) => Json::Bool(b),
-                        None => Json::Null,
-                    },
-                ),
-                ("dimension", Json::Number(r.report.stats.dimension as f64)),
-                ("iterations", Json::Number(r.report.stats.iterations as f64)),
-                (
-                    "smt_queries",
-                    Json::Number(r.report.stats.smt_queries as f64),
-                ),
-                (
-                    "lp_instances",
-                    Json::Number(r.report.stats.lp_instances as f64),
-                ),
-                ("lp_pivots", Json::Number(r.report.stats.lp_pivots as f64)),
-                (
-                    "lp_warm_hits",
-                    Json::Number(r.report.stats.lp_warm_hits as f64),
-                ),
-                (
-                    "basis_reuses",
-                    Json::Number(r.report.stats.basis_reuses as f64),
-                ),
-                (
-                    "farkas_cache_hits",
-                    Json::Number(r.report.stats.farkas_cache_hits as f64),
-                ),
-                (
-                    "synthesis_millis",
-                    Json::Number(r.report.stats.synthesis_millis),
-                ),
-                ("smt_millis", Json::Number(r.report.stats.smt_millis)),
-                ("lp_millis", Json::Number(r.report.stats.lp_millis)),
-                (
-                    "invariant_millis",
-                    Json::Number(r.report.stats.invariant_millis),
-                ),
-                (
-                    "ir_nodes_before",
-                    Json::Number(r.report.stats.ir_nodes_before as f64),
-                ),
-                (
-                    "ir_nodes_after",
-                    Json::Number(r.report.stats.ir_nodes_after as f64),
-                ),
-                (
-                    "ir_vars_before",
-                    Json::Number(r.report.stats.ir_vars_before as f64),
-                ),
-                (
-                    "ir_vars_after",
-                    Json::Number(r.report.stats.ir_vars_after as f64),
+                    r.expected_terminating.map_or(Json::Null, Json::Bool),
                 ),
                 ("wall_millis", Json::Number(r.wall_millis)),
                 ("from_cache", Json::Bool(r.from_cache)),
-                (
-                    "winner",
-                    match r.winner {
-                        Some(e) => Json::String(format!("{e:?}")),
-                        None => Json::Null,
-                    },
-                ),
                 // `winner` is the live race's pick and is Null on cache
                 // hits; `engine_won` rides in the report's stats, so it
                 // survives the cache round trip. Consumers should prefer it.
                 (
-                    "engine_won",
-                    match &r.report.stats.engine_won {
-                        Some(e) => Json::String(e.clone()),
-                        None => Json::Null,
-                    },
+                    "winner",
+                    r.winner
+                        .map_or(Json::Null, |e| Json::String(format!("{e:?}"))),
                 ),
                 ("report", report_to_json(&r.report)),
-            ])
+            ];
+            // Every stat also sits at the top level of the record, so
+            // trend tooling can read a flat record.
+            fields.extend(stat_entries(&r.report.stats));
+            Json::object(fields)
         })
         .collect();
-    Json::object([
-        ("benchmarks", Json::Array(benchmarks)),
-        (
-            "totals",
-            Json::object([
-                ("total", Json::Number(totals.total as f64)),
-                ("proved", Json::Number(totals.proved as f64)),
-                ("conditional", Json::Number(totals.conditional as f64)),
-                ("expected", Json::Number(totals.expected as f64)),
-                ("cache_hits", Json::Number(totals.cache_hits as f64)),
-                ("synthesis_millis", Json::Number(totals.synthesis_millis)),
-                ("smt_millis", Json::Number(totals.smt_millis)),
-                ("lp_millis", Json::Number(totals.lp_millis)),
-                ("invariant_millis", Json::Number(totals.invariant_millis)),
-                ("cache_millis", Json::Number(totals.cache_millis)),
-                ("wall_millis", Json::Number(totals.wall_millis)),
-            ]),
-        ),
-    ])
+    let totals = totals_json(&benchmarks, wall_millis);
+    Json::object([("benchmarks", Json::Array(benchmarks)), ("totals", totals)])
+}
+
+/// The `totals` object of a `--json` report, computed from its benchmark
+/// records: the one routine behind `suite --json` and `merge-reports`.
+/// Each time row is summed over the records carrying it, and left out when
+/// none does (absent is unknown, not 0 ms). A suite passes the sum of its
+/// job walls as `wall_millis`, a merge the slowest shard's.
+fn totals_json(benchmarks: &[Json], wall_millis: f64) -> Json {
+    let is = |key: &'static str| move |b: &&Json| b.get(key).and_then(Json::as_bool) == Some(true);
+    let count = |key: &'static str| Json::Number(benchmarks.iter().filter(is(key)).count() as f64);
+    let conditional = benchmarks
+        .iter()
+        .filter(|b| b.get("verdict").and_then(Json::as_str) == Some("conditional"))
+        .count();
+    let cache_millis = benchmarks
+        .iter()
+        .filter(is("from_cache"))
+        .filter_map(|b| b.get("wall_millis").and_then(Json::as_f64))
+        .sum();
+    let mut totals = vec![
+        ("total", Json::Number(benchmarks.len() as f64)),
+        ("proved", count("terminating")),
+        ("conditional", Json::Number(conditional as f64)),
+        ("expected", count("expected_terminating")),
+        ("cache_hits", count("from_cache")),
+        ("cache_millis", Json::Number(cache_millis)),
+        ("wall_millis", Json::Number(wall_millis)),
+    ];
+    for field in STAT_FIELDS.iter().filter(|f| f.kind == StatKind::Millis) {
+        let measured: Vec<f64> = benchmarks
+            .iter()
+            .filter_map(|b| b.get(field.name).and_then(Json::as_f64))
+            .collect();
+        if !measured.is_empty() {
+            totals.push((field.name, Json::Number(measured.iter().sum())));
+        }
+    }
+    Json::object(totals)
+}
+
+/// Whether a job was pre-optimized: some `ir` figure is positive (all are
+/// 0 or unknown when the optimizer did not run).
+fn pre_optimized(value: impl Fn(usize) -> Option<f64>) -> bool {
+    (STAT_FIELDS.iter().enumerate())
+        .any(|(i, f)| matches!(f.line, StatLine::Ir(_)) && value(i).is_some_and(|v| v > 0.0))
+}
+
+/// The `phases:` figures from per-row totals (indexed like `STAT_FIELDS`),
+/// `n/a` for a phase no record measured.
+fn phase_figures(totals: &[Option<f64>]) -> String {
+    STAT_FIELDS
+        .iter()
+        .zip(totals)
+        .filter_map(|(field, total)| match (field.line, total) {
+            (StatLine::Phase(label), Some(ms)) => Some(format!("{label} {ms:.1} ms")),
+            (StatLine::Phase(label), None) => Some(format!("{label} n/a")),
+            _ => None,
+        })
+        .collect::<Vec<_>>()
+        .join(", ")
+}
+
+/// The `ir:` figures (`nodes 12→9, vars 5→3`) from per-row totals
+/// (indexed like `STAT_FIELDS`), `n/a` for a pair no record measured.
+fn ir_figures(totals: &[Option<f64>]) -> String {
+    let rows: Vec<(&str, Option<f64>)> = STAT_FIELDS
+        .iter()
+        .zip(totals)
+        .filter_map(|(field, total)| match field.line {
+            StatLine::Ir(label) => Some((label, *total)),
+            _ => None,
+        })
+        .collect();
+    (rows.chunks(2))
+        .map(|pair| match (pair[0].1, pair[1].1) {
+            (Some(before), Some(after)) => format!("{} {before}\u{2192}{after}", pair[0].0),
+            _ => format!("{} n/a", pair[0].0),
+        })
+        .collect::<Vec<_>>()
+        .join(", ")
 }
 
 /// One benchmark record of a `suite --json` report, as `bench-diff` and
@@ -738,63 +743,38 @@ fn results_to_json(results: &[BatchResult], suites: &[&'static str], totals: &Ba
 struct BenchRecord {
     name: String,
     verdict: String,
-    synthesis_millis: f64,
-    /// `None` for reports written before the pivot counter existed (v1 and
-    /// early v2). An absent count is *unknown*, never "0 pivots": treating
-    /// it as a measured zero would make every pre-pivot baseline look
-    /// infinitely regressed (or improved) in a diff.
-    lp_pivots: Option<f64>,
-    /// Per-phase wall times, `None` for reports written before the phase
-    /// breakdown existed. Same rule as `lp_pivots`: absent is *unknown*,
-    /// never "0 ms" — these are informational and never gated on.
-    smt_millis: Option<f64>,
-    lp_millis: Option<f64>,
-    invariant_millis: Option<f64>,
-    /// IR shrink counters, `None` for reports written before the
-    /// pre-optimizer existed (or with it bypassed). Informational only —
-    /// reported as totals, never gated on.
-    ir_nodes_before: Option<f64>,
-    ir_nodes_after: Option<f64>,
-    ir_vars_before: Option<f64>,
-    ir_vars_after: Option<f64>,
-    /// The portfolio engine whose answer the report carries, `None` for
-    /// single-engine runs, no-proof races, and reports written before the
-    /// field existed. Informational only — engines may legitimately trade
-    /// wins between runs, so the diff never gates on this.
+    /// One value per `STAT_FIELDS` row, `None` where the report predates
+    /// the stat: unknown, never 0 (a missing pivot count read as 0 would
+    /// make every pre-pivot baseline look infinitely regressed).
+    stats: Vec<Option<StatValue>>,
+    /// The portfolio engine whose answer the report carries (`None`: no
+    /// race, no proof, or an older report). Never itself gated on.
     engine_won: Option<String>,
-    /// The disjunct clauses of a conditional verdict, parsed from the
-    /// embedded report (the v3 `preconditions` array, or the v2 single
-    /// `precondition` as a one-clause DNF). `None` when the record carries
-    /// no embedded report or is not conditional — the DNF gate then stays
-    /// silent, same absent-is-unknown rule as `lp_pivots`.
+    /// The disjunct clauses of a conditional verdict's embedded report;
+    /// `None` otherwise, which keeps the DNF gate silent.
     disjuncts: Option<Vec<termite_polyhedra::Polyhedron>>,
 }
 
-/// Extracts the disjunct clauses of a benchmark's conditional verdict from
-/// its embedded `report` object. Best-effort: anything missing or
-/// malformed yields `None` rather than failing the whole diff.
-fn record_disjuncts(bench: &Json) -> Option<Vec<termite_polyhedra::Polyhedron>> {
-    let report = bench.get("report")?;
-    if let Some(array) = report.get("preconditions").and_then(Json::as_array) {
-        return array
-            .iter()
-            .map(|d| termite_driver::polyhedron_from_json(d.get("clause")?).ok())
-            .collect();
+impl BenchRecord {
+    /// The named stat, `None` when the record does not carry it.
+    fn stat(&self, name: &str) -> Option<&StatValue> {
+        let index = STAT_FIELDS.iter().position(|field| field.name == name)?;
+        self.stats[index].as_ref()
     }
-    let single = report.get("precondition")?;
-    if matches!(single, Json::Null) {
-        return None;
-    }
-    Some(vec![termite_driver::polyhedron_from_json(single).ok()?])
 }
 
-/// Renders an optional pivot count for the diff table (`n/a` when the
-/// report predates the counter).
-fn pivots_cell(pivots: Option<f64>) -> String {
-    match pivots {
-        Some(p) => format!("{p}"),
-        None => "n/a".to_string(),
-    }
+/// Per-row sums over the `records` that `keep` selects (indexed like
+/// `STAT_FIELDS`), `None` for a row that none of them carries.
+fn record_totals(records: &[BenchRecord], keep: impl Fn(&BenchRecord) -> bool) -> Vec<Option<f64>> {
+    let kept: Vec<&BenchRecord> = records.iter().filter(|r| keep(r)).collect();
+    (0..STAT_FIELDS.len())
+        .map(|i| {
+            let measured: Vec<f64> = (kept.iter())
+                .filter_map(|r| r.stats[i].as_ref().map(StatValue::number))
+                .collect();
+            (!measured.is_empty()).then(|| measured.iter().sum())
+        })
+        .collect()
 }
 
 /// Renders a report's `engine_won` for the suite and diff tables, folding
@@ -815,9 +795,10 @@ fn engine_cell(engine_won: Option<&str>) -> String {
     }
 }
 
-/// Reads the benchmark records of a `suite --json` report. Pre-verdict (v1)
-/// reports carry only the `terminating` boolean, which maps onto the
-/// lattice endpoints.
+/// Reads the benchmark records of a `suite --json` report. A record's
+/// embedded `report` goes through the cache codec (which migrates every
+/// older schema) and gives the verdict, stats and DNF clauses; a record
+/// without one is read from its top-level keys, which use the same names.
 fn load_report(path: &str) -> Result<Vec<BenchRecord>, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("read {path}: {e}"))?;
     let doc = Json::parse(&text).map_err(|e| format!("parse {path}: {e}"))?;
@@ -832,44 +813,48 @@ fn load_report(path: &str) -> Result<Vec<BenchRecord>, String> {
                 .get("name")
                 .and_then(Json::as_str)
                 .ok_or_else(|| format!("{path}: benchmark without `name`"))?;
-            let verdict = match b.get("verdict").and_then(Json::as_str) {
-                Some(v) => v.to_string(),
+            let (verdict, stats, disjuncts) = match b.get("report") {
+                Some(embedded) => {
+                    let report =
+                        report_from_json(embedded).map_err(|e| format!("{path}: `{name}`: {e}"))?;
+                    let clauses: Vec<termite_polyhedra::Polyhedron> = report
+                        .preconditions()
+                        .iter()
+                        .map(|d| d.clause.clone())
+                        .collect();
+                    (
+                        verdict_name(&report.verdict).to_string(),
+                        stat_rows_from_json(embedded.get("stats").unwrap_or(&Json::Null)),
+                        (!clauses.is_empty()).then_some(clauses),
+                    )
+                }
                 None => {
-                    let terminating = b
-                        .get("terminating")
-                        .and_then(Json::as_bool)
+                    let verdict = b
+                        .get("verdict")
+                        .and_then(Json::as_str)
                         .ok_or_else(|| format!("{path}: `{name}` without a verdict"))?;
-                    if terminating { "terminates" } else { "unknown" }.to_string()
+                    (verdict.to_string(), stat_rows_from_json(b), None)
                 }
             };
-            let synthesis_millis = b
-                .get("synthesis_millis")
-                .and_then(Json::as_f64)
-                .ok_or_else(|| format!("{path}: `{name}` without `synthesis_millis`"))?;
-            let lp_pivots = b.get("lp_pivots").and_then(Json::as_f64);
-            Ok(BenchRecord {
+            let mut record = BenchRecord {
                 name: name.to_string(),
                 verdict,
-                synthesis_millis,
-                lp_pivots,
-                smt_millis: b.get("smt_millis").and_then(Json::as_f64),
-                lp_millis: b.get("lp_millis").and_then(Json::as_f64),
-                invariant_millis: b.get("invariant_millis").and_then(Json::as_f64),
-                ir_nodes_before: b.get("ir_nodes_before").and_then(Json::as_f64),
-                ir_nodes_after: b.get("ir_nodes_after").and_then(Json::as_f64),
-                ir_vars_before: b.get("ir_vars_before").and_then(Json::as_f64),
-                ir_vars_after: b.get("ir_vars_after").and_then(Json::as_f64),
-                // Older portfolio reports carry only the live race's
-                // `winner` (same engine names); fall back to it so the
-                // same-engine pivot rule below still sees pre-`engine_won`
-                // trend files.
-                engine_won: b
-                    .get("engine_won")
-                    .and_then(Json::as_str)
-                    .or_else(|| b.get("winner").and_then(Json::as_str))
-                    .map(String::from),
-                disjuncts: record_disjuncts(b),
-            })
+                stats,
+                engine_won: None,
+                disjuncts,
+            };
+            if record.stat("synthesis_millis").is_none() {
+                return Err(format!("{path}: `{name}` without `synthesis_millis`"));
+            }
+            // Older portfolio reports carry only the live race's `winner`
+            // (same engine names); fall back to it so `bench-diff`'s
+            // same-engine pivot rule still sees pre-`engine_won` files.
+            record.engine_won = match record.stat("engine_won") {
+                Some(StatValue::Label(engine)) => engine.clone(),
+                _ => None,
+            }
+            .or_else(|| b.get("winner").and_then(Json::as_str).map(String::from));
+            Ok(record)
         })
         .collect()
 }
@@ -941,6 +926,13 @@ fn bench_diff(args: &[String]) -> Result<ExitCode, String> {
         "{:<26} {:>12} {:>12} {:>7} {:>10} {:>10} {:>12}  status",
         "benchmark", "old(ms)", "new(ms)", "ratio", "old piv", "new piv", "engine"
     );
+    // The two gated stats: wall time and pivots (`load_report` ensures
+    // every record has the former).
+    let synthesis_millis =
+        |r: &BenchRecord| r.stat("synthesis_millis").map_or(0.0, StatValue::number);
+    let pivots = |r: &BenchRecord| r.stat("lp_pivots").map(StatValue::number);
+    // `n/a` when the report predates the pivot counter.
+    let pivots_cell = |r: &BenchRecord| pivots(r).map_or("n/a".into(), |p| p.to_string());
     let mut failures = 0usize;
     let mut improvements = 0usize;
     for record in &old {
@@ -950,7 +942,7 @@ fn bench_diff(args: &[String]) -> Result<ExitCode, String> {
             failures += 1;
             continue;
         };
-        let (old_ms, new_ms) = (record.synthesis_millis, new_record.synthesis_millis);
+        let (old_ms, new_ms) = (synthesis_millis(record), synthesis_millis(new_record));
         let ratio = if old_ms > 0.0 { new_ms / old_ms } else { 1.0 };
         // Pivot counts are engine-relative: an SMT-driven engine's report
         // carries a handful of pivots where an LP-saturating one's carries
@@ -966,7 +958,7 @@ fn bench_diff(args: &[String]) -> Result<ExitCode, String> {
         // The pivot gate only fires when both sides actually measured
         // pivots and at least one count clears the small-count floor.
         let pivot_regressed = same_engine
-            && match (record.lp_pivots, new_record.lp_pivots) {
+            && match (pivots(record), pivots(new_record)) {
                 (Some(old_piv), Some(new_piv)) => {
                     new_piv > max_ratio * old_piv
                         && (old_piv >= min_pivots || new_piv >= min_pivots)
@@ -1037,64 +1029,25 @@ fn bench_diff(args: &[String]) -> Result<ExitCode, String> {
         };
         println!(
             "{name:<26} {old_ms:>12.2} {new_ms:>12.2} {ratio:>6.2}x {:>10} {:>10} {engine:>12}  {status}",
-            pivots_cell(record.lp_pivots),
-            pivots_cell(new_record.lp_pivots),
+            pivots_cell(record),
+            pivots_cell(new_record),
         );
     }
     if improvements > 0 {
         println!("bench-diff: note: {improvements} verdict improvement(s) (not failures)");
     }
-    // Informational phase-time totals, one line per side. A side whose
-    // report predates the phase breakdown prints `n/a` across the board —
-    // never 0 ms, and never a gate.
-    let phase_totals = |records: &[BenchRecord], label: &str| {
-        let total = |field: &dyn Fn(&BenchRecord) -> Option<f64>| -> String {
-            let measured: Vec<f64> = records.iter().filter_map(field).collect();
-            if measured.is_empty() {
-                "n/a".to_string()
-            } else {
-                format!("{:.1} ms", measured.iter().sum::<f64>())
-            }
-        };
-        println!(
-            "bench-diff: phases {label}: smt {}, lp {}, invariants {}",
-            total(&|r| r.smt_millis),
-            total(&|r| r.lp_millis),
-            total(&|r| r.invariant_millis),
-        );
-    };
-    phase_totals(&old, "old");
-    phase_totals(&new, "new");
-    // Informational IR shrink totals per side, same absent-is-unknown rule
-    // as the phases — a side that never ran the pre-optimizer prints `n/a`,
-    // and the diff never gates on these.
-    let ir_totals = |records: &[BenchRecord], label: &str| {
-        let total = |field: &dyn Fn(&BenchRecord) -> Option<f64>| -> Option<f64> {
-            let measured: Vec<f64> = records
-                .iter()
-                .filter(|r| r.ir_nodes_before.unwrap_or(0.0) > 0.0)
-                .filter_map(field)
-                .collect();
-            if measured.is_empty() {
-                None
-            } else {
-                Some(measured.iter().sum())
-            }
-        };
-        let pair = |before: Option<f64>, after: Option<f64>| -> String {
-            match (before, after) {
-                (Some(b), Some(a)) => format!("{b}\u{2192}{a}"),
-                _ => "n/a".to_string(),
-            }
-        };
-        println!(
-            "bench-diff: ir {label}: nodes {}, vars {}",
-            pair(total(&|r| r.ir_nodes_before), total(&|r| r.ir_nodes_after)),
-            pair(total(&|r| r.ir_vars_before), total(&|r| r.ir_vars_after)),
-        );
-    };
-    ir_totals(&old, "old");
-    ir_totals(&new, "new");
+    // Informational phase-time and IR-shrink totals, one line each per side.
+    // A side whose reports predate a stat prints `n/a` for it — never 0,
+    // and never a gate. IR figures count pre-optimized records only.
+    let optimized = |r: &BenchRecord| pre_optimized(|i| r.stats[i].as_ref().map(StatValue::number));
+    for (records, label) in [(&old, "old"), (&new, "new")] {
+        let totals = record_totals(records, |_| true);
+        println!("bench-diff: phases {label}: {}", phase_figures(&totals));
+    }
+    for (records, label) in [(&old, "old"), (&new, "new")] {
+        let totals = record_totals(records, optimized);
+        println!("bench-diff: ir {label}: {}", ir_figures(&totals));
+    }
     if failures > 0 {
         eprintln!("bench-diff: {failures} benchmark(s) regressed");
         Ok(ExitCode::from(1))
@@ -1160,77 +1113,7 @@ fn merge_reports(args: &[String]) -> Result<ExitCode, String> {
             }
         }
     }
-    let count_where = |pred: &dyn Fn(&Json) -> bool| benchmarks.iter().filter(|b| pred(b)).count();
-    let sum_of = |field: &str| -> f64 {
-        benchmarks
-            .iter()
-            .filter_map(|b| b.get(field).and_then(Json::as_f64))
-            .sum()
-    };
-    let totals = Json::object([
-        ("total", Json::Number(benchmarks.len() as f64)),
-        (
-            "proved",
-            Json::Number(count_where(&|b| {
-                b.get("terminating").and_then(Json::as_bool) == Some(true)
-            }) as f64),
-        ),
-        (
-            "conditional",
-            Json::Number(count_where(&|b| {
-                b.get("verdict").and_then(Json::as_str) == Some("conditional")
-            }) as f64),
-        ),
-        (
-            "expected",
-            Json::Number(count_where(&|b| {
-                b.get("expected_terminating").and_then(Json::as_bool) == Some(true)
-            }) as f64),
-        ),
-        (
-            "cache_hits",
-            Json::Number(
-                count_where(&|b| b.get("from_cache").and_then(Json::as_bool) == Some(true)) as f64,
-            ),
-        ),
-        ("synthesis_millis", Json::Number(sum_of("synthesis_millis"))),
-        ("wall_millis", Json::Number(slowest_shard_wall)),
-    ]);
-    // Phase breakdowns only exist in reports written since the observability
-    // work: sum them when at least one shard carries them, omit them
-    // otherwise — an absent measurement must not be re-exported as 0 ms.
-    let totals = {
-        let Json::Object(mut fields) = totals else {
-            unreachable!("totals is constructed as an object above")
-        };
-        for field in ["smt_millis", "lp_millis", "invariant_millis"] {
-            if benchmarks
-                .iter()
-                .any(|b| b.get(field).and_then(Json::as_f64).is_some())
-            {
-                fields.insert(field.to_string(), Json::Number(sum_of(field)));
-            }
-        }
-        // Per-engine win tally across shards, only when some shard raced a
-        // portfolio — same absent-is-unknown rule as the phase times.
-        let mut wins: std::collections::BTreeMap<String, usize> = std::collections::BTreeMap::new();
-        for b in &benchmarks {
-            if let Some(engine) = b.get("engine_won").and_then(Json::as_str) {
-                *wins.entry(engine.to_string()).or_default() += 1;
-            }
-        }
-        if !wins.is_empty() {
-            fields.insert(
-                "engine_wins".to_string(),
-                Json::Object(
-                    wins.into_iter()
-                        .map(|(engine, n)| (engine, Json::Number(n as f64)))
-                        .collect(),
-                ),
-            );
-        }
-        Json::Object(fields)
-    };
+    let totals = totals_json(&benchmarks, slowest_shard_wall);
     let doc = Json::object([("benchmarks", Json::Array(benchmarks)), ("totals", totals)]);
     std::fs::write(out_path, doc.to_string()).map_err(|e| format!("write {out_path}: {e}"))?;
     eprintln!("merged {} shard report(s) into {out_path}", args.len() - 1);
@@ -1308,4 +1191,51 @@ fn table1() {
         }
     }
     println!("\n=== Table 1 (reproduced) ===\n{}", format_table(&rows));
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn committed(file: &str) -> String {
+        format!("{}/../../{file}", env!("CARGO_MANIFEST_DIR"))
+    }
+
+    #[test]
+    fn committed_bench_files_keep_absent_stats_unknown() {
+        for seq in 1..=9 {
+            let path = committed(&format!("BENCH_{seq:04}.json"));
+            let records = load_report(&path).unwrap();
+            let doc = Json::parse(&std::fs::read_to_string(&path).unwrap()).unwrap();
+            let raw = doc.get("benchmarks").and_then(Json::as_array).unwrap();
+            assert_eq!(records.len(), raw.len());
+            for (record, bench) in records.iter().zip(raw) {
+                let stats = bench.get("report").and_then(|r| r.get("stats")).unwrap();
+                for (field, value) in STAT_FIELDS.iter().zip(&record.stats) {
+                    assert_eq!(
+                        value.is_some(),
+                        stats.get(field.name).is_some(),
+                        "{path}: `{}`.{}",
+                        record.name,
+                        field.name
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn stats_a_report_predates_print_as_n_a() {
+        let records = load_report(&committed("BENCH_0001.json")).unwrap();
+        assert!(records.iter().all(|r| r.stat("refinements").is_none()));
+        let totals = record_totals(&records, |_| true);
+        assert_eq!(phase_figures(&totals), "smt n/a, lp n/a, invariants n/a");
+        assert_eq!(ir_figures(&totals), "nodes n/a, vars n/a");
+        assert_eq!(records[0].stat("no_such_stat"), None);
+
+        let records = load_report(&committed("BENCH_0009.json")).unwrap();
+        let totals = record_totals(&records, |_| true);
+        assert!(!phase_figures(&totals).contains("n/a"));
+        assert!(!ir_figures(&totals).contains("n/a"));
+    }
 }

@@ -27,8 +27,8 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use termite_core::{
-    AnalysisOptions, Precondition, RankingFunction, SynthesisStats, TerminationReport,
-    UnknownReason, Verdict,
+    AnalysisOptions, Precondition, RankingFunction, StatKind, StatValue, SynthesisStats,
+    TerminationReport, UnknownReason, Verdict, STAT_FIELDS,
 };
 use termite_linalg::QVector;
 use termite_num::Rational;
@@ -652,7 +652,6 @@ pub fn report_to_json(report: &TerminationReport) -> Json {
         ),
         _ => Json::Null,
     };
-    let s = &report.stats;
     let unknown_reason = match &report.verdict {
         Verdict::Unknown { reason } => Json::String(
             match reason {
@@ -675,44 +674,36 @@ pub fn report_to_json(report: &TerminationReport) -> Json {
         ("unknown_reason", unknown_reason),
         ("preconditions", preconditions),
         ("ranking", ranking),
-        (
-            "stats",
-            Json::object([
-                ("iterations", Json::Number(s.iterations as f64)),
-                ("lp_instances", Json::Number(s.lp_instances as f64)),
-                ("lp_pivots", Json::Number(s.lp_pivots as f64)),
-                ("lp_warm_hits", Json::Number(s.lp_warm_hits as f64)),
-                ("basis_reuses", Json::Number(s.basis_reuses as f64)),
-                (
-                    "farkas_cache_hits",
-                    Json::Number(s.farkas_cache_hits as f64),
-                ),
-                ("lp_rows_avg", Json::Number(s.lp_rows_avg)),
-                ("lp_cols_avg", Json::Number(s.lp_cols_avg)),
-                ("lp_max_rows", Json::Number(s.lp_max.0 as f64)),
-                ("lp_max_cols", Json::Number(s.lp_max.1 as f64)),
-                ("smt_queries", Json::Number(s.smt_queries as f64)),
-                ("counterexamples", Json::Number(s.counterexamples as f64)),
-                ("dimension", Json::Number(s.dimension as f64)),
-                ("refinements", Json::Number(s.refinements as f64)),
-                ("synthesis_millis", Json::Number(s.synthesis_millis)),
-                ("smt_millis", Json::Number(s.smt_millis)),
-                ("lp_millis", Json::Number(s.lp_millis)),
-                ("invariant_millis", Json::Number(s.invariant_millis)),
-                ("ir_nodes_before", Json::Number(s.ir_nodes_before as f64)),
-                ("ir_nodes_after", Json::Number(s.ir_nodes_after as f64)),
-                ("ir_vars_before", Json::Number(s.ir_vars_before as f64)),
-                ("ir_vars_after", Json::Number(s.ir_vars_after as f64)),
-                (
-                    "engine_won",
-                    match &s.engine_won {
-                        Some(e) => Json::String(e.clone()),
-                        None => Json::Null,
-                    },
-                ),
-            ]),
-        ),
+        ("stats", Json::object(stat_entries(&report.stats))),
     ])
+}
+
+/// Encodes stats row by row ([`STAT_FIELDS`]) as the `(name, value)`
+/// entries of a report's `stats` object and of flat `suite --json` records.
+pub fn stat_entries(stats: &SynthesisStats) -> Vec<(&'static str, Json)> {
+    STAT_FIELDS
+        .iter()
+        .map(|field| {
+            let value = match (field.get)(stats) {
+                StatValue::Number(n) => Json::Number(n),
+                StatValue::Label(label) => label.map_or(Json::Null, Json::String),
+            };
+            (field.name, value)
+        })
+        .collect()
+}
+
+/// Decodes the stats rows of a JSON object (a report's `stats`, or a flat
+/// record): one per [`STAT_FIELDS`] row, `None` where the writer predates
+/// the stat — never a made-up 0.
+pub fn stat_rows_from_json(json: &Json) -> Vec<Option<StatValue>> {
+    STAT_FIELDS
+        .iter()
+        .map(|field| match (field.kind, json.get(field.name)?) {
+            (StatKind::Label, label) => Some(StatValue::Label(label.as_str().map(String::from))),
+            (_, value) => value.as_f64().map(StatValue::Number),
+        })
+        .collect()
 }
 
 fn rational(json: &Json) -> Result<Rational, String> {
@@ -831,50 +822,17 @@ pub fn report_from_json(json: &Json) -> Result<TerminationReport, String> {
             None => Verdict::unknown(UnknownReason::NoRankingFunction),
         },
     };
+    // Optional stats the writer predates stay at their zero default (a
+    // cache entry needs a value); a missing required one is an error.
+    let mut stats = SynthesisStats::default();
     let stats_json = json.get("stats").ok_or("missing `stats`")?;
-    let field = |name: &str| -> Result<f64, String> {
-        stats_json
-            .get(name)
-            .and_then(Json::as_f64)
-            .ok_or_else(|| format!("missing stats field `{name}`"))
-    };
-    let stats = SynthesisStats {
-        iterations: field("iterations")? as usize,
-        lp_instances: field("lp_instances")? as usize,
-        // Absent in cache files written before the pivot counter existed.
-        lp_pivots: field("lp_pivots").unwrap_or(0.0) as usize,
-        // Absent in cache files written before the cross-level LP workspace.
-        lp_warm_hits: field("lp_warm_hits").unwrap_or(0.0) as usize,
-        basis_reuses: field("basis_reuses").unwrap_or(0.0) as usize,
-        farkas_cache_hits: field("farkas_cache_hits").unwrap_or(0.0) as usize,
-        lp_rows_avg: field("lp_rows_avg")?,
-        lp_cols_avg: field("lp_cols_avg")?,
-        lp_max: (
-            field("lp_max_rows")? as usize,
-            field("lp_max_cols")? as usize,
-        ),
-        smt_queries: field("smt_queries")? as usize,
-        counterexamples: field("counterexamples")? as usize,
-        dimension: field("dimension")? as usize,
-        // Absent in v1 cache files (no refinement pipeline yet).
-        refinements: field("refinements").unwrap_or(0.0) as usize,
-        synthesis_millis: field("synthesis_millis")?,
-        // Absent in cache files written before the per-phase breakdown.
-        smt_millis: field("smt_millis").unwrap_or(0.0),
-        lp_millis: field("lp_millis").unwrap_or(0.0),
-        invariant_millis: field("invariant_millis").unwrap_or(0.0),
-        // Absent in cache files written before the IR pre-optimizer.
-        ir_nodes_before: field("ir_nodes_before").unwrap_or(0.0) as usize,
-        ir_nodes_after: field("ir_nodes_after").unwrap_or(0.0) as usize,
-        ir_vars_before: field("ir_vars_before").unwrap_or(0.0) as usize,
-        ir_vars_after: field("ir_vars_after").unwrap_or(0.0) as usize,
-        // Absent in cache files written before portfolio winners were
-        // recorded (and null outside portfolio races).
-        engine_won: stats_json
-            .get("engine_won")
-            .and_then(Json::as_str)
-            .map(String::from),
-    };
+    for (field, value) in STAT_FIELDS.iter().zip(stat_rows_from_json(stats_json)) {
+        match value {
+            Some(value) => (field.set)(&mut stats, value),
+            None if field.optional => {}
+            None => return Err(format!("missing stats field `{}`", field.name)),
+        }
+    }
     Ok(TerminationReport {
         program,
         verdict,
@@ -990,6 +948,42 @@ mod tests {
             let back = report_from_json(&Json::parse(&text).unwrap()).unwrap();
             assert_eq!(back, report, "JSON roundtrip must be lossless for {src}");
         }
+    }
+
+    #[test]
+    fn committed_bench_reports_round_trip_byte_identically() {
+        // Every embedded report of the newest trend file goes through the
+        // schema-driven codec and comes back as the exact bytes on disk.
+        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_0009.json");
+        let text = std::fs::read_to_string(path).unwrap();
+        let doc = Json::parse(&text).unwrap();
+        let benchmarks = doc.get("benchmarks").and_then(Json::as_array).unwrap();
+        assert!(!benchmarks.is_empty());
+        for bench in benchmarks {
+            let embedded = bench.get("report").unwrap();
+            let encoded = report_to_json(&report_from_json(embedded).unwrap()).to_string();
+            assert_eq!(encoded, embedded.to_string());
+            assert!(text.contains(&encoded), "{encoded} is not in {path}");
+        }
+    }
+
+    #[test]
+    fn stat_rows_keep_absent_stats_unknown() {
+        let json =
+            Json::parse(r#"{"iterations": 2, "engine_won": null, "lp_pivots": "x"}"#).unwrap();
+        let rows = stat_rows_from_json(&json);
+        for (field, value) in STAT_FIELDS.iter().zip(&rows) {
+            let expected = match field.name {
+                "iterations" => Some(StatValue::Number(2.0)),
+                "engine_won" => Some(StatValue::Label(None)),
+                _ => None,
+            };
+            assert_eq!(value, &expected, "{}", field.name);
+        }
+        // The cache codec still insists on the required rows.
+        let report = Json::object([("program", Json::String("p".into())), ("stats", json)]);
+        let missing = report_from_json(&report).unwrap_err();
+        assert!(missing.contains("lp_instances"), "{missing}");
     }
 
     #[test]

@@ -79,7 +79,7 @@ mod service;
 pub use batch::{run_batch, BatchConfig, BatchResult, BatchTotals};
 pub use cache::{
     cache_key, polyhedron_from_json, polyhedron_to_json, report_from_json, report_to_json,
-    verdict_name, verdict_rank, CacheStats, ResultCache,
+    stat_entries, stat_rows_from_json, verdict_name, verdict_rank, CacheStats, ResultCache,
 };
 pub use job::AnalysisJob;
 pub use net::{install_sigterm_handler, serve_tcp};

@@ -103,12 +103,13 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 use termite_core::{
-    AnalysisOptions, CancelToken, Engine, SynthesisStats, TerminationReport, UnknownReason, Verdict,
+    AnalysisOptions, CancelToken, Engine, StatField, StatKind, SynthesisStats, TerminationReport,
+    UnknownReason, Verdict, STAT_FIELDS,
 };
 use termite_invariants::InvariantOptions;
 use termite_ir::parse_named_program;
 use termite_obs::{
-    ArgValue, EventKind, JobMetrics, MetricsRegistry, MetricsSnapshot, Recorder, TraceEvent,
+    ArgValue, EventKind, MetricUnit, MetricsRegistry, MetricsSnapshot, Recorder, TraceEvent,
 };
 
 /// Configuration of a scheduler scope.
@@ -409,7 +410,7 @@ fn worker_loop(state: &SchedulerState, config: &SchedulerConfig, cache: Option<&
                 }
             );
             metrics.job_finished(
-                &stats_to_job_metrics(&result.report.stats),
+                registered_stats().map(|(field, _)| (field.get)(&result.report.stats).number()),
                 result.from_cache,
                 cancelled,
             );
@@ -436,24 +437,15 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Flattens a report's [`SynthesisStats`] into the registry's plain-number
-/// job record.
-fn stats_to_job_metrics(stats: &SynthesisStats) -> JobMetrics {
-    JobMetrics {
-        iterations: stats.iterations as u64,
-        lp_instances: stats.lp_instances as u64,
-        lp_pivots: stats.lp_pivots as u64,
-        lp_warm_hits: stats.lp_warm_hits as u64,
-        basis_reuses: stats.basis_reuses as u64,
-        farkas_cache_hits: stats.farkas_cache_hits as u64,
-        smt_queries: stats.smt_queries as u64,
-        counterexamples: stats.counterexamples as u64,
-        refinements: stats.refinements as u64,
-        synthesis_millis: stats.synthesis_millis,
-        smt_millis: stats.smt_millis,
-        lp_millis: stats.lp_millis,
-        invariant_millis: stats.invariant_millis,
-    }
+/// The stats-schema rows the metrics registry keeps, with their units:
+/// every counter and time (sizes and labels describe one job, not work
+/// done, and do not add up across a session).
+fn registered_stats() -> impl Iterator<Item = (&'static StatField, MetricUnit)> {
+    STAT_FIELDS.iter().filter_map(|field| match field.kind {
+        StatKind::Counter => Some((field, MetricUnit::Count)),
+        StatKind::Millis => Some((field, MetricUnit::Millis)),
+        StatKind::Size | StatKind::Label => None,
+    })
 }
 
 /// The result of a task that was cancelled before a worker ran it: `Unknown`
@@ -953,7 +945,6 @@ fn stats_response(
     in_flight: usize,
     cache: Option<&ResultCache>,
 ) -> Json {
-    let t = &snapshot.totals;
     let count = |n: u64| Json::Number(n as f64);
     let mut fields = Vec::new();
     if let Some(id) = id {
@@ -977,21 +968,13 @@ fn stats_response(
     ));
     fields.push((
         "synthesis",
-        Json::object([
-            ("iterations", count(t.iterations)),
-            ("lp_instances", count(t.lp_instances)),
-            ("lp_pivots", count(t.lp_pivots)),
-            ("lp_warm_hits", count(t.lp_warm_hits)),
-            ("basis_reuses", count(t.basis_reuses)),
-            ("farkas_cache_hits", count(t.farkas_cache_hits)),
-            ("smt_queries", count(t.smt_queries)),
-            ("counterexamples", count(t.counterexamples)),
-            ("refinements", count(t.refinements)),
-            ("synthesis_millis", Json::Number(t.synthesis_millis)),
-            ("smt_millis", Json::Number(t.smt_millis)),
-            ("lp_millis", Json::Number(t.lp_millis)),
-            ("invariant_millis", Json::Number(t.invariant_millis)),
-        ]),
+        Json::Object(
+            snapshot
+                .totals
+                .iter()
+                .map(|(name, total)| (name.to_string(), Json::Number(*total)))
+                .collect(),
+        ),
     ));
     fields.push((
         "cache",
@@ -1146,7 +1129,9 @@ impl<'a> ServeShared<'a> {
     pub(crate) fn new(config: &'a ServeConfig, cache: Option<&'a ResultCache>) -> Self {
         ServeShared {
             config,
-            registry: Arc::new(MetricsRegistry::new()),
+            registry: Arc::new(MetricsRegistry::with_counters(
+                registered_stats().map(|(field, unit)| (field.name, unit)),
+            )),
             cache,
             shutdown: AtomicBool::new(false),
             drain: Mutex::new(DrainState {
@@ -1276,20 +1261,24 @@ pub(crate) fn ticker_loop(
         }
         if timeout.timed_out() {
             let s = registry.snapshot();
+            let times: Vec<String> = s
+                .totals
+                .iter()
+                .filter_map(|(name, total)| {
+                    let part = name.strip_suffix("_millis")?;
+                    Some(format!("{part} {total:.1} ms"))
+                })
+                .collect();
             eprintln!(
                 "termite serve: {} submitted, {} completed ({} cached, {} cancelled, {} \
-                 panicked), {} in flight; synthesis {:.1} ms, smt {:.1} ms, lp {:.1} ms, \
-                 invariants {:.1} ms",
+                 panicked), {} in flight; {}",
                 s.jobs_submitted,
                 s.jobs_completed,
                 s.jobs_from_cache,
                 s.jobs_cancelled,
                 s.jobs_panicked,
                 s.jobs_submitted.saturating_sub(s.jobs_completed),
-                s.totals.synthesis_millis,
-                s.totals.smt_millis,
-                s.totals.lp_millis,
-                s.totals.invariant_millis,
+                times.join(", "),
             );
         }
     }
@@ -1703,6 +1692,49 @@ mod tests {
             timeout: None,
             trace: false,
         }
+    }
+
+    #[test]
+    fn stats_verb_synthesis_keys_are_the_counter_and_time_rows() {
+        let registry =
+            MetricsRegistry::with_counters(registered_stats().map(|(f, unit)| (f.name, unit)));
+        let report = termite_core::prove_termination(
+            &parse_named_program("var x; while (x > 0) { x = x - 1; }", "p").unwrap(),
+            &AnalysisOptions::default(),
+        );
+        registry.job_finished(
+            registered_stats().map(|(field, _)| (field.get)(&report.stats).number()),
+            false,
+            false,
+        );
+        let response = stats_response(None, &registry.snapshot(), 0, None);
+        let Some(Json::Object(synthesis)) = response.get("synthesis") else {
+            panic!("no synthesis object: {response}");
+        };
+        let keys: Vec<&str> = synthesis.keys().map(String::as_str).collect();
+        assert_eq!(
+            keys,
+            [
+                "basis_reuses",
+                "counterexamples",
+                "farkas_cache_hits",
+                "invariant_millis",
+                "iterations",
+                "lp_instances",
+                "lp_millis",
+                "lp_pivots",
+                "lp_warm_hits",
+                "refinements",
+                "smt_millis",
+                "smt_queries",
+                "synthesis_millis",
+            ],
+            "the wire keys of the stats verb are part of the protocol"
+        );
+        assert_eq!(
+            synthesis.get("iterations").and_then(Json::as_f64),
+            Some(report.stats.iterations as f64)
+        );
     }
 
     #[test]

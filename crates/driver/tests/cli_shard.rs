@@ -100,6 +100,13 @@ fn two_shard_union_equals_unsharded_run() {
             "totals field `{field}` differs"
         );
     }
+    // One totals routine behind both: the merge carries exactly the
+    // unsharded key set (no merge-only keys, none missing).
+    let keys = |doc: &Json| match doc.get("totals") {
+        Some(Json::Object(totals)) => totals.keys().cloned().collect::<Vec<_>>(),
+        other => panic!("totals is not an object: {other:?}"),
+    };
+    assert_eq!(keys(&full), keys(&merged), "merged totals keys differ");
 }
 
 #[test]

@@ -51,7 +51,7 @@ pub mod ring;
 mod trace;
 
 pub use export::chrome_trace_json;
-pub use metrics::{JobMetrics, MetricsRegistry, MetricsSnapshot};
+pub use metrics::{MetricUnit, MetricsRegistry, MetricsSnapshot};
 pub use trace::{
     enabled, install, installed, record_event, start_span, ArgValue, EventKind, InstallGuard,
     Recorder, Span, TraceEvent, DEFAULT_RING_CAPACITY, SUITE_RING_CAPACITY,

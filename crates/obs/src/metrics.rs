@@ -1,47 +1,25 @@
 //! The unified metrics registry.
 //!
-//! One process-wide (or per-server) [`MetricsRegistry`] gathers what used to
-//! be scattered across `SynthesisStats` fields, the result cache's shutdown
-//! summary, and the scheduler's private in-flight bookkeeping: every counter
-//! is a relaxed atomic, so recording from worker threads is wait-free and a
+//! One process-wide (or per-server) [`MetricsRegistry`] gathers job counts,
+//! queue wait and per-job synthesis counters: every counter is a relaxed
+//! atomic, so recording from worker threads is wait-free and a
 //! [`MetricsRegistry::snapshot`] taken mid-run is cheap and always coherent
 //! enough for monitoring (each counter is individually exact; the set is
 //! read without a global lock). Durations are accumulated in integer
-//! microseconds to keep the hot path free of float atomics.
+//! microseconds to keep the hot path free of float atomics. This crate sits
+//! below the core crate, so the caller names the per-job counters
+//! ([`MetricsRegistry::with_counters`]) — the driver registers its stats
+//! schema's rows.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Per-job synthesis totals, in plain numbers, as merged into the registry
-/// after a job lands. Mirrors the counter subset of the core crate's
-/// `SynthesisStats` without depending on it (this crate sits below core).
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct JobMetrics {
-    /// CEGIS iterations across all levels.
-    pub iterations: u64,
-    /// LP instances created.
-    pub lp_instances: u64,
-    /// Simplex pivots performed.
-    pub lp_pivots: u64,
-    /// LP solves answered from a warm basis.
-    pub lp_warm_hits: u64,
-    /// Level restarts that restored a snapshot basis.
-    pub basis_reuses: u64,
-    /// Farkas-row memo hits.
-    pub farkas_cache_hits: u64,
-    /// SMT queries issued.
-    pub smt_queries: u64,
-    /// Extremal counterexamples generated.
-    pub counterexamples: u64,
-    /// Invariant-refinement rounds taken.
-    pub refinements: u64,
-    /// Total synthesis wall time, milliseconds.
-    pub synthesis_millis: f64,
-    /// Wall time inside SMT solves, milliseconds.
-    pub smt_millis: f64,
-    /// Wall time inside LP solves, milliseconds.
-    pub lp_millis: f64,
-    /// Wall time inside invariant generation/refinement, milliseconds.
-    pub invariant_millis: f64,
+/// How a per-job counter accumulates.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum MetricUnit {
+    /// A plain count.
+    Count,
+    /// A duration in milliseconds (kept as integer microseconds).
+    Millis,
 }
 
 /// A coherent read of the registry at one point in time.
@@ -62,8 +40,9 @@ pub struct MetricsSnapshot {
     /// Total time jobs spent queued before a worker picked them up,
     /// milliseconds.
     pub queue_wait_millis: f64,
-    /// Synthesis totals accumulated over all completed jobs.
-    pub totals: JobMetrics,
+    /// Every per-job counter's total over all completed jobs, in
+    /// registration order (durations in milliseconds).
+    pub totals: Vec<(&'static str, f64)>,
 }
 
 /// Wait-free accumulation of scheduler and synthesis counters.
@@ -75,19 +54,8 @@ pub struct MetricsRegistry {
     jobs_from_cache: AtomicU64,
     jobs_panicked: AtomicU64,
     queue_wait_us: AtomicU64,
-    iterations: AtomicU64,
-    lp_instances: AtomicU64,
-    lp_pivots: AtomicU64,
-    lp_warm_hits: AtomicU64,
-    basis_reuses: AtomicU64,
-    farkas_cache_hits: AtomicU64,
-    smt_queries: AtomicU64,
-    counterexamples: AtomicU64,
-    refinements: AtomicU64,
-    synthesis_us: AtomicU64,
-    smt_us: AtomicU64,
-    lp_us: AtomicU64,
-    invariant_us: AtomicU64,
+    /// One `(name, unit, total)` per caller-named per-job counter.
+    counters: Vec<(&'static str, MetricUnit, AtomicU64)>,
 }
 
 fn millis_to_us(millis: f64) -> u64 {
@@ -99,9 +67,16 @@ fn millis_to_us(millis: f64) -> u64 {
 }
 
 impl MetricsRegistry {
-    /// An empty registry.
-    pub fn new() -> Self {
-        MetricsRegistry::default()
+    /// A registry keeping one per-job counter for each `(name, unit)`, in
+    /// this order — the order [`job_finished`](Self::job_finished) values
+    /// and [`MetricsSnapshot::totals`] follow.
+    pub fn with_counters(counters: impl IntoIterator<Item = (&'static str, MetricUnit)>) -> Self {
+        MetricsRegistry {
+            counters: (counters.into_iter())
+                .map(|(name, unit)| (name, unit, AtomicU64::new(0)))
+                .collect(),
+            ..MetricsRegistry::default()
+        }
     }
 
     /// Records one job entering the scheduler queue.
@@ -121,8 +96,14 @@ impl MetricsRegistry {
         self.jobs_panicked.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Merges a landed job's synthesis totals into the registry.
-    pub fn job_finished(&self, metrics: &JobMetrics, from_cache: bool, cancelled: bool) {
+    /// Merges a landed job into the registry: `values` are its per-job
+    /// counters in registration order (durations in milliseconds).
+    pub fn job_finished(
+        &self,
+        values: impl IntoIterator<Item = f64>,
+        from_cache: bool,
+        cancelled: bool,
+    ) {
         self.jobs_completed.fetch_add(1, Ordering::Relaxed);
         if cancelled {
             self.jobs_cancelled.fetch_add(1, Ordering::Relaxed);
@@ -130,32 +111,13 @@ impl MetricsRegistry {
         if from_cache {
             self.jobs_from_cache.fetch_add(1, Ordering::Relaxed);
         }
-        self.iterations
-            .fetch_add(metrics.iterations, Ordering::Relaxed);
-        self.lp_instances
-            .fetch_add(metrics.lp_instances, Ordering::Relaxed);
-        self.lp_pivots
-            .fetch_add(metrics.lp_pivots, Ordering::Relaxed);
-        self.lp_warm_hits
-            .fetch_add(metrics.lp_warm_hits, Ordering::Relaxed);
-        self.basis_reuses
-            .fetch_add(metrics.basis_reuses, Ordering::Relaxed);
-        self.farkas_cache_hits
-            .fetch_add(metrics.farkas_cache_hits, Ordering::Relaxed);
-        self.smt_queries
-            .fetch_add(metrics.smt_queries, Ordering::Relaxed);
-        self.counterexamples
-            .fetch_add(metrics.counterexamples, Ordering::Relaxed);
-        self.refinements
-            .fetch_add(metrics.refinements, Ordering::Relaxed);
-        self.synthesis_us
-            .fetch_add(millis_to_us(metrics.synthesis_millis), Ordering::Relaxed);
-        self.smt_us
-            .fetch_add(millis_to_us(metrics.smt_millis), Ordering::Relaxed);
-        self.lp_us
-            .fetch_add(millis_to_us(metrics.lp_millis), Ordering::Relaxed);
-        self.invariant_us
-            .fetch_add(millis_to_us(metrics.invariant_millis), Ordering::Relaxed);
+        for ((_, unit, total), value) in self.counters.iter().zip(values) {
+            let delta = match unit {
+                MetricUnit::Count => value as u64,
+                MetricUnit::Millis => millis_to_us(value),
+            };
+            total.fetch_add(delta, Ordering::Relaxed);
+        }
     }
 
     /// Reads every counter. Individually exact; taken without a global lock.
@@ -167,21 +129,17 @@ impl MetricsRegistry {
             jobs_from_cache: self.jobs_from_cache.load(Ordering::Relaxed),
             jobs_panicked: self.jobs_panicked.load(Ordering::Relaxed),
             queue_wait_millis: self.queue_wait_us.load(Ordering::Relaxed) as f64 / 1000.0,
-            totals: JobMetrics {
-                iterations: self.iterations.load(Ordering::Relaxed),
-                lp_instances: self.lp_instances.load(Ordering::Relaxed),
-                lp_pivots: self.lp_pivots.load(Ordering::Relaxed),
-                lp_warm_hits: self.lp_warm_hits.load(Ordering::Relaxed),
-                basis_reuses: self.basis_reuses.load(Ordering::Relaxed),
-                farkas_cache_hits: self.farkas_cache_hits.load(Ordering::Relaxed),
-                smt_queries: self.smt_queries.load(Ordering::Relaxed),
-                counterexamples: self.counterexamples.load(Ordering::Relaxed),
-                refinements: self.refinements.load(Ordering::Relaxed),
-                synthesis_millis: self.synthesis_us.load(Ordering::Relaxed) as f64 / 1000.0,
-                smt_millis: self.smt_us.load(Ordering::Relaxed) as f64 / 1000.0,
-                lp_millis: self.lp_us.load(Ordering::Relaxed) as f64 / 1000.0,
-                invariant_millis: self.invariant_us.load(Ordering::Relaxed) as f64 / 1000.0,
-            },
+            totals: self
+                .counters
+                .iter()
+                .map(|(name, unit, total)| {
+                    let raw = total.load(Ordering::Relaxed) as f64;
+                    match unit {
+                        MetricUnit::Count => (*name, raw),
+                        MetricUnit::Millis => (*name, raw / 1000.0),
+                    }
+                })
+                .collect(),
         }
     }
 }
@@ -190,64 +148,59 @@ impl MetricsRegistry {
 mod tests {
     use super::*;
 
+    fn total(snap: &MetricsSnapshot, name: &str) -> Option<f64> {
+        snap.totals
+            .iter()
+            .find(|(n, _)| *n == name)
+            .map(|(_, v)| *v)
+    }
+
+    fn registry() -> MetricsRegistry {
+        MetricsRegistry::with_counters([
+            ("iterations", MetricUnit::Count),
+            ("lp_pivots", MetricUnit::Count),
+            ("synthesis_millis", MetricUnit::Millis),
+            ("smt_millis", MetricUnit::Millis),
+        ])
+    }
+
     #[test]
     fn snapshot_reflects_merged_jobs() {
-        let registry = MetricsRegistry::new();
+        let registry = registry();
         registry.job_submitted();
         registry.job_submitted();
         registry.queue_wait_micros(1_500);
-        registry.job_finished(
-            &JobMetrics {
-                iterations: 3,
-                lp_pivots: 40,
-                smt_queries: 7,
-                synthesis_millis: 12.5,
-                smt_millis: 4.25,
-                lp_millis: 2.0,
-                ..JobMetrics::default()
-            },
-            false,
-            false,
-        );
-        registry.job_finished(
-            &JobMetrics {
-                iterations: 1,
-                ..JobMetrics::default()
-            },
-            true,
-            true,
-        );
+        registry.job_finished([3.0, 40.0, 12.5, 4.25], false, false);
+        registry.job_finished([1.0, 0.0, 0.0, 0.0], true, true);
         let snap = registry.snapshot();
         assert_eq!(snap.jobs_submitted, 2);
         assert_eq!(snap.jobs_completed, 2);
         assert_eq!(snap.jobs_cancelled, 1);
         assert_eq!(snap.jobs_from_cache, 1);
-        assert_eq!(snap.totals.iterations, 4);
-        assert_eq!(snap.totals.lp_pivots, 40);
-        assert_eq!(snap.totals.smt_queries, 7);
+        assert_eq!(total(&snap, "iterations"), Some(4.0));
+        assert_eq!(total(&snap, "lp_pivots"), Some(40.0));
+        assert_eq!(total(&snap, "no_such_counter"), None);
         assert!((snap.queue_wait_millis - 1.5).abs() < 1e-9);
-        assert!((snap.totals.synthesis_millis - 12.5).abs() < 1e-3);
-        assert!((snap.totals.smt_millis - 4.25).abs() < 1e-3);
-        assert!((snap.totals.lp_millis - 2.0).abs() < 1e-3);
+        assert!((total(&snap, "synthesis_millis").unwrap() - 12.5).abs() < 1e-3);
+        assert!((total(&snap, "smt_millis").unwrap() - 4.25).abs() < 1e-3);
+        let names: Vec<&str> = snap.totals.iter().map(|(n, _)| *n).collect();
+        assert_eq!(
+            names,
+            ["iterations", "lp_pivots", "synthesis_millis", "smt_millis"],
+            "totals keep registration order"
+        );
     }
 
     #[test]
     fn counters_are_monotone_under_concurrent_merges() {
-        let registry = std::sync::Arc::new(MetricsRegistry::new());
+        let registry = std::sync::Arc::new(registry());
         std::thread::scope(|scope| {
             for _ in 0..4 {
                 let registry = std::sync::Arc::clone(&registry);
                 scope.spawn(move || {
                     for _ in 0..250 {
                         registry.job_submitted();
-                        registry.job_finished(
-                            &JobMetrics {
-                                iterations: 2,
-                                ..JobMetrics::default()
-                            },
-                            false,
-                            false,
-                        );
+                        registry.job_finished([2.0], false, false);
                     }
                 });
             }
@@ -255,6 +208,7 @@ mod tests {
         let snap = registry.snapshot();
         assert_eq!(snap.jobs_submitted, 1000);
         assert_eq!(snap.jobs_completed, 1000);
-        assert_eq!(snap.totals.iterations, 2000);
+        assert_eq!(total(&snap, "iterations"), Some(2000.0));
+        assert_eq!(total(&snap, "lp_pivots"), Some(0.0));
     }
 }
