@@ -31,6 +31,8 @@ pub struct PreparedBenchmark {
     pub ts: TransitionSystem,
     /// Invariants at the cut points.
     pub invariants: Vec<Polyhedron>,
+    /// The options `invariants` were computed with.
+    pub invariant_options: InvariantOptions,
     /// Source-variable translation map when the IR pre-optimizer ran.
     pub provenance: Option<Provenance>,
     /// Shrink counters when the IR pre-optimizer ran.
@@ -52,13 +54,15 @@ pub fn prepare_with(benchmark: &Benchmark, optimize_ir: bool) -> PreparedBenchma
         (benchmark.program.clone(), None, None)
     };
     let ts = program.transition_system();
-    let invariants = location_invariants(&program, &InvariantOptions::default());
+    let invariant_options = InvariantOptions::default();
+    let invariants = location_invariants(&program, &invariant_options);
     PreparedBenchmark {
         name: program.name.clone(),
         expected_terminating: benchmark.expected_terminating,
         program,
         ts,
         invariants,
+        invariant_options,
         provenance,
         opt_stats,
     }

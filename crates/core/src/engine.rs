@@ -10,6 +10,11 @@
 //! precondition-seeded invariants for a retry. A proof found under a
 //! narrowed entry set is reported as the conditional verdict
 //! [`Verdict::TerminatesIf`].
+//!
+//! The pipeline's initial stages come from a
+//! [`termite_invariants::InvariantSnapshot`] ([`invariant_snapshot`]), which
+//! engines racing on the same program share through
+//! [`prove_with_snapshot`].
 
 use crate::baselines;
 use crate::cancel::CancelToken;
@@ -19,9 +24,10 @@ use crate::report::{
     Precondition, RankingFunction, SynthesisStats, TerminationReport, UnknownReason, Verdict,
 };
 use crate::workspace::{FarkasMemo, LpReuse};
+use std::sync::Arc;
 use std::time::Instant;
 use termite_invariants::{
-    FixpointPipeline, InvariantOptions, InvariantPipeline, RefinementWitness,
+    FixpointPipeline, InvariantOptions, InvariantPipeline, InvariantSnapshot, RefinementWitness,
 };
 use termite_ir::{Program, TransitionSystem};
 use termite_linalg::QVector;
@@ -205,50 +211,94 @@ fn attempt(
     }
 }
 
+/// The interruption source the invariant stages poll: `options.cancel`.
+fn interrupt_of(options: &AnalysisOptions) -> termite_lp::Interrupt {
+    let cancel = options.cancel.clone();
+    termite_lp::Interrupt::new(move || cancel.is_cancelled())
+}
+
+/// Builds the invariant snapshot of `program` (forward fixpoint + Houdini,
+/// see [`InvariantSnapshot`]) under one `invariant_init` span, polling
+/// `options.cancel`. Returns it with its build time in milliseconds, which
+/// belongs in the `invariant_millis` of exactly one report however many
+/// engines share the snapshot.
+///
+/// `forward`, when given, is adopted as the forward stage instead of being
+/// recomputed: it must be [`termite_invariants::location_invariants`] of
+/// `program` under `options.invariants`.
+pub fn invariant_snapshot(
+    program: &Program,
+    ts: &TransitionSystem,
+    options: &AnalysisOptions,
+    forward: Option<Vec<Polyhedron>>,
+) -> (Arc<InvariantSnapshot>, f64) {
+    let start = Instant::now();
+    let _span = termite_obs::span!("invariant_init");
+    let interrupt = interrupt_of(options);
+    let snapshot = match forward {
+        Some(forward) => {
+            InvariantSnapshot::with_forward(program, ts, &options.invariants, forward, &interrupt)
+        }
+        None => InvariantSnapshot::new(program, ts, &options.invariants, &interrupt),
+    };
+    (Arc::new(snapshot), start.elapsed().as_secs_f64() * 1000.0)
+}
+
 /// Proves termination of a program of the mini language: front-end,
 /// invariant pipeline (with precondition refinement) and ranking-function
-/// synthesis.
+/// synthesis. A thin wrapper: [`invariant_snapshot`], then
+/// [`prove_with_snapshot`].
 ///
 /// As in the paper's Table 1, the reported `synthesis_millis` excludes
-/// parsing and invariant generation (refinement rounds re-run the invariant
-/// pipeline inside the loop; their synthesis retries are included, the
-/// fixpoint work is not separated out — it is dwarfed by the SMT/LP work).
+/// parsing and the initial invariant stages. Refinement rounds re-run the
+/// invariant stages inside the synthesis loop, so `synthesis_millis`
+/// includes them; `invariant_millis` reports all invariant work (initial
+/// stages, refinement rounds and ¬g re-verification) on its own.
 pub fn prove_termination(program: &Program, options: &AnalysisOptions) -> TerminationReport {
     let ts = program.transition_system();
+    let (snapshot, snapshot_millis) = invariant_snapshot(program, &ts, options, None);
+    let mut report = prove_with_snapshot(&ts, &snapshot, options);
+    report.stats.invariant_millis += snapshot_millis;
+    report
+}
+
+/// Runs the selected engine (with precondition refinement for Termite) on
+/// a transition system whose initial invariant stages are already in
+/// `snapshot` — the entry point for engines that share one snapshot, such
+/// as the lanes of a portfolio race. `ts` must be the transition system of
+/// the snapshot's program. The snapshot's build time is the caller's to
+/// report: the returned `invariant_millis` covers only the refinement and
+/// re-verification work done here.
+pub fn prove_with_snapshot(
+    ts: &TransitionSystem,
+    snapshot: &Arc<InvariantSnapshot>,
+    options: &AnalysisOptions,
+) -> TerminationReport {
     // Only the Termite engine produces refinement witnesses; the baselines
-    // run the pipeline's initial stages and stop there.
+    // run on the snapshot's invariants and stop there.
     let refinement_budget = if options.engine == Engine::Termite {
         options.max_refinements
     } else {
         0
     };
-    let cancel = options.cancel.clone();
-    let invariant_start = Instant::now();
-    let mut pipeline = {
-        let _span = termite_obs::span!("invariant_init");
-        FixpointPipeline::new(
-            program,
-            &ts,
-            &options.invariants,
-            refinement_budget,
-            termite_lp::Interrupt::new(move || cancel.is_cancelled()),
-        )
-    };
-    let initial_invariant_millis = invariant_start.elapsed().as_secs_f64() * 1000.0;
-    let mut report = prove_with_pipeline(&ts, &mut pipeline, options);
-    report.stats.invariant_millis += initial_invariant_millis;
-    verify_pending_disjuncts(program, &ts, &pipeline, options, &mut report);
+    let mut pipeline = FixpointPipeline::from_snapshot(
+        Arc::clone(snapshot),
+        ts,
+        refinement_budget,
+        interrupt_of(options),
+    );
+    let mut report = prove_with_pipeline(ts, &mut pipeline, options);
+    verify_pending_disjuncts(ts, &pipeline, options, &mut report);
     report
 }
 
 /// Tries to promote the pipeline's pending `¬g` disjuncts into the
 /// conditional verdict: each candidate region is re-verified by a fresh,
-/// entry-seeded analysis (no refinement), and joins the DNF — with its own
-/// ranking function — only when that analysis proves termination from it.
-/// Unverified candidates are silently dropped, keeping the reported
-/// precondition a sound under-approximation.
+/// entry-seeded analysis (no refinement) on the pipeline's snapshot, and
+/// joins the DNF — with its own ranking function — only when that analysis
+/// proves termination from it. Unverified candidates are silently dropped,
+/// keeping the reported precondition a sound under-approximation.
 fn verify_pending_disjuncts(
-    program: &Program,
     ts: &TransitionSystem,
     pipeline: &FixpointPipeline<'_>,
     options: &AnalysisOptions,
@@ -264,14 +314,11 @@ fn verify_pending_disjuncts(
         if disjuncts.iter().any(|d| candidate.is_subset_of(&d.clause)) {
             continue;
         }
-        let cancel = options.cancel.clone();
         let invariant_start = Instant::now();
-        let mut sub = FixpointPipeline::with_entry(
-            program,
+        let mut sub = FixpointPipeline::reseeded(
+            pipeline.snapshot(),
             ts,
-            &options.invariants,
-            0,
-            termite_lp::Interrupt::new(move || cancel.is_cancelled()),
+            interrupt_of(options),
             candidate.clone(),
         );
         let initial_invariant_millis = invariant_start.elapsed().as_secs_f64() * 1000.0;

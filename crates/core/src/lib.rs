@@ -79,7 +79,8 @@ mod workspace;
 pub use baselines::{eager, heuristic, podelski_rybalchenko};
 pub use cancel::CancelToken;
 pub use engine::{
-    prove_termination, prove_transition_system, prove_with_pipeline, AnalysisOptions, Engine,
+    invariant_snapshot, prove_termination, prove_transition_system, prove_with_pipeline,
+    prove_with_snapshot, AnalysisOptions, Engine,
 };
 pub use lp_instance::{
     solve_lp_instance, LpInstanceSolution, LpInstanceStats, RankingTemplate, StackedConstraints,

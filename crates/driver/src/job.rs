@@ -9,13 +9,15 @@ use termite_suite::{suite, SuiteId};
 
 /// One unit of work: a prepared transition system plus its invariants.
 ///
-/// Front-end and invariant generation happen at job-construction time (as in
-/// the paper's methodology, which excludes both from the reported times), so
-/// workers spend their time in ranking-function synthesis only, and one job
-/// can be raced across several engines without re-preparing anything. When
-/// the `program` source is available, workers run the full refinement
-/// pipeline (conditional termination); without it, the engines fall back to
-/// the one-shot invariants.
+/// The front end and the forward invariant fixpoint run at job-construction
+/// time (as in the paper's methodology, which excludes both from the
+/// reported times); the cache key is derived from their results. When the
+/// `program` source is available, a worker that misses the cache still has
+/// invariant work to do: it strengthens the forward invariants with Houdini
+/// once per job (re-using `invariants` when `invariant_options` match the
+/// run's options), shares the result with every engine it races, and runs
+/// the refinement pipeline (conditional termination) on top. Without the
+/// program, the engines fall back to the one-shot `invariants`.
 ///
 /// Construction via [`from_program_with`](AnalysisJob::from_program_with)
 /// (and the suite constructors) can run the [`termite_ir::opt`] shrinking
@@ -30,6 +32,9 @@ pub struct AnalysisJob {
     pub ts: TransitionSystem,
     /// Invariant of each cut point.
     pub invariants: Vec<Polyhedron>,
+    /// The options `invariants` were computed with. A run under other
+    /// options recomputes the forward fixpoint instead of re-using them.
+    pub invariant_options: InvariantOptions,
     /// Ground truth, when known (benchmark suites record whether a
     /// lexicographic linear ranking function is expected to exist).
     pub expected_terminating: Option<bool>,
@@ -80,6 +85,7 @@ impl AnalysisJob {
             name: program.name.clone(),
             ts: program.transition_system(),
             invariants: location_invariants(&program, invariant_options),
+            invariant_options: invariant_options.clone(),
             expected_terminating: None,
             program: Some(program.into_owned()),
             provenance,
@@ -93,6 +99,7 @@ impl AnalysisJob {
             name: prepared.name,
             ts: prepared.ts,
             invariants: prepared.invariants,
+            invariant_options: prepared.invariant_options,
             expected_terminating: Some(prepared.expected_terminating),
             program: Some(prepared.program),
             provenance: prepared.provenance,

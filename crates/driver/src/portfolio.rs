@@ -7,38 +7,61 @@
 //! the job token, and the first engine to return a proof cancels its
 //! siblings. Losers exit at their next cooperative cancellation check (one
 //! SMT→LP round trip), so a portfolio costs barely more wall-clock time than
-//! its fastest member.
+//! its fastest member. The engines share one invariant snapshot per job,
+//! built before they start (see DESIGN.md §1).
 
 use crate::job::AnalysisJob;
 use std::fmt;
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 use termite_core::{
-    prove_termination, prove_transition_system, AnalysisOptions, Engine, Precondition,
-    RankingFunction, TerminationReport, UnknownReason, Verdict,
+    invariant_snapshot, prove_transition_system, prove_with_snapshot, AnalysisOptions, Engine,
+    Precondition, RankingFunction, TerminationReport, UnknownReason, Verdict,
 };
+use termite_invariants::InvariantSnapshot;
 use termite_ir::Provenance;
 use termite_polyhedra::{Constraint, Polyhedron};
 
-/// Runs one engine on a job: through the full refinement pipeline when the
-/// program source is available (conditional termination), through the
-/// one-shot prepared invariants otherwise.
+/// The job's invariant snapshot, built once per run before any engine
+/// starts (program-carrying jobs only), with its build time in
+/// milliseconds. The prepared `job.invariants` serve as its forward stage
+/// when they were computed under the run's invariant options; otherwise the
+/// forward fixpoint is recomputed, since re-using invariants from other
+/// options would change what the engines prove.
+fn job_snapshot(
+    job: &AnalysisJob,
+    options: &AnalysisOptions,
+) -> Option<(Arc<InvariantSnapshot>, f64)> {
+    let program = job.program.as_ref()?;
+    let forward = (job.invariant_options == options.invariants).then(|| job.invariants.clone());
+    Some(invariant_snapshot(program, &job.ts, options, forward))
+}
+
+/// Runs one engine on a job: on the job's shared invariant snapshot when
+/// the program source is available (refinement pipeline, conditional
+/// termination), on the one-shot prepared invariants otherwise.
 ///
-/// Program-carrying jobs deliberately ignore the prepared `job.ts` /
-/// `job.invariants`: each racing engine owns a private, *mutable*
-/// `FixpointPipeline` (refinement narrows its entry set mid-run), so the
-/// forward fixpoint + Houdini stages are recomputed per engine rather than
-/// shared behind a lock. That redundancy is bounded by the invariant
-/// generator's cost (milliseconds per job) and buys lock-free racing; the
-/// prepared fields still serve transition-system-only jobs.
+/// Every engine of a race reads the same immutable snapshot; only the
+/// Termite engine refines, and its pipeline computes (and owns) new
+/// invariants when it does, so the race needs no lock.
 ///
 /// Pre-optimized jobs get their verdict translated back to source variables
 /// *here*, before anything downstream (cache, NDJSON response, suite table)
 /// sees the report — a cached report is therefore always in source terms.
-fn prove_job(job: &AnalysisJob, options: &AnalysisOptions) -> TerminationReport {
-    let mut report = match &job.program {
-        Some(program) => prove_termination(program, options),
+fn prove_job(
+    job: &AnalysisJob,
+    snapshot: Option<&Arc<InvariantSnapshot>>,
+    options: &AnalysisOptions,
+) -> TerminationReport {
+    let report = match snapshot {
+        Some(snapshot) => prove_with_snapshot(&job.ts, snapshot, options),
         None => prove_transition_system(&job.ts, &job.invariants, options),
     };
+    finish_report(job, report)
+}
+
+/// Labels a raw engine report for the job: its name, its verdict in source
+/// variables, and its IR shrink counters.
+fn finish_report(job: &AnalysisJob, mut report: TerminationReport) -> TerminationReport {
     report.program = job.name.clone();
     if let Some(prov) = &job.provenance {
         translate_verdict(&mut report.verdict, prov);
@@ -228,6 +251,10 @@ pub struct PortfolioOutcome {
 
 /// Runs one job under an engine selection.
 ///
+/// The job's invariant snapshot is built once, under the job token, before
+/// any engine starts; its build time lands in the returned report's
+/// `invariant_millis` exactly once, whichever engine answers.
+///
 /// The job token in `options.cancel` stays under the caller's control: the
 /// race uses child tokens internally, so a batch deadline still cancels the
 /// whole race, while the race's own first-proof-wins cancellation never
@@ -245,13 +272,15 @@ pub fn run_selection(
     if let EngineSelection::Portfolio(engines) = selection {
         assert!(!engines.is_empty(), "a portfolio needs at least one engine");
     }
-    match selection {
+    let (snapshot, snapshot_millis) = job_snapshot(job, options).unzip();
+    let snapshot = snapshot.as_ref();
+    let mut out = match selection {
         EngineSelection::Single(engine) => {
             let opts = AnalysisOptions {
                 engine: *engine,
                 ..options.clone()
             };
-            let report = prove_job(job, &opts);
+            let report = prove_job(job, snapshot, &opts);
             let winner = report.proved().then_some(*engine);
             PortfolioOutcome {
                 report,
@@ -260,7 +289,7 @@ pub fn run_selection(
             }
         }
         EngineSelection::Portfolio(engines) => {
-            let mut out = race(job, engines, options);
+            let mut out = race(job, snapshot, engines, options);
             // Name the winning engine in the report itself, so the answer
             // survives the cache round trip and reaches `suite table`,
             // `merge-reports` and `bench-diff` (single-engine runs keep
@@ -268,7 +297,9 @@ pub fn run_selection(
             out.report.stats.engine_won = out.winner.map(|e| format!("{e:?}"));
             out
         }
-    }
+    };
+    out.report.stats.invariant_millis += snapshot_millis.unwrap_or(0.0);
+    out
 }
 
 /// Races the engines under the **verdict-confluence invariant**: the rank of
@@ -285,7 +316,12 @@ pub fn run_selection(
 /// engine-list position — a fully deterministic pick. The certificate (and
 /// the winner's identity) may still vary between runs *only* when several
 /// engines race to equally-ranked unconditional proofs.
-fn race(job: &AnalysisJob, engines: &[Engine], options: &AnalysisOptions) -> PortfolioOutcome {
+fn race(
+    job: &AnalysisJob,
+    snapshot: Option<&Arc<InvariantSnapshot>>,
+    engines: &[Engine],
+    options: &AnalysisOptions,
+) -> PortfolioOutcome {
     // One shared child token: the first unconditional proof cancels every
     // sibling, the caller's token still cancels everyone.
     let race_token = options.cancel.child();
@@ -322,7 +358,7 @@ fn race(job: &AnalysisJob, engines: &[Engine], options: &AnalysisOptions) -> Por
                         }
                     }
                 }
-                let report = prove_job(job, &opts);
+                let report = prove_job(job, snapshot, &opts);
                 if report.proved_unconditionally() {
                     let mut slot = winner.lock().unwrap();
                     if slot.is_none() {
@@ -380,12 +416,124 @@ fn race(job: &AnalysisJob, engines: &[Engine], options: &AnalysisOptions) -> Por
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json::Json;
+    use crate::report_to_json;
     use termite_invariants::InvariantOptions;
     use termite_ir::parse_program;
 
     fn job(src: &str) -> AnalysisJob {
         let p = parse_program(src).unwrap();
         AnalysisJob::from_program(&p, &InvariantOptions::default())
+    }
+
+    /// Report JSON with every wall-clock field zeroed (as in the race
+    /// determinism test): timings legitimately vary between runs.
+    fn normalized(report: &TerminationReport) -> String {
+        fn scrub(json: &mut Json) {
+            match json {
+                Json::Object(map) => {
+                    for (key, value) in map.iter_mut() {
+                        if key.ends_with("_millis") {
+                            *value = Json::Number(0.0);
+                        } else {
+                            scrub(value);
+                        }
+                    }
+                }
+                Json::Array(items) => items.iter_mut().for_each(scrub),
+                _ => {}
+            }
+        }
+        let mut json = report_to_json(report);
+        scrub(&mut json);
+        json.to_string()
+    }
+
+    /// What one engine reports on the job with a private pipeline of its
+    /// own: `prove_termination` on the job's program, labelled like
+    /// `prove_job` labels a report.
+    fn fresh(job: &AnalysisJob, options: &AnalysisOptions) -> String {
+        let program = job.program.as_ref().expect("program-carrying job");
+        normalized(&finish_report(
+            job,
+            termite_core::prove_termination(program, options),
+        ))
+    }
+
+    fn invariant_init_spans(job: &AnalysisJob, selection: &EngineSelection) -> usize {
+        let recorder = std::sync::Arc::new(termite_obs::Recorder::new(
+            termite_obs::DEFAULT_RING_CAPACITY,
+        ));
+        let guard = termite_obs::install(std::sync::Arc::clone(&recorder));
+        run_selection(job, selection, &AnalysisOptions::default());
+        drop(guard);
+        recorder
+            .drain()
+            .iter()
+            .filter(|e| e.name == "invariant_init")
+            .count()
+    }
+
+    #[test]
+    fn a_job_builds_its_invariants_once_whatever_the_selection() {
+        let j = job("var x, y; while (x > 0) { x = x + y; }");
+        assert_eq!(
+            invariant_init_spans(&j, &EngineSelection::full_portfolio()),
+            1
+        );
+        assert_eq!(
+            invariant_init_spans(&j, &EngineSelection::single(Engine::Termite)),
+            1
+        );
+    }
+
+    #[test]
+    fn every_lane_answers_on_the_shared_snapshot_as_on_a_fresh_pipeline() {
+        let jobs = AnalysisJob::from_all_suites_with(true);
+        assert_eq!(jobs.len(), 62);
+        for j in &jobs {
+            for engine in EngineSelection::full_portfolio().engines() {
+                let options = AnalysisOptions::with_engine(engine);
+                let shared = run_selection(j, &EngineSelection::single(engine), &options);
+                assert_eq!(
+                    normalized(&shared.report),
+                    fresh(j, &options),
+                    "{}: {engine:?} answers differently on the shared snapshot",
+                    j.name
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn invariants_prepared_under_other_options_are_not_reused() {
+        // One ascending sweep stops the forward fixpoint at `x = 0`: a
+        // header "invariant" that is not one, and that no run under the
+        // default options may pick up.
+        let odd = InvariantOptions {
+            max_iterations: 1,
+            ..InvariantOptions::default()
+        };
+        let p = parse_program("var x; x = 0; while (x < 10) { x = x + 1; }").unwrap();
+        let j = AnalysisJob::from_program_with(&p, &odd, true);
+        let defaults = AnalysisOptions::default();
+        assert_ne!(
+            j.invariants[0].to_string(),
+            termite_invariants::location_invariants(
+                j.program.as_ref().unwrap(),
+                &defaults.invariants
+            )[0]
+            .to_string()
+        );
+        for engine in EngineSelection::full_portfolio().engines() {
+            let options = AnalysisOptions::with_engine(engine);
+            let shared = run_selection(&j, &EngineSelection::single(engine), &options);
+            assert_eq!(
+                normalized(&shared.report),
+                fresh(&j, &options),
+                "{engine:?}"
+            );
+        }
     }
 
     #[test]

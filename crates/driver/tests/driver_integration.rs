@@ -107,6 +107,7 @@ fn portfolio_race_loser_never_wins() {
         name: program.name.clone(),
         ts: program.transition_system(),
         invariants,
+        invariant_options: InvariantOptions::default(),
         expected_terminating: Some(true),
         // One-shot job: the hand-written invariants stay authoritative (no
         // refinement pipeline re-deriving them).
