@@ -10,7 +10,7 @@
 use crate::cache::ResultCache;
 use crate::job::AnalysisJob;
 use crate::portfolio::EngineSelection;
-use crate::service::{with_scheduler, SchedulerConfig, TaskSpec};
+use crate::service::{with_scheduler, SchedulerConfig, TaskJob, TaskSpec};
 use std::sync::Arc;
 use std::time::Duration;
 use termite_core::{AnalysisOptions, Engine, SynthesisStats, TerminationReport};
@@ -106,7 +106,7 @@ pub fn run_batch(
                 TaskSpec {
                     id: index.to_string(),
                     client: 0,
-                    job,
+                    job: TaskJob::Prepared(Box::new(job)),
                     selection: None,
                     timeout: None,
                     trace: false,

@@ -86,7 +86,7 @@ pub use net::{install_sigterm_handler, serve_tcp};
 pub use portfolio::{parse_selection, run_selection, EngineSelection, PortfolioOutcome};
 pub use service::{
     parse_request, serve, with_scheduler, Request, SchedulerConfig, SchedulerHandle, ServeConfig,
-    ServeSummary, TaskOutcome, TaskSpec,
+    ServeSummary, TaskJob, TaskOutcome, TaskSpec,
 };
 
 /// Locks a mutex, recovering the guard from a poisoned lock. With worker

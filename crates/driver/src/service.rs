@@ -20,7 +20,9 @@
 //!   this scheduler (submit everything, collect from a channel, reorder).
 //! * [`serve`] — the NDJSON wire front-end: job requests are read line by
 //!   line from any [`BufRead`], responses stream back over any [`Write`] the
-//!   moment each job lands, tagged by the request `id`. A `{"cancel": id}`
+//!   moment each job lands, tagged by the request `id`. Intake only parses;
+//!   the worker that runs a task prepares its job ([`TaskJob::Program`]), so
+//!   one client's jobs prepare in parallel. A `{"cancel": id}`
 //!   control line cancels a queued or running job mid-flight. Exposed on
 //!   stdin/stdout as `termite serve`, so any transport — a socket wrapper, a
 //!   CI harness, an editor plugin — can drive the prover as a service.
@@ -97,6 +99,7 @@ use crate::job::AnalysisJob;
 use crate::json::Json;
 use crate::lock;
 use crate::portfolio::{run_selection, EngineSelection, PortfolioOutcome};
+use std::borrow::Cow;
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 use std::io::{BufRead, Write};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -107,7 +110,7 @@ use termite_core::{
     UnknownReason, Verdict, STAT_FIELDS,
 };
 use termite_invariants::InvariantOptions;
-use termite_ir::parse_named_program;
+use termite_ir::{parse_named_program, Program};
 use termite_obs::{
     ArgValue, EventKind, MetricUnit, MetricsRegistry, MetricsSnapshot, Recorder, TraceEvent,
 };
@@ -156,8 +159,8 @@ pub struct TaskSpec {
     /// numbers, so one client flooding the queue cannot starve the others.
     /// Single-tenant callers (batch mode) use `0`.
     pub client: u64,
-    /// The prepared analysis job.
-    pub job: AnalysisJob,
+    /// The analysis job, or the program a worker prepares into one.
+    pub job: TaskJob,
     /// Engine selection override; `None` uses the scheduler default.
     pub selection: Option<EngineSelection>,
     /// Wall-clock budget override; `None` uses the scheduler default.
@@ -166,6 +169,50 @@ pub struct TaskSpec {
     /// its events come back in [`TaskOutcome::trace`] (the serve protocol's
     /// `"trace": true` request field).
     pub trace: bool,
+}
+
+/// What a task analyses.
+#[derive(Clone, Debug)]
+pub enum TaskJob {
+    /// A job its submitter already prepared (batch mode).
+    Prepared(Box<AnalysisJob>),
+    /// A parsed program that the worker running the task prepares with
+    /// default invariant options ([`AnalysisJob::from_program_with`]).
+    /// Preparation — IR optimization and the forward fixpoint, which the
+    /// cache key needs — is the bulk of a cache hit's cost; done by the
+    /// worker pool, it runs in parallel instead of one job at a time on a
+    /// client's intake thread.
+    Program {
+        /// The parsed program.
+        program: Program,
+        /// Whether to run the IR shrinking pipeline first.
+        optimize: bool,
+    },
+}
+
+impl TaskJob {
+    /// The job's name (the program's name).
+    fn name(&self) -> &str {
+        match self {
+            TaskJob::Prepared(job) => &job.name,
+            TaskJob::Program { program, .. } => &program.name,
+        }
+    }
+
+    /// The prepared job: borrowed, or prepared now on the calling thread.
+    fn prepare(&self) -> Cow<'_, AnalysisJob> {
+        match self {
+            TaskJob::Prepared(job) => Cow::Borrowed(job.as_ref()),
+            TaskJob::Program { program, optimize } => {
+                let _span = termite_obs::span!("job.prepare", program = program.name.as_str());
+                Cow::Owned(AnalysisJob::from_program_with(
+                    program,
+                    &InvariantOptions::default(),
+                    *optimize,
+                ))
+            }
+        }
+    }
 }
 
 /// What the scheduler hands to a task's reply callback.
@@ -377,7 +424,11 @@ fn worker_loop(state: &SchedulerState, config: &SchedulerConfig, cache: Option<&
         // dead worker, a poisoned mutex, and a client hung forever on a
         // missing response. The worker returns to the pool.
         let (result, trace, panic) = if drain || task.cancel.is_cancelled() {
-            (cancelled_result(&task.spec.job), None, None)
+            (
+                unrun_result(&task.spec.job, UnknownReason::Cancelled),
+                None,
+                None,
+            )
         } else {
             match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 execute_task(&task, config, cache)
@@ -398,7 +449,11 @@ fn worker_loop(state: &SchedulerState, config: &SchedulerConfig, cache: Option<&
                          recovered; job answered as engine failure)",
                         task.spec.id
                     );
-                    (panicked_result(&task.spec.job), None, Some(message))
+                    (
+                        unrun_result(&task.spec.job, UnknownReason::EngineFailure),
+                        None,
+                        Some(message),
+                    )
                 }
             }
         };
@@ -448,36 +503,24 @@ fn registered_stats() -> impl Iterator<Item = (&'static StatField, MetricUnit)> 
     })
 }
 
-/// The result of a task that was cancelled before a worker ran it: `Unknown`
-/// with zeroed stats (cancellation is indistinguishable from "gave up",
-/// never from a proof).
-pub(crate) fn cancelled_result(job: &AnalysisJob) -> BatchResult {
+/// The result of a task that produced no analysis: `Unknown` for `reason`
+/// with zeroed stats. A task cancelled before a worker ran it answers
+/// `Cancelled` (indistinguishable from "gave up", never from a proof); a
+/// task whose worker panicked (caught at the scheduler's isolation boundary)
+/// answers `EngineFailure` — the failure says nothing about the program.
+fn unrun_result(job: &TaskJob, reason: UnknownReason) -> BatchResult {
+    let expected_terminating = match job {
+        TaskJob::Prepared(job) => job.expected_terminating,
+        TaskJob::Program { .. } => None,
+    };
     BatchResult {
         report: TerminationReport {
-            program: job.name.clone(),
-            verdict: Verdict::unknown(UnknownReason::Cancelled),
+            program: job.name().to_string(),
+            verdict: Verdict::unknown(reason),
             stats: SynthesisStats::default(),
         },
-        name: job.name.clone(),
-        expected_terminating: job.expected_terminating,
-        winner: None,
-        from_cache: false,
-        wall_millis: 0.0,
-    }
-}
-
-/// The result of a task whose worker panicked (caught at the scheduler's
-/// isolation boundary): `Unknown` with [`UnknownReason::EngineFailure`] and
-/// zeroed stats — the failure says nothing about the program.
-pub(crate) fn panicked_result(job: &AnalysisJob) -> BatchResult {
-    BatchResult {
-        report: TerminationReport {
-            program: job.name.clone(),
-            verdict: Verdict::unknown(UnknownReason::EngineFailure),
-            stats: SynthesisStats::default(),
-        },
-        name: job.name.clone(),
-        expected_terminating: job.expected_terminating,
+        name: job.name().to_string(),
+        expected_terminating,
         winner: None,
         from_cache: false,
         wall_millis: 0.0,
@@ -509,7 +552,6 @@ fn execute_task(
 
 fn run_task(task: &Task, config: &SchedulerConfig, cache: Option<&ResultCache>) -> BatchResult {
     let start = Instant::now();
-    let job = &task.spec.job;
     let _job_span = termite_obs::span!("job", id = task.spec.id.as_str());
     // Fault injection (no-op unless a plan is armed, see `crate::faults`):
     // the stall observes cancellation like a real engine would, and the
@@ -526,6 +568,8 @@ fn run_task(task: &Task, config: &SchedulerConfig, cache: Option<&ResultCache>) 
             panic!("injected fault: worker_panic (job `{}`)", task.spec.id);
         }
     }
+    let job = task.spec.job.prepare();
+    let job = job.as_ref();
     let selection = task.spec.selection.as_ref().unwrap_or(&config.selection);
     let key = cache.map(|_| cache_key(job, selection, &config.options));
 
@@ -1397,11 +1441,10 @@ fn client_intake(
                         continue;
                     }
                 };
-                let job = AnalysisJob::from_program_with(
-                    &program,
-                    &InvariantOptions::default(),
-                    optimize.unwrap_or(shared.config.optimize),
-                );
+                let job = TaskJob::Program {
+                    program,
+                    optimize: optimize.unwrap_or(shared.config.optimize),
+                };
                 let token = scheduler.child_token();
                 // The window comes first: an id is only "in flight" (and
                 // only duplicate-checked) once admitted, so a resubmission
@@ -1687,7 +1730,10 @@ mod tests {
         TaskSpec {
             id: id.to_string(),
             client,
-            job: AnalysisJob::from_program(&program, &InvariantOptions::default()),
+            job: TaskJob::Prepared(Box::new(AnalysisJob::from_program(
+                &program,
+                &InvariantOptions::default(),
+            ))),
             selection: None,
             timeout: None,
             trace: false,
@@ -1998,6 +2044,40 @@ mod tests {
             Some("second"),
             "a cache hit must be re-labelled with the requesting id"
         );
+    }
+
+    #[test]
+    fn serve_prepares_jobs_on_the_worker_that_runs_them() {
+        // Preparation (IR optimization, invariants) runs inside the task,
+        // not on the client's intake thread: the job's own trace holds its
+        // `ir_opt` span, on the thread of its `job` span.
+        let requests = concat!(
+            r#"{"id": "t", "program": "var x; while (x > 0) { x = x - 1; }", "trace": true}"#,
+            "\n",
+        );
+        let mut out = Vec::new();
+        let summary = serve(
+            Cursor::new(requests),
+            &mut out,
+            &ServeConfig::default(),
+            None,
+        )
+        .unwrap();
+        assert_eq!(summary.ok, 1);
+        let doc = Json::parse(String::from_utf8(out).unwrap().trim()).unwrap();
+        let events = doc
+            .get("trace")
+            .and_then(|t| t.get("traceEvents"))
+            .and_then(Json::as_array)
+            .expect("a traced job carries its events");
+        let tid_of = |name: &str| {
+            events
+                .iter()
+                .find(|e| e.get("name").and_then(Json::as_str) == Some(name))
+                .and_then(|e| e.get("tid").and_then(Json::as_f64))
+                .unwrap_or_else(|| panic!("no `{name}` span in {doc}"))
+        };
+        assert_eq!(tid_of("ir_opt"), tid_of("job"));
     }
 
     #[test]

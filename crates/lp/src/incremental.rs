@@ -21,6 +21,11 @@
 //! The outcome is exactly an optimum of the same exact-rational LP — the
 //! warm start changes *time*, never *answers* (degenerate optima may pick a
 //! different optimal vertex, as any pivot-order change can).
+//!
+//! Only cold solves carry a Farkas certificate of infeasibility
+//! ([`LpSolution::farkas`](crate::LpSolution::farkas)): the warm dual path
+//! stops at the first row it cannot repair and reports `Infeasible` with
+//! `farkas: None`. Its callers want the verdict, not a conflict core.
 
 use crate::simplex::{
     ColKind, Constraint, Direction, FeasibilityOutcome, Interrupt, Interrupted, LinearProgram,
@@ -423,6 +428,7 @@ impl IncrementalLp {
                     pivots: w.t.pivots - pivots_before,
                     rows: self.lp.num_constraints(),
                     cols: self.lp.num_vars(),
+                    farkas: None,
                 });
             }
             FeasibilityOutcome::GaveUp => return Err(WarmFailure::Rebuild),

@@ -20,8 +20,16 @@
 //!    CNF for the CDCL core ([`termite_sat::Solver`]);
 //! 2. every propositional model is checked for theory consistency by an exact
 //!    rational simplex ([`termite_lp`]) followed by branch-and-bound for
-//!    integrality; theory conflicts are minimised and returned to the SAT core
-//!    as blocking clauses;
+//!    integrality. A conflict is shrunk by deletion — drop each asserted atom
+//!    whose removal leaves the relaxation infeasible — and the core goes back
+//!    to the SAT core as a blocking clause. The deletion is guided by Farkas
+//!    certificates: every infeasible simplex solve returns multipliers
+//!    combining its rows into `0 ≥ c > 0`, and an atom outside the most
+//!    recent certificate's support is dropped without solving, because the
+//!    remaining atoms still contain an infeasible system and the probe would
+//!    have answered "infeasible". Atoms in the support are probed as before,
+//!    so every keep/drop decision, and hence the core, the blocking clauses
+//!    and the search, is that of plain deletion (see the `theory` module);
 //! 3. on a theory-consistent model the objective can be **minimised** over the
 //!    model's polyhedron (optimization modulo theory, per the paper's
 //!    "extremal counterexample" requirement); an unbounded objective is

@@ -136,6 +136,10 @@ pub struct SolverStats {
     /// Number of models whose integrality could not be established within the
     /// branch-and-bound budget.
     pub non_integral_models: usize,
+    /// Number of LP relaxations the theory solver solved (see
+    /// [`TheorySolver::lp_solves`]); conflict probes that a Farkas
+    /// certificate answers are not solved and not counted.
+    pub theory_lp_solves: usize,
 }
 
 /// An SMT solving context: declares integer variables and answers
@@ -209,11 +213,23 @@ impl SmtContext {
     }
 
     fn run(&mut self, formula: &Formula, objective: Option<&LinExpr>) -> RunResult {
+        let theory = TheorySolver::with_interrupt(self.interrupt.clone());
+        let result = self.search(&theory, formula, objective);
+        self.stats.theory_lp_solves += theory.lp_solves();
+        result
+    }
+
+    /// The DPLL(T) loop proper: SAT models checked by `theory`.
+    fn search(
+        &mut self,
+        theory: &TheorySolver,
+        formula: &Formula,
+        objective: Option<&LinExpr>,
+    ) -> RunResult {
         let nnf = formula.to_nnf();
         let mut enc = Encoder::new();
         let root = enc.encode(&nnf);
         enc.sat.add_clause(&[root]);
-        let theory = TheorySolver::with_interrupt(self.interrupt.clone());
 
         loop {
             if self.interrupt.is_raised() {
@@ -581,6 +597,28 @@ mod tests {
         ]);
         assert_eq!(ctx.solve(&f), SmtResult::Unsat);
         assert!(ctx.stats().queries >= 1);
+    }
+
+    #[test]
+    fn certificate_skips_the_probes_of_irrelevant_atoms() {
+        // x >= 5 ∧ x <= 3 conflict; y_k >= 0 for 20 further variables do not
+        // take part. One check solve plus one probe per core atom: the
+        // check's certificate answers the 20 other probes (plain deletion
+        // solves 1 + 22 LPs here).
+        let mut ctx = SmtContext::new();
+        let x = var(&mut ctx, "x");
+        let mut conjuncts = vec![
+            Formula::ge(LinExpr::var(x), LinExpr::constant(5)),
+            Formula::le(LinExpr::var(x), LinExpr::constant(3)),
+        ];
+        for k in 0..20 {
+            let y = var(&mut ctx, &format!("y{k}"));
+            conjuncts.push(Formula::ge(LinExpr::var(y), LinExpr::constant(0)));
+        }
+        assert_eq!(ctx.solve(&Formula::and(conjuncts)), SmtResult::Unsat);
+        assert_eq!(ctx.stats().theory_checks, 1);
+        assert_eq!(ctx.stats().blocking_clauses, 1);
+        assert_eq!(ctx.stats().theory_lp_solves, 1 + 2);
     }
 
     #[test]

@@ -5,16 +5,34 @@
 //! optionally minimises a linear objective:
 //!
 //! 1. the rational relaxation is solved by the exact simplex of
-//!    [`termite_lp`]; an infeasible relaxation yields a (greedily minimised)
-//!    conflict set of atoms, which the DPLL(T) driver turns into a blocking
-//!    clause;
+//!    [`termite_lp`]; an infeasible relaxation yields a conflict set of
+//!    atoms, which the DPLL(T) driver turns into a blocking clause;
 //! 2. if the relaxation is feasible but the optimum/witness is fractional,
 //!    branch-and-bound on the fractional variables establishes integrality.
 //!    Branching is bounded by a node budget; if the budget is exhausted the
 //!    result is flagged as non-integral (`integral = false`), which callers
 //!    treat conservatively (see the crate documentation of `termite-core`).
+//!
+//! # Conflict cores from Farkas certificates
+//!
+//! A conflict is shrunk by deletion: walk the atoms in order and drop each
+//! one whose removal leaves the relaxation infeasible. Each "probe" is a
+//! from-scratch LP solve. An infeasible solve also returns a Farkas
+//! certificate ([`termite_lp::LpSolution::farkas`]): non-negative
+//! multipliers on the atoms whose combination reads `0 ≥ c` with `c > 0`.
+//! The atoms with non-zero multipliers (its *support*) are infeasible on
+//! their own. The deletion loop keeps the support of the most recent
+//! certificate: first that of the LP that found the conflict, then that of
+//! each probe that came back infeasible. An atom outside that support is
+//! dropped without a solve: the remaining atoms still contain the whole
+//! support, so the probe would have answered "infeasible" anyway. Atoms
+//! inside the support are probed as before. Every keep/drop decision is the
+//! one plain deletion makes, so the core — and with it the blocking
+//! clauses and the whole SAT search — is unchanged; only the solves whose
+//! answer was already known are skipped.
 
 use crate::{Atom, LinExpr, TermVar};
+use std::cell::Cell;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use termite_lp::{
     Constraint as LpConstraint, Interrupt, LinearProgram, LpOutcome, LpSolution, Relation, VarId,
@@ -76,11 +94,13 @@ pub enum MinimizeOutcome {
 /// Branch-and-bound node budget (per theory call).
 const BB_NODE_LIMIT: usize = 400;
 
-/// The LIA theory solver (stateless apart from the interrupt source; all
-/// methods take the atom set).
+/// The LIA theory solver (stateless apart from the interrupt source and a
+/// solve counter; all methods take the atom set).
 #[derive(Debug, Default, Clone)]
 pub struct TheorySolver {
     interrupt: Interrupt,
+    /// LP relaxations solved so far (see [`TheorySolver::lp_solves`]).
+    lp_solves: Cell<usize>,
 }
 
 impl TheorySolver {
@@ -93,11 +113,22 @@ impl TheorySolver {
     /// `interrupt` every few pivots, so cancellation lands mid-pivot even
     /// inside the SMT search (ROADMAP "interruptible solvers", SMT side).
     pub fn with_interrupt(interrupt: Interrupt) -> Self {
-        TheorySolver { interrupt }
+        TheorySolver {
+            interrupt,
+            lp_solves: Cell::new(0),
+        }
+    }
+
+    /// Number of LP relaxations this solver has solved: consistency checks,
+    /// conflict-minimisation probes, branch-and-bound nodes and
+    /// minimisations (interrupted solves included).
+    pub fn lp_solves(&self) -> usize {
+        self.lp_solves.get()
     }
 
     /// Runs one LP through the interruptible simplex.
     fn solve_lp(&self, lp: &LinearProgram) -> Option<LpSolution> {
+        self.lp_solves.set(self.lp_solves.get() + 1);
         lp.solve_interruptible(&self.interrupt)
     }
 
@@ -195,7 +226,7 @@ impl TheorySolver {
         };
         match solution.outcome {
             LpOutcome::Infeasible => TheoryOutcome::Inconsistent {
-                conflict: self.minimize_conflict(atoms, &vars),
+                conflict: self.minimize_conflict(atoms, &vars, solution.farkas_support()),
             },
             LpOutcome::Unbounded { .. } => unreachable!("feasibility LP cannot be unbounded"),
             LpOutcome::Optimal { assignment, .. } => {
@@ -211,14 +242,28 @@ impl TheorySolver {
         }
     }
 
-    /// Greedy conflict minimisation: drop atoms whose removal keeps the system
-    /// infeasible.
-    fn minimize_conflict(&self, atoms: &[Atom], vars: &[TermVar]) -> Vec<usize> {
+    /// Greedy conflict minimisation by deletion, skipping the probes a
+    /// Farkas certificate already answers (see the module documentation).
+    /// `support` indexes the atoms of a certificate for the whole system;
+    /// `None` probes every atom.
+    fn minimize_conflict(
+        &self,
+        atoms: &[Atom],
+        vars: &[TermVar],
+        mut support: Option<Vec<usize>>,
+    ) -> Vec<usize> {
         let mut active: Vec<usize> = (0..atoms.len()).collect();
+        // `support` holds the atoms with a non-zero multiplier in the most
+        // recent certificate; it stays a subset of `active`.
         let mut i = 0;
         while i < active.len() {
             if active.len() <= 1 {
                 break;
+            }
+            if support.as_ref().is_some_and(|s| !s.contains(&active[i])) {
+                // The rest still holds the whole certificate: infeasible.
+                active.remove(i);
+                continue;
             }
             let mut candidate = active.clone();
             candidate.remove(i);
@@ -231,12 +276,31 @@ impl TheorySolver {
                 break;
             };
             if matches!(solution.outcome, LpOutcome::Infeasible) {
+                // The probe's certificate indexes `candidate`'s rows.
+                support = solution
+                    .farkas_support()
+                    .map(|rows| rows.into_iter().map(|k| candidate[k]).collect());
                 active = candidate;
             } else {
                 i += 1;
             }
         }
+        // A wrong certificate would turn a satisfiable assignment into a
+        // blocking clause: re-check the core (outside the solve count).
+        debug_assert!(
+            self.relaxation_infeasible(atoms, &active, vars),
+            "conflict core {active:?} has a rational solution"
+        );
         active
+    }
+
+    /// Whether the relaxation of `atoms[core]` is infeasible (an interrupted
+    /// re-check proves nothing either way and counts as infeasible).
+    fn relaxation_infeasible(&self, atoms: &[Atom], core: &[usize], vars: &[TermVar]) -> bool {
+        let subset: Vec<&Atom> = core.iter().map(|&j| &atoms[j]).collect();
+        let (lp, _) = Self::build_lp(&subset, &[], None, vars);
+        lp.solve_interruptible(&self.interrupt)
+            .is_none_or(|solution| solution.outcome == LpOutcome::Infeasible)
     }
 
     /// Branch-and-bound search for an integer point of a rational-feasible
@@ -321,7 +385,7 @@ impl TheorySolver {
         };
         match solution.outcome {
             LpOutcome::Infeasible => MinimizeOutcome::Inconsistent {
-                conflict: self.minimize_conflict(atoms, &vars),
+                conflict: self.minimize_conflict(atoms, &vars, solution.farkas_support()),
             },
             LpOutcome::Unbounded { ray } => {
                 // Recover some feasible point for the model part.
@@ -463,9 +527,69 @@ pub(crate) fn atom(coeffs: &[(usize, i64)], rhs: i64) -> Atom {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn q(n: i64) -> Rational {
         Rational::from(n)
+    }
+
+    /// Plain deletion without certificates: the reference the
+    /// certificate-guided loop must reproduce core for core.
+    fn plain_deletion_core(atoms: &[Atom]) -> Vec<usize> {
+        let vars = TheorySolver::collect_vars(&atoms.iter().collect::<Vec<_>>());
+        let mut active: Vec<usize> = (0..atoms.len()).collect();
+        let mut i = 0;
+        while i < active.len() && active.len() > 1 {
+            let mut candidate = active.clone();
+            candidate.remove(i);
+            if TheorySolver::new().relaxation_infeasible(atoms, &candidate, &vars) {
+                active = candidate;
+            } else {
+                i += 1;
+            }
+        }
+        active
+    }
+
+    fn relaxation_feasible(atoms: &[Atom], subset: &[usize]) -> bool {
+        let vars = TheorySolver::collect_vars(&atoms.iter().collect::<Vec<_>>());
+        !TheorySolver::new().relaxation_infeasible(atoms, subset, &vars)
+    }
+
+    /// Random atom systems over 3 variables whose rational relaxation is
+    /// infeasible (every atom mentions at least one variable).
+    fn infeasible_system() -> impl Strategy<Value = Vec<Atom>> {
+        prop::collection::vec((prop::collection::vec(-3i64..=3, 3), -4i64..=6), 2..10)
+            .prop_map(|rows| {
+                rows.iter()
+                    .filter(|(c, _)| c.iter().any(|&k| k != 0))
+                    .map(|(c, b)| atom(&[(0, c[0]), (1, c[1]), (2, c[2])], *b))
+                    .collect::<Vec<Atom>>()
+            })
+            .prop_filter("rational relaxation must be infeasible", |atoms| {
+                let all: Vec<usize> = (0..atoms.len()).collect();
+                !atoms.is_empty() && !relaxation_feasible(atoms, &all)
+            })
+    }
+
+    proptest! {
+        /// Skipping the probes a certificate answers changes no decision:
+        /// the core is plain deletion's, and every atom in it is necessary.
+        #[test]
+        fn certificate_guided_core_matches_plain_deletion(atoms in infeasible_system()) {
+            let TheoryOutcome::Inconsistent { conflict } = TheorySolver::new().check(&atoms) else {
+                panic!("infeasible relaxation must give a conflict");
+            };
+            prop_assert_eq!(&conflict, &plain_deletion_core(&atoms));
+            for k in 0..conflict.len() {
+                let mut rest = conflict.clone();
+                rest.remove(k);
+                prop_assert!(
+                    relaxation_feasible(&atoms, &rest),
+                    "atom {} of core {:?} is redundant", conflict[k], conflict
+                );
+            }
+        }
     }
 
     #[test]
