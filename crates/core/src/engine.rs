@@ -222,25 +222,14 @@ fn interrupt_of(options: &AnalysisOptions) -> termite_lp::Interrupt {
 /// `options.cancel`. Returns it with its build time in milliseconds, which
 /// belongs in the `invariant_millis` of exactly one report however many
 /// engines share the snapshot.
-///
-/// `forward`, when given, is adopted as the forward stage instead of being
-/// recomputed: it must be [`termite_invariants::location_invariants`] of
-/// `program` under `options.invariants`.
 pub fn invariant_snapshot(
     program: &Program,
     ts: &TransitionSystem,
     options: &AnalysisOptions,
-    forward: Option<Vec<Polyhedron>>,
 ) -> (Arc<InvariantSnapshot>, f64) {
     let start = Instant::now();
     let _span = termite_obs::span!("invariant_init");
-    let interrupt = interrupt_of(options);
-    let snapshot = match forward {
-        Some(forward) => {
-            InvariantSnapshot::with_forward(program, ts, &options.invariants, forward, &interrupt)
-        }
-        None => InvariantSnapshot::new(program, ts, &options.invariants, &interrupt),
-    };
+    let snapshot = InvariantSnapshot::new(program, ts, &options.invariants, &interrupt_of(options));
     (Arc::new(snapshot), start.elapsed().as_secs_f64() * 1000.0)
 }
 
@@ -256,7 +245,7 @@ pub fn invariant_snapshot(
 /// stages, refinement rounds and ¬g re-verification) on its own.
 pub fn prove_termination(program: &Program, options: &AnalysisOptions) -> TerminationReport {
     let ts = program.transition_system();
-    let (snapshot, snapshot_millis) = invariant_snapshot(program, &ts, options, None);
+    let (snapshot, snapshot_millis) = invariant_snapshot(program, &ts, options);
     let mut report = prove_with_snapshot(&ts, &snapshot, options);
     report.stats.invariant_millis += snapshot_millis;
     report

@@ -426,7 +426,7 @@ fn parse_suites(name: &str) -> Result<Vec<SuiteId>, String> {
 fn suite_command(name: &str, flags: Flags) -> Result<ExitCode, String> {
     let suites = parse_suites(name)?;
     eprintln!(
-        "preparing {} suite(s) (front-end + invariants, untimed) ...",
+        "preparing {} suite(s) (front-end, untimed) ...",
         suites.len()
     );
     let mut jobs = Vec::new();

@@ -2,26 +2,31 @@
 //!
 //! A cache key is a 64-bit FNV-1a hash of the *normalized analysis input*:
 //! the transition-system content (variable names, cut points, per-transition
-//! formulas — not the program name), the invariants, the engine
-//! configuration, every option that can change the verdict, and — for jobs
-//! that carry their program and hence can earn a conditional verdict — the
-//! program content itself (the refinement pipeline sees the whole CFG, not
-//! just the cut-point transition system). Two benchmarks with the same
-//! analysis input therefore share one entry even across suites, and
-//! repeated batch runs are near-free.
+//! formulas — not the program name), the engine configuration, every option
+//! that can change the verdict, and what the invariants come from. For a
+//! job that carries its program — and hence can earn a conditional verdict
+//! — that is the program content itself (the refinement pipeline sees the
+//! whole CFG, not just the cut-point transition system): its invariants are
+//! a function of the program, the invariant options and the IR pipeline
+//! version, all in the key, so a lookup needs no invariant work. A job
+//! without a program keys on its one-shot invariants. Two benchmarks with
+//! the same analysis input therefore share one entry even across suites,
+//! and repeated batch runs are near-free.
 //!
-//! The store is an in-memory map behind a mutex, optionally persisted to a
+//! The store is an in-memory map behind a mutex, each entry kept as its
+//! encoded report text — the bytes a save writes, decoded on lookup by the
+//! same codec a reloaded file goes through. It is optionally persisted to a
 //! JSON file ([`ResultCache::load`] / [`ResultCache::save`]) so cache state
 //! survives across `termite` CLI invocations. Saves are atomic
 //! (write-then-rename), and long-lived consumers recover from a corrupt
 //! file via [`ResultCache::load_or_quarantine`] — the damaged file is moved
 //! aside and the service starts with an empty cache instead of dying.
 
-use crate::job::AnalysisJob;
+use crate::job::{AnalysisJob, JobInput};
 use crate::json::Json;
 use crate::lock;
 use crate::portfolio::EngineSelection;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -62,12 +67,18 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 ///
 /// Hashes the transition-system *content* — deliberately not the program
 /// name, so identical programs submitted under different names share a cache
-/// entry.
+/// entry — plus the program of a program-carrying job, or the one-shot
+/// invariants of a job without one.
 pub fn cache_key(
     job: &AnalysisJob,
     engines: &EngineSelection,
     options: &AnalysisOptions,
 ) -> String {
+    format!("{:016x}", fnv1a(key_text(job, engines, options).as_bytes()))
+}
+
+/// The normalized analysis input [`cache_key`] hashes.
+fn key_text(job: &AnalysisJob, engines: &EngineSelection, options: &AnalysisOptions) -> String {
     let mut text = String::new();
     let ts = &job.ts;
     let _ = write!(
@@ -79,8 +90,10 @@ pub fn cache_key(
     for t in ts.transitions() {
         let _ = write!(text, "t:{}->{}:{};", t.from, t.to, t.formula);
     }
-    for inv in &job.invariants {
-        let _ = write!(text, "inv:{inv};");
+    if let JobInput::Invariants(invariants) = &job.input {
+        for inv in invariants {
+            let _ = write!(text, "inv:{inv};");
+        }
     }
     let _ = write!(text, "engines:{engines};");
     let _ = write!(
@@ -106,7 +119,7 @@ pub fn cache_key(
     // invariants (e.g. an entry havoc is invisible to both) yet earn
     // different preconditions. Program-carrying jobs therefore key on the
     // program itself, never just on its transition system.
-    match &job.program {
+    match job.program() {
         // Everything except the name (cache hits are re-labelled with the
         // requesting job's name, so the key must stay name-independent).
         Some(program) => {
@@ -120,7 +133,7 @@ pub fn cache_key(
             let _ = write!(text, "refine:none,budget={};", options.max_refinements);
         }
     }
-    format!("{:016x}", fnv1a(text.as_bytes()))
+    text
 }
 
 /// Hit/miss counters of one cache (monotonic, shared across threads).
@@ -136,17 +149,23 @@ pub struct CacheStats {
     pub evictions: usize,
 }
 
-/// One stored report plus its serialized footprint: `entry_bytes` is the
-/// exact number of bytes the entry contributes to the on-disk document
-/// (`"key":<report json>`, i.e. the quoted key, the colon, and the report),
-/// maintained so [`ResultCache::serialized_bytes`] is O(1) instead of a full
-/// serialization per probe.
+/// One stored report, kept encoded: `text` is its report JSON, exactly the
+/// bytes a save writes for it, decoded again on every hit.
 struct CacheEntry {
-    report: TerminationReport,
-    entry_bytes: usize,
+    text: Box<str>,
     /// Logical timestamp of the last lookup or store that touched this
     /// entry; the eviction loop drops the smallest first.
     last_used: u64,
+}
+
+impl CacheEntry {
+    /// Exact number of bytes the entry contributes to the on-disk document
+    /// (`"key":<report json>`, i.e. the quoted key, the colon, and the
+    /// report), so [`ResultCache::serialized_bytes`] is O(1) instead of a
+    /// full serialization per probe.
+    fn bytes(&self, key: &str) -> usize {
+        key.len() + "\"\":".len() + self.text.len()
+    }
 }
 
 /// Map plus the running sum of every entry's serialized footprint.
@@ -164,6 +183,19 @@ impl CacheMap {
         self.tick
     }
 
+    /// Inserts (or replaces) an entry, keeping `payload_bytes` in step.
+    fn insert(&mut self, key: String, text: Box<str>) {
+        let tick = self.next_tick();
+        let entry = CacheEntry {
+            text,
+            last_used: tick,
+        };
+        self.payload_bytes += entry.bytes(&key);
+        if let Some(old) = self.entries.insert(key.clone(), entry) {
+            self.payload_bytes -= old.bytes(&key);
+        }
+    }
+
     /// Serialized document size, computed under the lock the caller already
     /// holds (the public [`ResultCache::serialized_bytes`] takes the lock
     /// itself and must not be called from the store path).
@@ -178,9 +210,24 @@ impl CacheMap {
 /// without a fraction). Pinned against the real serializer by a test.
 const ENVELOPE_BYTES: usize = r#"{"entries":{"#.len() + r#"},"version":3}"#.len();
 
-/// Exact serialized footprint of one entry (quoted key, colon, report JSON).
-fn entry_bytes(key: &str, report: &TerminationReport) -> usize {
-    key.len() + "\"\":".len() + report_to_json(report).to_string().len()
+/// The report in its stored form: the cache codec's JSON text.
+fn encode(report: &TerminationReport) -> Box<str> {
+    report_to_json(report).to_string().into_boxed_str()
+}
+
+/// One cache document from `(key, report text)` pairs in key order — the
+/// order a `Json::Object` prints, so the result is what serializing the
+/// decoded entries would give.
+fn document<'a>(entries: impl IntoIterator<Item = (&'a str, &'a str)>) -> String {
+    let mut out = String::from(r#"{"entries":{"#);
+    for (i, (key, text)) in entries.into_iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        let _ = write!(out, "{}:{text}", Json::String(key.to_string()));
+    }
+    let _ = write!(out, r#"}},"version":{}}}"#, Json::Number(FORMAT_VERSION));
+    out
 }
 
 /// Thread-safe content-addressed store of [`TerminationReport`]s.
@@ -213,15 +260,19 @@ impl ResultCache {
     }
 
     /// Looks up a key, counting a hit or a miss. A hit freshens the entry's
-    /// LRU stamp.
+    /// LRU stamp and decodes the stored text (outside the lock).
     pub fn lookup(&self, key: &str) -> Option<TerminationReport> {
         let mut map = lock(&self.map);
         let tick = map.next_tick();
-        let found = map.entries.get_mut(key).map(|e| {
+        let text = map.entries.get_mut(key).map(|e| {
             e.last_used = tick;
-            e.report.clone()
+            String::from(&*e.text)
         });
         drop(map);
+        let found = text.map(|text| {
+            let json = Json::parse(&text).expect("a stored entry is valid JSON");
+            report_from_json(&json).expect("a stored entry decodes")
+        });
         match &found {
             Some(_) => self.hits.fetch_add(1, Ordering::Relaxed),
             None => self.misses.fetch_add(1, Ordering::Relaxed),
@@ -230,23 +281,13 @@ impl ResultCache {
     }
 
     /// Stores a report under a key, then enforces the size budget (if one is
-    /// set) by evicting least-recently-used entries. The entry's serialized
-    /// footprint is measured here, once per store, so size probes stay O(1).
+    /// set) by evicting least-recently-used entries. The report is encoded
+    /// here, once per store; its length is the entry's footprint, so size
+    /// probes stay O(1).
     pub fn store(&self, key: String, report: TerminationReport) {
-        let bytes = entry_bytes(&key, &report);
+        let text = encode(&report);
         let mut map = lock(&self.map);
-        let tick = map.next_tick();
-        if let Some(old) = map.entries.insert(
-            key.clone(),
-            CacheEntry {
-                report,
-                entry_bytes: bytes,
-                last_used: tick,
-            },
-        ) {
-            map.payload_bytes -= old.entry_bytes;
-        }
-        map.payload_bytes += bytes;
+        map.insert(key.clone(), text);
         let mut evicted = 0usize;
         if let Some(budget) = self.max_bytes {
             while map.serialized_bytes() > budget && map.entries.len() > 1 {
@@ -258,7 +299,7 @@ impl ResultCache {
                     .map(|(k, _)| k.clone());
                 let Some(victim) = victim else { break };
                 if let Some(old) = map.entries.remove(&victim) {
-                    map.payload_bytes -= old.entry_bytes;
+                    map.payload_bytes -= old.bytes(&victim);
                     evicted += 1;
                 }
             }
@@ -314,21 +355,10 @@ impl ResultCache {
         };
         let mut map = lock(&cache.map);
         for (key, value) in entries {
-            let report = report_from_json(value)?;
-            // Footprints are measured in the *current* schema: a migrated v1
-            // entry accounts for what a re-save would write, not for the
+            // Entries are stored in the *current* schema: a migrated v1 entry
+            // holds (and accounts for) what a re-save would write, not the
             // bytes it occupied on disk.
-            let bytes = entry_bytes(key, &report);
-            let tick = map.next_tick();
-            map.entries.insert(
-                key.clone(),
-                CacheEntry {
-                    report,
-                    entry_bytes: bytes,
-                    last_used: tick,
-                },
-            );
-            map.payload_bytes += bytes;
+            map.insert(key.clone(), encode(&report_from_json(value)?));
         }
         drop(map);
         Ok(cache)
@@ -358,27 +388,6 @@ impl ResultCache {
             ),
         }
         ResultCache::new()
-    }
-
-    /// The whole cache as one on-disk JSON document.
-    fn to_json(&self) -> Json {
-        let map = lock(&self.map);
-        Json::Object(
-            [
-                ("version".to_string(), Json::Number(FORMAT_VERSION)),
-                (
-                    "entries".to_string(),
-                    Json::Object(
-                        map.entries
-                            .iter()
-                            .map(|(k, v)| (k.clone(), report_to_json(&v.report)))
-                            .collect(),
-                    ),
-                ),
-            ]
-            .into_iter()
-            .collect(),
-        )
     }
 
     /// Size of the cache in its serialized (on-disk JSON) form, in bytes —
@@ -424,19 +433,31 @@ impl ResultCache {
     /// preserved tail is mostly dead weight, and carrying it forward on
     /// every save would grow the file without bound.
     pub fn save(&self, path: &Path) -> Result<usize, String> {
-        let live_bytes = self.serialized_bytes();
-        let live_doc = self.to_json();
-        let text = match merged_document(path, &live_doc) {
-            Some(merged) => {
-                let merged_text = merged.to_string();
-                if merged_text.len() > 2 * live_bytes {
-                    live_doc.to_string()
-                } else {
-                    merged_text
-                }
-            }
-            None => live_doc.to_string(),
-        };
+        let disk = disk_entries(path).unwrap_or_default();
+        let map = lock(&self.map);
+        let live_bytes = map.serialized_bytes();
+        let live: BTreeMap<&str, &str> = map
+            .entries
+            .iter()
+            .map(|(k, e)| (k.as_str(), &*e.text))
+            .collect();
+        // Disk entries the live cache does not supersede, migrated to the
+        // current schema. Malformed ones are dropped rather than failing the
+        // save: preserving stale entries is best-effort.
+        let stale: Vec<(&str, Box<str>)> = disk
+            .iter()
+            .filter(|(key, _)| !live.contains_key(key.as_str()))
+            .filter_map(|(key, value)| Some((key.as_str(), encode(&report_from_json(value).ok()?))))
+            .collect();
+        let merged = (!stale.is_empty())
+            .then(|| {
+                let mut all = live.clone();
+                all.extend(stale.iter().map(|(k, t)| (*k, &**t)));
+                document(all)
+            })
+            .filter(|merged| merged.len() <= 2 * live_bytes);
+        let text = merged.unwrap_or_else(|| document(live));
+        drop(map);
         let bytes = text.len();
         // The `cache_torn_write` fault simulates a crash mid-save: half the
         // document lands *directly at the destination*, skipping the
@@ -455,46 +476,21 @@ impl ResultCache {
     }
 }
 
-/// The live document plus every entry already at `path` that the live
-/// cache does not supersede, migrated to the current schema entry by
-/// entry. `None` when the disk file is missing, unreadable,
-/// version-incompatible, or adds nothing — the save then just writes the
-/// live document. Individually malformed disk entries are dropped rather
-/// than failing the save: preserving stale entries is best-effort.
-fn merged_document(path: &Path, live_doc: &Json) -> Option<Json> {
-    let text = std::fs::read_to_string(path).ok()?;
-    let disk = Json::parse(&text).ok()?;
+/// The entries of the cache document at `path`, when there is a readable
+/// one of a version this build can migrate.
+fn disk_entries(path: &Path) -> Option<BTreeMap<String, Json>> {
+    let disk = Json::parse(&std::fs::read_to_string(path).ok()?).ok()?;
     let version = disk.get("version").and_then(Json::as_f64)?;
     if !(OLDEST_READABLE_VERSION..=FORMAT_VERSION).contains(&version) {
         return None;
     }
-    let Some(Json::Object(disk_entries)) = disk.get("entries") else {
-        return None;
-    };
-    let Json::Object(top) = live_doc else {
-        return None;
-    };
-    let Some(Json::Object(live_entries)) = top.get("entries") else {
-        return None;
-    };
-    let mut merged = live_entries.clone();
-    let mut added = false;
-    for (key, value) in disk_entries {
-        if merged.contains_key(key) {
-            continue;
-        }
-        let Ok(report) = report_from_json(value) else {
-            continue;
-        };
-        merged.insert(key.clone(), report_to_json(&report));
-        added = true;
+    match disk {
+        Json::Object(mut top) => match top.remove("entries")? {
+            Json::Object(entries) => Some(entries),
+            _ => None,
+        },
+        _ => None,
     }
-    if !added {
-        return None;
-    }
-    let mut doc = top.clone();
-    doc.insert("entries".to_string(), Json::Object(merged));
-    Some(Json::Object(doc))
 }
 
 /// Serializes a polyhedron as its constraint list.
@@ -843,13 +839,20 @@ pub fn report_from_json(json: &Json) -> Result<TerminationReport, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use termite_core::{prove_transition_system, Engine};
+    use crate::portfolio::run_selection;
+    use termite_core::Engine;
     use termite_invariants::InvariantOptions;
     use termite_ir::{parse_named_program, parse_program};
 
     fn job(src: &str) -> AnalysisJob {
         let p = parse_program(src).unwrap();
         AnalysisJob::from_program(&p, &InvariantOptions::default())
+    }
+
+    /// Some report of the job: its Termite analysis under default options.
+    fn analysed(j: &AnalysisJob) -> TerminationReport {
+        let sel = EngineSelection::single(Engine::Termite);
+        run_selection(j, &sel, &AnalysisOptions::default()).report
     }
 
     #[test]
@@ -915,7 +918,7 @@ mod tests {
     fn lookup_counts_hits_and_misses() {
         let cache = ResultCache::new();
         let j = job("var x; assume x >= 0; while (x > 0) { x = x - 1; }");
-        let report = prove_transition_system(&j.ts, &j.invariants, &AnalysisOptions::default());
+        let report = analysed(&j);
         let key = cache_key(
             &j,
             &EngineSelection::single(Engine::Termite),
@@ -942,7 +945,7 @@ mod tests {
             "var x; assume x >= 1; while (x > 0) { x = x + 1; }",
         ] {
             let j = job(src);
-            let report = prove_transition_system(&j.ts, &j.invariants, &AnalysisOptions::default());
+            let report = analysed(&j);
             let json = report_to_json(&report);
             let text = json.to_string();
             let back = report_from_json(&Json::parse(&text).unwrap()).unwrap();
@@ -995,7 +998,7 @@ mod tests {
 
         let cache = ResultCache::new();
         let j = job("var x, y; assume x >= 0 && y >= 0; while (x > 0 && y > 0) { choice { x = x - 1; } or { y = y - 1; } }");
-        let report = prove_transition_system(&j.ts, &j.invariants, &AnalysisOptions::default());
+        let report = analysed(&j);
         let key = cache_key(
             &j,
             &EngineSelection::single(Engine::Termite),
@@ -1142,7 +1145,7 @@ mod tests {
         let sel = EngineSelection::single(Engine::Termite);
         let keyed = |src: &str| {
             let j = job(src);
-            let report = prove_transition_system(&j.ts, &j.invariants, &opts);
+            let report = analysed(&j);
             (cache_key(&j, &sel, &opts), report)
         };
         let (old_key, old_report) = keyed("var x; while (x > 0) { x = x - 1; }");
@@ -1210,7 +1213,7 @@ mod tests {
         ];
         for src in sources {
             let j = job(src);
-            let report = prove_transition_system(&j.ts, &j.invariants, &opts);
+            let report = analysed(&j);
             cache.store(cache_key(&j, &sel, &opts), report);
             assert_eq!(
                 cache.serialized_bytes(),
@@ -1221,8 +1224,7 @@ mod tests {
 
         // Overwriting an existing key must subtract the old footprint.
         let j = job(sources[0]);
-        let replacement =
-            prove_transition_system(&job(sources[1]).ts, &job(sources[1]).invariants, &opts);
+        let replacement = analysed(&job(sources[1]));
         cache.store(cache_key(&j, &sel, &opts), replacement);
         assert_eq!(
             cache.len(),
@@ -1250,12 +1252,79 @@ mod tests {
         let sel = EngineSelection::single(Engine::Termite);
         let with_program = job("var x; while (x > 0) { x = x - 1; }");
         let mut one_shot = with_program.clone();
-        one_shot.program = None;
+        one_shot.input = JobInput::Invariants(termite_invariants::location_invariants(
+            with_program.program().unwrap(),
+            &opts.invariants,
+        ));
         assert_ne!(
             cache_key(&with_program, &sel, &opts),
             cache_key(&one_shot, &sel, &opts),
             "pipeline-enabled jobs must not share entries with one-shot jobs"
         );
+    }
+
+    #[test]
+    fn program_keys_without_invariants_partition_jobs_as_before() {
+        // Program-carrying keys used to hash the job's forward invariants
+        // too. Those are a function of the program, the invariant options
+        // and the IR pipeline version, all still in the key, so dropping
+        // them must merge no two analyses the old key kept apart.
+        let opts = AnalysisOptions::default();
+        let selections = [
+            EngineSelection::full_portfolio(),
+            EngineSelection::single(Engine::Termite),
+        ];
+        let mut keys = Vec::new();
+        for optimize in [false, true] {
+            for j in AnalysisJob::from_all_suites_with(optimize) {
+                let invariants: String =
+                    termite_invariants::location_invariants(j.program().unwrap(), &opts.invariants)
+                        .iter()
+                        .map(|inv| format!("inv:{inv};"))
+                        .collect();
+                for sel in &selections {
+                    let old_text = key_text(&j, sel, &opts) + &invariants;
+                    let old = format!("{:016x}", fnv1a(old_text.as_bytes()));
+                    keys.push((j.name.clone(), cache_key(&j, sel, &opts), old));
+                }
+            }
+        }
+        assert_eq!(keys.len(), 62 * 2 * 2);
+        let mut shared = 0;
+        for (i, (name_a, new_a, old_a)) in keys.iter().enumerate() {
+            for (name_b, new_b, old_b) in &keys[i + 1..] {
+                assert_eq!(new_a == new_b, old_a == old_b, "{name_a} vs {name_b}");
+                shared += usize::from(new_a == new_b);
+            }
+        }
+        assert!(shared > 0, "some suite programs share their analysis input");
+    }
+
+    #[test]
+    fn encoded_entries_are_lossless() {
+        let cache = ResultCache::new();
+        let sel = EngineSelection::single(Engine::Termite);
+        let mut stored = Vec::new();
+        for j in AnalysisJob::from_all_suites_with(true) {
+            let report = run_selection(&j, &sel, &AnalysisOptions::default()).report;
+            // One entry per program (content twins would share a real key).
+            let key = format!("{:016x}", stored.len());
+            cache.store(key.clone(), report.clone());
+            assert_eq!(cache.lookup(&key).as_ref(), Some(&report), "{}", j.name);
+            stored.push((key, report));
+        }
+        let document = cache.to_json().to_string();
+        assert_eq!(cache.serialized_bytes(), document.len());
+
+        let path = std::env::temp_dir().join("termite-driver-lossless-cache.json");
+        assert_eq!(cache.save(&path).unwrap(), document.len());
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), document);
+        let reloaded = ResultCache::load(&path).unwrap();
+        assert_eq!(reloaded.serialized_bytes(), document.len());
+        for (key, report) in &stored {
+            assert_eq!(reloaded.lookup(key).as_ref(), Some(report), "{key}");
+        }
+        let _ = std::fs::remove_file(&path);
     }
 
     #[test]
@@ -1306,7 +1375,7 @@ mod tests {
 
         let cache = ResultCache::new();
         let j = job("var x; while (x > 0) { x = x - 1; }");
-        let report = prove_transition_system(&j.ts, &j.invariants, &AnalysisOptions::default());
+        let report = analysed(&j);
         cache.store("00000000000000cc".to_string(), report);
         let full_bytes = cache.serialized_bytes();
 
@@ -1356,9 +1425,31 @@ mod tests {
         );
     }
 
+    impl ResultCache {
+        /// The whole cache as one on-disk JSON document, built with the
+        /// general serializer.
+        fn to_json(&self) -> Json {
+            let map = lock(&self.map);
+            let entries = map
+                .entries
+                .iter()
+                .map(|(k, e)| (k.clone(), Json::parse(&e.text).unwrap()))
+                .collect();
+            Json::object([
+                ("version", Json::Number(FORMAT_VERSION)),
+                ("entries", Json::Object(entries)),
+            ])
+        }
+    }
+
+    /// Footprint of one entry in the saved document.
+    fn entry_bytes(key: &str, report: &TerminationReport) -> usize {
+        key.len() + "\"\":".len() + encode(report).len()
+    }
+
     fn report_for(src: &str) -> TerminationReport {
         let j = job(src);
-        prove_transition_system(&j.ts, &j.invariants, &AnalysisOptions::default())
+        analysed(&j)
     }
 
     #[test]

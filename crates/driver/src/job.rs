@@ -1,27 +1,36 @@
 //! Analysis jobs: the unit of work of the batch driver.
 
-use termite_bench::{prepare_with, PreparedBenchmark};
-use termite_invariants::{location_invariants, InvariantOptions};
+use termite_invariants::InvariantOptions;
 use termite_ir::{optimize, OptStats, Program, Provenance, TransitionSystem};
 use termite_obs::span;
 use termite_polyhedra::Polyhedron;
 use termite_suite::{suite, SuiteId};
 
-/// One unit of work: a prepared transition system plus its invariants.
+/// What the engines of a job start from besides its transition system.
+#[derive(Clone, Debug)]
+pub enum JobInput {
+    /// The program source (optimized when the pre-optimizer ran, consistent
+    /// with `ts`). The worker builds its invariants — forward fixpoint and
+    /// Houdini, under the run's [`termite_core::AnalysisOptions::invariants`]
+    /// — only on a cache miss, and runs the refinement pipeline
+    /// (`Verdict::TerminatesIf`) on top.
+    Program(Program),
+    /// One-shot invariant of each cut point: the engines run on exactly
+    /// these, without refinement.
+    Invariants(Vec<Polyhedron>),
+}
+
+/// One unit of work: a transition system plus what its invariants come
+/// from.
 ///
-/// The front end and the forward invariant fixpoint run at job-construction
-/// time (as in the paper's methodology, which excludes both from the
-/// reported times); the cache key is derived from their results. When the
-/// `program` source is available, a worker that misses the cache still has
-/// invariant work to do: it strengthens the forward invariants with Houdini
-/// once per job (re-using `invariants` when `invariant_options` match the
-/// run's options), shares the result with every engine it races, and runs
-/// the refinement pipeline (conditional termination) on top. Without the
-/// program, the engines fall back to the one-shot `invariants`.
+/// Preparing a program-carrying job runs the front end only: parse, the
+/// optional [`termite_ir::opt`] shrinking pipeline, and the transition
+/// system. The cache key is derived from these inputs, so a cache hit does
+/// no invariant work at all. A worker that misses builds the job's
+/// invariant snapshot once, shares it with every engine it races, and
+/// reports its build time in `invariant_millis`.
 ///
-/// Construction via [`from_program_with`](AnalysisJob::from_program_with)
-/// (and the suite constructors) can run the [`termite_ir::opt`] shrinking
-/// pipeline first: the job then carries the *optimized* program plus a
+/// A pre-optimized job carries the *optimized* program plus a
 /// [`Provenance`] map so workers can translate rankings and preconditions
 /// back to source variables before anything is reported or cached.
 #[derive(Clone, Debug)]
@@ -30,18 +39,11 @@ pub struct AnalysisJob {
     pub name: String,
     /// Cut-point transition system.
     pub ts: TransitionSystem,
-    /// Invariant of each cut point.
-    pub invariants: Vec<Polyhedron>,
-    /// The options `invariants` were computed with. A run under other
-    /// options recomputes the forward fixpoint instead of re-using them.
-    pub invariant_options: InvariantOptions,
+    /// The program, or one-shot invariants.
+    pub input: JobInput,
     /// Ground truth, when known (benchmark suites record whether a
     /// lexicographic linear ranking function is expected to exist).
     pub expected_terminating: Option<bool>,
-    /// The program source, when available: enables precondition refinement
-    /// (`Verdict::TerminatesIf`) inside the workers. Optimized jobs carry
-    /// the *optimized* program (consistent with `ts`/`invariants`).
-    pub program: Option<Program>,
     /// Source-variable translation map when the pre-optimizer ran; `None`
     /// means the job is raw (and must never share a cache entry with an
     /// optimized twin).
@@ -52,20 +54,25 @@ pub struct AnalysisJob {
 }
 
 impl AnalysisJob {
-    /// Prepares a job from a parsed program **without** pre-optimization
-    /// (runs the polyhedral invariant generator with the given options).
+    /// Prepares a job from a parsed program **without** pre-optimization.
+    /// `invariant_options` is unused, as in
+    /// [`from_program_with`](AnalysisJob::from_program_with).
     pub fn from_program(program: &Program, invariant_options: &InvariantOptions) -> Self {
         AnalysisJob::from_program_with(program, invariant_options, false)
     }
 
     /// Prepares a job from a parsed program, optionally running the IR
     /// shrinking pipeline first. With `optimize_ir` the transition system
-    /// and invariants are built from the optimized program — every engine
-    /// downstream sees fewer dimensions — and the job records the
-    /// provenance needed to translate results back to source variables.
+    /// is built from the optimized program — every engine downstream sees
+    /// fewer dimensions — and the job records the provenance needed to
+    /// translate results back to source variables.
+    ///
+    /// `_invariant_options` is unused: a worker builds the invariants under
+    /// the run's [`termite_core::AnalysisOptions::invariants`]. The
+    /// parameter stays for source compatibility with existing callers.
     pub fn from_program_with(
         program: &Program,
-        invariant_options: &InvariantOptions,
+        _invariant_options: &InvariantOptions,
         optimize_ir: bool,
     ) -> Self {
         let (program, provenance, opt_stats) = if optimize_ir {
@@ -74,36 +81,28 @@ impl AnalysisJob {
                 optimize(program)
             };
             (
-                std::borrow::Cow::Owned(optimized.program),
+                optimized.program,
                 Some(optimized.provenance),
                 Some(optimized.stats),
             )
         } else {
-            (std::borrow::Cow::Borrowed(program), None, None)
+            (program.clone(), None, None)
         };
         AnalysisJob {
             name: program.name.clone(),
             ts: program.transition_system(),
-            invariants: location_invariants(&program, invariant_options),
-            invariant_options: invariant_options.clone(),
+            input: JobInput::Program(program),
             expected_terminating: None,
-            program: Some(program.into_owned()),
             provenance,
             opt_stats,
         }
     }
 
-    /// Wraps an already-prepared benchmark.
-    pub fn from_prepared(prepared: PreparedBenchmark) -> Self {
-        AnalysisJob {
-            name: prepared.name,
-            ts: prepared.ts,
-            invariants: prepared.invariants,
-            invariant_options: prepared.invariant_options,
-            expected_terminating: Some(prepared.expected_terminating),
-            program: Some(prepared.program),
-            provenance: prepared.provenance,
-            opt_stats: prepared.opt_stats,
+    /// The program source, when the job carries it.
+    pub fn program(&self) -> Option<&Program> {
+        match &self.input {
+            JobInput::Program(program) => Some(program),
+            JobInput::Invariants(_) => None,
         }
     }
 
@@ -111,7 +110,14 @@ impl AnalysisJob {
     pub fn from_suite_with(id: SuiteId, optimize_ir: bool) -> Vec<AnalysisJob> {
         suite(id)
             .iter()
-            .map(|b| AnalysisJob::from_prepared(prepare_with(b, optimize_ir)))
+            .map(|b| AnalysisJob {
+                expected_terminating: Some(b.expected_terminating),
+                ..AnalysisJob::from_program_with(
+                    &b.program,
+                    &InvariantOptions::default(),
+                    optimize_ir,
+                )
+            })
             .collect()
     }
 
@@ -144,7 +150,7 @@ mod tests {
         let p = parse_program("var x; while (x > 0) { x = x - 1; }").unwrap();
         let job = AnalysisJob::from_program(&p, &InvariantOptions::default());
         assert_eq!(job.ts.num_locations(), 1);
-        assert_eq!(job.invariants.len(), job.ts.num_locations());
+        assert_eq!(job.program(), Some(&p));
         assert_eq!(job.expected_terminating, None);
         assert!(job.provenance.is_none() && job.opt_stats.is_none());
     }

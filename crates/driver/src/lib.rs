@@ -24,12 +24,13 @@
 //!        └───────────┼───────────┘
 //!              ┌─────▼─────┐
 //!              │   cache   │   content-addressed (hash of normalized
-//!              └───────────┘   transition system + invariants + options),
+//!              └───────────┘   transition system + program + options),
 //!                              in memory + optional JSON file
 //! ```
 //!
 //! * [`AnalysisJob`] — the unit of work: a prepared transition system plus
-//!   invariants (front-end excluded from timing, as in the paper).
+//!   the program its invariants are built from on a cache miss (or
+//!   one-shot invariants).
 //! * [`EngineSelection`] / [`run_selection`] — one engine, or a racing
 //!   portfolio with first-proof-wins cancellation.
 //! * [`ResultCache`] / [`cache_key`] — content-addressed result store;
@@ -81,7 +82,7 @@ pub use cache::{
     cache_key, polyhedron_from_json, polyhedron_to_json, report_from_json, report_to_json,
     stat_entries, stat_rows_from_json, verdict_name, verdict_rank, CacheStats, ResultCache,
 };
-pub use job::AnalysisJob;
+pub use job::{AnalysisJob, JobInput};
 pub use net::{install_sigterm_handler, serve_tcp};
 pub use portfolio::{parse_selection, run_selection, EngineSelection, PortfolioOutcome};
 pub use service::{

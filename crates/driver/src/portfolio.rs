@@ -10,7 +10,7 @@
 //! its fastest member. The engines share one invariant snapshot per job,
 //! built before they start (see DESIGN.md §1).
 
-use crate::job::AnalysisJob;
+use crate::job::{AnalysisJob, JobInput};
 use std::fmt;
 use std::sync::{Arc, Mutex};
 use termite_core::{
@@ -21,24 +21,9 @@ use termite_invariants::InvariantSnapshot;
 use termite_ir::Provenance;
 use termite_polyhedra::{Constraint, Polyhedron};
 
-/// The job's invariant snapshot, built once per run before any engine
-/// starts (program-carrying jobs only), with its build time in
-/// milliseconds. The prepared `job.invariants` serve as its forward stage
-/// when they were computed under the run's invariant options; otherwise the
-/// forward fixpoint is recomputed, since re-using invariants from other
-/// options would change what the engines prove.
-fn job_snapshot(
-    job: &AnalysisJob,
-    options: &AnalysisOptions,
-) -> Option<(Arc<InvariantSnapshot>, f64)> {
-    let program = job.program.as_ref()?;
-    let forward = (job.invariant_options == options.invariants).then(|| job.invariants.clone());
-    Some(invariant_snapshot(program, &job.ts, options, forward))
-}
-
 /// Runs one engine on a job: on the job's shared invariant snapshot when
 /// the program source is available (refinement pipeline, conditional
-/// termination), on the one-shot prepared invariants otherwise.
+/// termination), on the job's one-shot invariants otherwise.
 ///
 /// Every engine of a race reads the same immutable snapshot; only the
 /// Termite engine refines, and its pipeline computes (and owns) new
@@ -52,9 +37,12 @@ fn prove_job(
     snapshot: Option<&Arc<InvariantSnapshot>>,
     options: &AnalysisOptions,
 ) -> TerminationReport {
-    let report = match snapshot {
-        Some(snapshot) => prove_with_snapshot(&job.ts, snapshot, options),
-        None => prove_transition_system(&job.ts, &job.invariants, options),
+    let report = match (snapshot, &job.input) {
+        (Some(snapshot), _) => prove_with_snapshot(&job.ts, snapshot, options),
+        (None, JobInput::Invariants(invariants)) => {
+            prove_transition_system(&job.ts, invariants, options)
+        }
+        (None, JobInput::Program(_)) => unreachable!("program-carrying jobs run on a snapshot"),
     };
     finish_report(job, report)
 }
@@ -251,8 +239,9 @@ pub struct PortfolioOutcome {
 
 /// Runs one job under an engine selection.
 ///
-/// The job's invariant snapshot is built once, under the job token, before
-/// any engine starts; its build time lands in the returned report's
+/// A program-carrying job's invariant snapshot (forward fixpoint and
+/// Houdini, under `options.invariants`) is built once, under the job token,
+/// before any engine starts; its build time lands in the returned report's
 /// `invariant_millis` exactly once, whichever engine answers.
 ///
 /// The job token in `options.cancel` stays under the caller's control: the
@@ -272,7 +261,10 @@ pub fn run_selection(
     if let EngineSelection::Portfolio(engines) = selection {
         assert!(!engines.is_empty(), "a portfolio needs at least one engine");
     }
-    let (snapshot, snapshot_millis) = job_snapshot(job, options).unzip();
+    let (snapshot, snapshot_millis) = job
+        .program()
+        .map(|program| invariant_snapshot(program, &job.ts, options))
+        .unzip();
     let snapshot = snapshot.as_ref();
     let mut out = match selection {
         EngineSelection::Single(engine) => {
@@ -453,7 +445,7 @@ mod tests {
     /// own: `prove_termination` on the job's program, labelled like
     /// `prove_job` labels a report.
     fn fresh(job: &AnalysisJob, options: &AnalysisOptions) -> String {
-        let program = job.program.as_ref().expect("program-carrying job");
+        let program = job.program().expect("program-carrying job");
         normalized(&finish_report(
             job,
             termite_core::prove_termination(program, options),
@@ -508,8 +500,8 @@ mod tests {
     #[test]
     fn invariants_prepared_under_other_options_are_not_reused() {
         // One ascending sweep stops the forward fixpoint at `x = 0`: a
-        // header "invariant" that is not one, and that no run under the
-        // default options may pick up.
+        // header "invariant" that is not one. The options a job is prepared
+        // with never reach the analysis; the run's options decide.
         let odd = InvariantOptions {
             max_iterations: 1,
             ..InvariantOptions::default()
@@ -517,13 +509,10 @@ mod tests {
         let p = parse_program("var x; x = 0; while (x < 10) { x = x + 1; }").unwrap();
         let j = AnalysisJob::from_program_with(&p, &odd, true);
         let defaults = AnalysisOptions::default();
+        let program = j.program().unwrap();
         assert_ne!(
-            j.invariants[0].to_string(),
-            termite_invariants::location_invariants(
-                j.program.as_ref().unwrap(),
-                &defaults.invariants
-            )[0]
-            .to_string()
+            termite_invariants::location_invariants(program, &odd)[0].to_string(),
+            termite_invariants::location_invariants(program, &defaults.invariants)[0].to_string()
         );
         for engine in EngineSelection::full_portfolio().engines() {
             let options = AnalysisOptions::with_engine(engine);

@@ -176,12 +176,11 @@ pub struct TaskSpec {
 pub enum TaskJob {
     /// A job its submitter already prepared (batch mode).
     Prepared(Box<AnalysisJob>),
-    /// A parsed program that the worker running the task prepares with
-    /// default invariant options ([`AnalysisJob::from_program_with`]).
-    /// Preparation — IR optimization and the forward fixpoint, which the
-    /// cache key needs — is the bulk of a cache hit's cost; done by the
-    /// worker pool, it runs in parallel instead of one job at a time on a
-    /// client's intake thread.
+    /// A parsed program that the worker running the task prepares
+    /// ([`AnalysisJob::from_program_with`]): IR optimization and the
+    /// transition system, all the cache key needs. Done by the worker pool,
+    /// it runs in parallel instead of one job at a time on a client's
+    /// intake thread; the invariants follow only on a cache miss.
     Program {
         /// The parsed program.
         program: Program,
@@ -2048,7 +2047,7 @@ mod tests {
 
     #[test]
     fn serve_prepares_jobs_on_the_worker_that_runs_them() {
-        // Preparation (IR optimization, invariants) runs inside the task,
+        // Preparation (IR optimization) runs inside the task,
         // not on the client's intake thread: the job's own trace holds its
         // `ir_opt` span, on the thread of its `job` span.
         let requests = concat!(
@@ -2078,6 +2077,51 @@ mod tests {
                 .unwrap_or_else(|| panic!("no `{name}` span in {doc}"))
         };
         assert_eq!(tid_of("ir_opt"), tid_of("job"));
+    }
+
+    #[test]
+    fn a_cache_hit_does_no_invariant_work() {
+        // The cache key is built from the job's inputs: the miss builds the
+        // invariant snapshot once, the hit answers without building any.
+        let line = |id: &str| {
+            format!(
+                r#"{{"id": "{id}", "program": "var x, y; while (x > 0) {{ x = x + y; }}", "trace": true}}"#
+            )
+        };
+        let requests = format!("{}\n{}\n", line("miss"), line("hit"));
+        let cache = ResultCache::new();
+        let mut out = Vec::new();
+        // A window of one: "hit" is only submitted after "miss" stored.
+        let config = ServeConfig {
+            max_inflight: 1,
+            ..ServeConfig::default()
+        };
+        let summary = serve(Cursor::new(requests), &mut out, &config, Some(&cache)).unwrap();
+        assert_eq!(summary.ok, 2);
+        let text = String::from_utf8(out).unwrap();
+        let response = |id: &str| {
+            let tag = format!(r#""id":"{id}""#);
+            Json::parse(text.lines().find(|l| l.contains(&tag)).unwrap()).unwrap()
+        };
+        let invariant_inits = |doc: &Json| {
+            doc.get("trace")
+                .and_then(|t| t.get("traceEvents"))
+                .and_then(Json::as_array)
+                .expect("a traced job carries its events")
+                .iter()
+                .filter(|e| e.get("name").and_then(Json::as_str) == Some("invariant_init"))
+                .count()
+        };
+        let (miss, hit) = (response("miss"), response("hit"));
+        assert_eq!(invariant_inits(&miss), 1);
+        assert_eq!(invariant_inits(&hit), 0);
+        assert_eq!(miss.get("from_cache").and_then(Json::as_bool), Some(false));
+        assert_eq!(hit.get("from_cache").and_then(Json::as_bool), Some(true));
+        assert_eq!(miss.get("verdict"), hit.get("verdict"));
+        assert_eq!(
+            hit.get("verdict").and_then(Json::as_str),
+            Some("conditional")
+        );
     }
 
     #[test]

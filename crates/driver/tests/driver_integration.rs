@@ -5,7 +5,7 @@
 use std::time::{Duration, Instant};
 use termite_core::{AnalysisOptions, CancelToken, Engine, Verdict};
 use termite_driver::{
-    run_batch, run_selection, AnalysisJob, BatchConfig, EngineSelection, ResultCache,
+    run_batch, run_selection, AnalysisJob, BatchConfig, EngineSelection, JobInput, ResultCache,
 };
 use termite_invariants::InvariantOptions;
 use termite_ir::parse_program;
@@ -106,12 +106,10 @@ fn portfolio_race_loser_never_wins() {
     let j = AnalysisJob {
         name: program.name.clone(),
         ts: program.transition_system(),
-        invariants,
-        invariant_options: InvariantOptions::default(),
-        expected_terminating: Some(true),
         // One-shot job: the hand-written invariants stay authoritative (no
         // refinement pipeline re-deriving them).
-        program: None,
+        input: JobInput::Invariants(invariants),
+        expected_terminating: Some(true),
         provenance: None,
         opt_stats: None,
     };

@@ -98,29 +98,7 @@ impl InvariantSnapshot {
         interrupt: &Interrupt,
     ) -> Self {
         let entry = Polyhedron::universe(program.num_vars());
-        Self::from_entry(program.to_cfg(), ts, options, entry, None, interrupt)
-    }
-
-    /// Like [`InvariantSnapshot::new`], but adopts `forward` as the forward
-    /// stage instead of recomputing it. `forward` must be what
-    /// [`crate::location_invariants`] returns for `program` under the same
-    /// `options`; the snapshot takes it on trust.
-    pub fn with_forward(
-        program: &Program,
-        ts: &TransitionSystem,
-        options: &InvariantOptions,
-        forward: Vec<Polyhedron>,
-        interrupt: &Interrupt,
-    ) -> Self {
-        let entry = Polyhedron::universe(program.num_vars());
-        Self::from_entry(
-            program.to_cfg(),
-            ts,
-            options,
-            entry,
-            Some(forward),
-            interrupt,
-        )
+        Self::from_entry(program.to_cfg(), ts, options, entry, interrupt)
     }
 
     fn from_entry(
@@ -128,17 +106,15 @@ impl InvariantSnapshot {
         ts: &TransitionSystem,
         options: &InvariantOptions,
         entry: Polyhedron,
-        forward: Option<Vec<Polyhedron>>,
         interrupt: &Interrupt,
     ) -> Self {
-        let forward = forward.unwrap_or_else(|| location_invariants_from(&cfg, &entry, options));
         let mut snapshot = InvariantSnapshot {
+            forward: location_invariants_from(&cfg, &entry, options),
             candidates: guard_candidates(&cfg),
             cfg,
             options: options.clone(),
             entry,
             strengthened: Vec::new(),
-            forward,
         };
         snapshot.strengthened =
             snapshot.strengthen(ts, &snapshot.entry, snapshot.forward.clone(), interrupt);
@@ -242,7 +218,7 @@ impl<'ts> FixpointPipeline<'ts> {
         entry: Polyhedron,
     ) -> Self {
         let snapshot =
-            InvariantSnapshot::from_entry(program.to_cfg(), ts, options, entry, None, &interrupt);
+            InvariantSnapshot::from_entry(program.to_cfg(), ts, options, entry, &interrupt);
         Self::from_snapshot(Arc::new(snapshot), ts, max_refinements, interrupt)
     }
 
@@ -474,10 +450,6 @@ mod tests {
         assert!(!same(snapshot.forward_invariants(), snapshot.invariants()));
         let shared = FixpointPipeline::from_snapshot(snapshot, &ts, 2, Interrupt::never());
         assert!(same(shared.invariants(), fresh.invariants()));
-
-        let adopted =
-            InvariantSnapshot::with_forward(&p, &ts, &options, forward, &Interrupt::never());
-        assert!(same(adopted.invariants(), fresh.invariants()));
     }
 
     #[test]

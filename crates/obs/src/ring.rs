@@ -4,27 +4,65 @@
 //! into the slot at `position % capacity`; when the buffer wraps, the oldest
 //! events are overwritten, so the ring always retains the most recent
 //! `capacity` events plus an exact count of how many were dropped. Each slot
-//! carries a sequence atomic whose value is either `EMPTY`, the `WRITING`
-//! claim marker, or `position + 1` of the completed write — the classic
-//! Vyukov per-slot handshake, adapted to overwrite-on-wrap semantics: a
-//! writer that laps a slot *while another writer is still mid-publish there*
-//! (which needs `capacity` intervening pushes within one publish, i.e. a
-//! pathological stall) drops its event rather than corrupting the slot.
+//! carries a sequence atomic (the classic Vyukov per-slot handshake, adapted
+//! to overwrite-on-wrap semantics) that records the newest position to reach
+//! the slot and what became of its event:
+//!
+//! * `EMPTY` — never written, or drained;
+//! * `position + 1` — that position's event is published in the slot;
+//! * `CLAIMED | position` — a writer is publishing that position's event
+//!   (or the drain is taking it);
+//! * `LOST | position` — that position's event was lost: it arrived while an
+//!   older writer was still mid-publish there (which needs `capacity`
+//!   intervening pushes within one publish, i.e. a pathological stall);
+//!   `CLAIMED | LOST | position` while the older writer still holds the slot.
+//!
+//! A writer only ever takes a slot whose newest position is older than its
+//! own. One preempted between its `fetch_add` and its publish finds a newer
+//! position there and drops its own event, which the arithmetic overwrite
+//! count already covers. A lost event is counted while its slot records it,
+//! and only then: once a newer position reaches the slot, the overwrite
+//! count covers it instead. So every position is counted exactly once.
 
 use std::cell::UnsafeCell;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::trace::TraceEvent;
 
-/// Slot sequence value meaning "never written".
+/// Slot sequence value meaning "never written, or drained".
 const EMPTY: u64 = 0;
-/// Slot sequence value meaning "a writer holds this slot".
-const WRITING: u64 = u64::MAX;
+/// Slot sequence bit meaning "held by a writer or the drain".
+const CLAIMED: u64 = 1 << 63;
+/// Slot sequence bit meaning "the recorded position's event was lost".
+const LOST: u64 = 1 << 62;
+/// The position bits of a flagged sequence value.
+const POSITION: u64 = LOST - 1;
 
 struct Slot {
-    /// `EMPTY`, `WRITING`, or `position + 1` of the last completed write.
+    /// The newest position to reach the slot, and its fate (module docs).
     seq: AtomicU64,
     payload: UnsafeCell<Option<TraceEvent>>,
+}
+
+impl Slot {
+    /// Ends a hold of `position` (a writer's publish or the drain's take),
+    /// leaving `done` — unless a newer position's event was lost meanwhile,
+    /// which the slot then keeps recording.
+    fn release(&self, position: u64, done: u64) {
+        if self
+            .seq
+            .compare_exchange(
+                CLAIMED | position,
+                done,
+                Ordering::Release,
+                Ordering::Relaxed,
+            )
+            .is_err()
+        {
+            // While held, the sequence can only move to `CLAIMED | LOST | n`.
+            self.seq.fetch_and(!CLAIMED, Ordering::Release);
+        }
+    }
 }
 
 /// Bounded multi-producer ring buffer that keeps the most recent events.
@@ -32,16 +70,14 @@ pub struct RingBuffer {
     slots: Box<[Slot]>,
     /// Total number of positions ever claimed by writers.
     head: AtomicU64,
-    /// Pushes abandoned because the claimed slot was still being written by
-    /// a lapped writer (distinct from ordinary overwrites, which are counted
-    /// arithmetically from `head`).
-    collisions: AtomicU64,
 }
 
 // SAFETY: the per-slot `seq` protocol grants exclusive access to `payload`:
-// a writer owns it between `swap(WRITING)` and the release store of
-// `pos + 1`; `drain` owns it between a successful CAS to `WRITING` and the
-// release store of `EMPTY`. No two owners can hold the same slot at once.
+// a writer owns it between its successful CAS to `CLAIMED | pos` and its
+// `release`; `drain` owns it between a successful CAS to `CLAIMED | pos` and
+// its `release`. While `CLAIMED` is set, other threads only ever replace the
+// position bits (recording a lost event), never take the slot, so no two
+// owners can hold the same slot at once.
 unsafe impl Sync for RingBuffer {}
 
 impl RingBuffer {
@@ -57,7 +93,6 @@ impl RingBuffer {
         RingBuffer {
             slots,
             head: AtomicU64::new(0),
-            collisions: AtomicU64::new(0),
         }
     }
 
@@ -71,31 +106,61 @@ impl RingBuffer {
         self.head.load(Ordering::Acquire)
     }
 
-    /// Number of events no longer retrievable: overwritten on wrap, or
-    /// abandoned on a (pathological) writer collision.
+    /// Number of events no longer retrievable: overwritten on wrap, or lost
+    /// to a (pathological) stalled writer. Exact once the writers are
+    /// quiescent; one pass over the slots.
     pub fn dropped(&self) -> u64 {
-        let pushed = self.pushed();
-        let overwritten = pushed.saturating_sub(self.slots.len() as u64);
-        overwritten + self.collisions.load(Ordering::Relaxed)
+        let overwritten = self.pushed().saturating_sub(self.slots.len() as u64);
+        let lost = self
+            .slots
+            .iter()
+            .map(|slot| slot.seq.load(Ordering::Acquire))
+            .filter(|seq| seq & LOST != 0 && seq & POSITION >= overwritten)
+            .count();
+        overwritten + lost as u64
     }
 
     /// Appends an event; on wrap the oldest retained event is overwritten.
     pub fn push(&self, event: TraceEvent) {
         let pos = self.head.fetch_add(1, Ordering::AcqRel);
+        #[cfg(test)]
+        tests::pause(tests::Stage::Claimed, pos);
         let slot = &self.slots[(pos % self.slots.len() as u64) as usize];
-        let prev = slot.seq.swap(WRITING, Ordering::Acquire);
-        if prev == WRITING {
-            // A lapped writer is still publishing into this slot: back off
-            // and drop our event. The other writer's trailing store will
-            // restore a coherent sequence value.
-            self.collisions.fetch_add(1, Ordering::Relaxed);
-            return;
+        let mut seq = slot.seq.load(Ordering::Acquire);
+        loop {
+            let newest_after = if seq & (CLAIMED | LOST) == 0 {
+                seq
+            } else {
+                (seq & POSITION) + 1
+            };
+            if newest_after > pos {
+                // A newer position reached the slot while we were preempted:
+                // our event is already counted as overwritten, and must not
+                // bury the newer one.
+                return;
+            }
+            // A held slot cannot take our event: record it as lost there.
+            let next = if seq & CLAIMED == 0 {
+                CLAIMED | pos
+            } else {
+                CLAIMED | LOST | pos
+            };
+            match slot
+                .seq
+                .compare_exchange_weak(seq, next, Ordering::Acquire, Ordering::Acquire)
+            {
+                Ok(_) if next & LOST != 0 => return,
+                Ok(_) => break,
+                Err(current) => seq = current,
+            }
         }
-        // SAFETY: the WRITING swap above granted exclusive slot access.
+        #[cfg(test)]
+        tests::pause(tests::Stage::Holding, pos);
+        // SAFETY: the successful claim above granted exclusive slot access.
         unsafe {
             *slot.payload.get() = Some(event);
         }
-        slot.seq.store(pos + 1, Ordering::Release);
+        slot.release(pos, pos + 1);
     }
 
     /// Takes the retained events in push order (oldest first) and empties
@@ -111,12 +176,12 @@ impl RingBuffer {
             let slot = &self.slots[(pos % cap) as usize];
             if slot
                 .seq
-                .compare_exchange(pos + 1, WRITING, Ordering::Acquire, Ordering::Relaxed)
+                .compare_exchange(pos + 1, CLAIMED | pos, Ordering::Acquire, Ordering::Relaxed)
                 .is_ok()
             {
                 // SAFETY: the successful CAS granted exclusive slot access.
                 let payload = unsafe { (*slot.payload.get()).take() };
-                slot.seq.store(EMPTY, Ordering::Release);
+                slot.release(pos, EMPTY);
                 if let Some(event) = payload {
                     out.push(event);
                 }
@@ -130,6 +195,53 @@ impl RingBuffer {
 mod tests {
     use super::*;
     use crate::trace::{EventKind, TraceEvent};
+    use std::cell::RefCell;
+    use std::sync::mpsc::{channel, Receiver, Sender};
+
+    /// Where in a push a planted stall waits.
+    #[derive(Clone, Copy, PartialEq, Eq)]
+    pub(super) enum Stage {
+        /// Position taken, slot not yet claimed.
+        Claimed,
+        /// Slot claimed, event not yet published.
+        Holding,
+    }
+
+    /// A stall planted on one thread: its push of position `.1` at stage
+    /// `.0` signals `.2` and waits on `.3`.
+    type Pause = (Stage, u64, Sender<()>, Receiver<()>);
+
+    thread_local! {
+        static PAUSE: RefCell<Option<Pause>> = const { RefCell::new(None) };
+    }
+
+    /// The pause hook inside a push.
+    pub(super) fn pause(stage: Stage, pos: u64) {
+        PAUSE.with(|pause| {
+            if let Some((at_stage, at, reached, resume)) = &*pause.borrow() {
+                if (*at_stage, *at) == (stage, pos) {
+                    reached.send(()).unwrap();
+                    resume.recv().unwrap();
+                }
+            }
+        });
+    }
+
+    /// Pushes position 0 on another thread, stalled at `stage`, while
+    /// `meanwhile` runs on this one.
+    fn with_stalled_first_push(ring: &RingBuffer, stage: Stage, meanwhile: impl FnOnce()) {
+        let (reached_tx, reached_rx) = channel();
+        let (resume_tx, resume_rx) = channel();
+        std::thread::scope(|scope| {
+            scope.spawn(move || {
+                PAUSE.with(|pause| *pause.borrow_mut() = Some((stage, 0, reached_tx, resume_rx)));
+                ring.push(event(0));
+            });
+            reached_rx.recv().unwrap();
+            meanwhile();
+            resume_tx.send(()).unwrap();
+        });
+    }
 
     fn event(ts: u64) -> TraceEvent {
         TraceEvent {
@@ -205,5 +317,46 @@ mod tests {
         let retained = ring.drain().len() as u64;
         assert_eq!(retained + ring.dropped(), threads * per_thread);
         assert!(retained <= 1024);
+    }
+
+    #[test]
+    fn a_writer_stalled_for_a_lap_never_buries_the_newer_event() {
+        // Position 0 is taken, then stalls while positions 1 and 2 land;
+        // 2 shares its slot. The stalled push must drop its own event: the
+        // ring keeps the newest two and counts exactly one drop.
+        let ring = RingBuffer::new(2);
+        with_stalled_first_push(&ring, Stage::Claimed, || {
+            ring.push(event(1));
+            ring.push(event(2));
+        });
+        assert_eq!(ring.pushed(), 3);
+        assert_eq!(ring.dropped(), 1);
+        let drained = ring.drain();
+        assert_eq!(
+            drained.iter().map(|e| e.ts_us).collect::<Vec<_>>(),
+            vec![1, 2]
+        );
+    }
+
+    #[test]
+    fn a_lap_over_a_stalled_publish_counts_each_loss_once() {
+        // Position 0 stalls mid-publish; position 2 reaches its slot and
+        // loses its event. That loss counts while it is the slot's newest
+        // position, and stops counting once position 4 overwrites it.
+        let ring = RingBuffer::new(2);
+        with_stalled_first_push(&ring, Stage::Holding, || {
+            for ts in 1..=3 {
+                ring.push(event(ts));
+            }
+        });
+        assert_eq!(ring.pushed(), 4);
+        assert_eq!(ring.dropped(), 3, "0 and 1 overwritten, 2 lost");
+        ring.push(event(4));
+        assert_eq!(ring.dropped(), 3, "0, 1 and 2 overwritten");
+        let drained = ring.drain();
+        assert_eq!(
+            drained.iter().map(|e| e.ts_us).collect::<Vec<_>>(),
+            vec![3, 4]
+        );
     }
 }
