@@ -90,7 +90,7 @@ pub fn expand_paths(
     limit: usize,
 ) -> Option<Vec<PathTransition>> {
     use termite_smt::TheorySolver;
-    let theory = TheorySolver::new();
+    let mut theory = TheorySolver::new();
     let mut out = Vec::new();
     for t in ts.transitions() {
         let inv = &invariants[t.from];
@@ -432,14 +432,11 @@ pub mod heuristic {
         t: &termite_ir::BlockTransition,
         stats: &mut SynthesisStats,
     ) -> bool {
-        stats.smt_queries += 1;
-        let smt_start = std::time::Instant::now();
-        let result = {
+        crate::monodim::counted_query(ctx, stats, |ctx| {
             let _span = termite_obs::span!("smt_check", from = t.from, to = t.to);
             ctx.solve(query)
-        };
-        stats.smt_millis += smt_start.elapsed().as_secs_f64() * 1000.0;
-        result.is_unsat()
+        })
+        .is_unsat()
     }
 
     /// Verifies a candidate lexicographic tuple: for every transition, some

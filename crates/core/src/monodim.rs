@@ -172,6 +172,24 @@ fn avoid_space(u: &[LinExpr], basis: &Subspace) -> Formula {
     )
 }
 
+/// Runs one SMT query on `ctx`, adding to `stats` the query, its wall time
+/// and the theory solver's work (cold LPs and warm checks) it took.
+pub(crate) fn counted_query<R>(
+    ctx: &mut SmtContext,
+    stats: &mut SynthesisStats,
+    query: impl FnOnce(&mut SmtContext) -> R,
+) -> R {
+    let before = ctx.stats().clone();
+    stats.smt_queries += 1;
+    let start = Instant::now();
+    let result = query(ctx);
+    stats.smt_millis += start.elapsed().as_secs_f64() * 1000.0;
+    let after = ctx.stats();
+    stats.smt_lp_solves += after.theory_lp_solves - before.theory_lp_solves;
+    stats.smt_warm_checks += after.theory_warm_checks - before.theory_warm_checks;
+    result
+}
+
 /// Restriction formula of Algorithm 2: every previously synthesised component
 /// must stay constant along the transition (`λ_{d'}·u = 0`).
 pub(crate) fn previous_constant(
@@ -269,13 +287,10 @@ pub fn monodim(
                 avoid_space(&u_sym, &basis),
                 Formula::le(objective.clone(), LinExpr::constant(0)),
             ]);
-            stats.smt_queries += 1;
-            let smt_start = Instant::now();
-            let outcome = {
+            let outcome = counted_query(&mut ctx, stats, |ctx| {
                 let _span = termite_obs::span!("smt_minimize", from = t.from, to = t.to);
                 ctx.minimize(&query, &objective)
-            };
-            stats.smt_millis += smt_start.elapsed().as_secs_f64() * 1000.0;
+            });
             match outcome {
                 OptResult::Unsat => continue,
                 OptResult::Interrupted => {
@@ -399,13 +414,10 @@ fn zero_step_possible(
                 .collect(),
         );
         let query = Formula::and(vec![t.formula.clone(), all_zero]);
-        stats.smt_queries += 1;
-        let smt_start = Instant::now();
-        let result = {
+        let result = counted_query(ctx, stats, |ctx| {
             let _span = termite_obs::span!("smt_check", from = t.from, to = t.to);
             ctx.solve(&query)
-        };
-        stats.smt_millis += smt_start.elapsed().as_secs_f64() * 1000.0;
+        });
         // Only a completed `Unsat` rules the null step out; an interrupted
         // query conservatively counts as "possible" (so the result is never
         // reported strict on the strength of an unfinished check).

@@ -3,7 +3,7 @@
 
 use crate::cancel::CancelToken;
 use crate::lp_instance::RankingTemplate;
-use crate::monodim::{invariant_formula, monodim, previous_constant, MonodimInput};
+use crate::monodim::{counted_query, invariant_formula, monodim, previous_constant, MonodimInput};
 use crate::regions::{active_source_regions, strengthen_with_regions};
 use crate::report::SynthesisStats;
 use crate::workspace::{FarkasMemo, LpReuse, SynthesisLpWorkspace};
@@ -114,13 +114,10 @@ pub fn synthesize_lexicographic(
                 t.formula.clone(),
                 previous_constant(ts, &components, t.from, t.to),
             ]);
-            stats.smt_queries += 1;
-            let smt_start = std::time::Instant::now();
-            let result = {
+            let result = counted_query(&mut ctx, stats, |ctx| {
                 let _span = termite_obs::span!("smt_check", from = t.from, to = t.to);
                 ctx.solve(&query)
-            };
-            stats.smt_millis += smt_start.elapsed().as_secs_f64() * 1000.0;
+            });
             match result {
                 termite_smt::SmtResult::Sat(_) => active.push(true),
                 termite_smt::SmtResult::Unsat => active.push(false),

@@ -282,6 +282,13 @@ pub struct SynthesisStats {
     pub lp_max: (usize, usize),
     /// Number of SMT (optimizing) queries issued.
     pub smt_queries: usize,
+    /// Cold LPs the SMT theory solver built and solved inside those
+    /// queries: consistency checks that found a model, branch-and-bound
+    /// nodes and minimisations.
+    pub smt_lp_solves: usize,
+    /// Warm checks on the SMT theory solver's tableau: every consistency
+    /// check and every conflict deletion probe a certificate did not answer.
+    pub smt_warm_checks: usize,
     /// Number of counterexample vectors (vertices + rays) accumulated.
     pub counterexamples: usize,
     /// Dimension of the synthesised function (0 when none).
@@ -505,6 +512,8 @@ pub static STAT_FIELDS: &[StatField] = &[
     stat!("basis_reuses",      Counter, Sum,    optional, Lp("basis reuses"),      basis_reuses),
     stat!("farkas_cache_hits", Counter, Sum,    optional, Lp("farkas memo hits"),  farkas_cache_hits),
     stat!("smt_queries",       Counter, Sum,    required, Hidden,                  smt_queries),
+    stat!("smt_lp_solves",     Counter, Sum,    optional, Hidden,                  smt_lp_solves),
+    stat!("smt_warm_checks",   Counter, Sum,    optional, Hidden,                  smt_warm_checks),
     stat!("counterexamples",   Counter, Sum,    required, Hidden,                  counterexamples),
     stat!("refinements",       Counter, Sum,    optional, Hidden,                  refinements),
     stat!("lp_rows_avg",       Size,    LpMean, required, Hidden,                  lp_rows_avg),
@@ -531,6 +540,7 @@ const _: fn(SynthesisStats) = |stats| {
     let SynthesisStats {
         iterations: _, lp_instances: _, lp_pivots: _, lp_warm_hits: _, basis_reuses: _,
         farkas_cache_hits: _, lp_rows_avg: _, lp_cols_avg: _, lp_max: _, smt_queries: _,
+        smt_lp_solves: _, smt_warm_checks: _,
         counterexamples: _, dimension: _, refinements: _, synthesis_millis: _, smt_millis: _,
         lp_millis: _, invariant_millis: _, ir_nodes_before: _, ir_nodes_after: _,
         ir_vars_before: _, ir_vars_after: _, engine_won: _,

@@ -15,7 +15,8 @@
 //!
 //! The store is an in-memory map behind a mutex, each entry kept as its
 //! encoded report text — the bytes a save writes, decoded on lookup by the
-//! same codec a reloaded file goes through. It is optionally persisted to a
+//! same codec a reloaded file goes through — with the stats keys that every
+//! entry repeats packed into one byte each. It is optionally persisted to a
 //! JSON file ([`ResultCache::load`] / [`ResultCache::save`]) so cache state
 //! survives across `termite` CLI invocations. Saves are atomic
 //! (write-then-rename), and long-lived consumers recover from a corrupt
@@ -149,22 +150,84 @@ pub struct CacheStats {
     pub evictions: usize,
 }
 
-/// One stored report, kept encoded: `text` is its report JSON, exactly the
-/// bytes a save writes for it, decoded again on every hit.
+/// One stored report, kept encoded: its report JSON, exactly the bytes a
+/// save writes for it, decoded again on every hit.
+///
+/// Every entry repeats the key of each stats row, about half its text, so
+/// `packed` holds each `"<name>":` of a [`STAT_FIELDS`] row as one control
+/// character (row `i` as `i + 1`, for the first 31 rows). The encoder
+/// escapes every control character inside strings and writes none outside
+/// them, so a code never stands for anything else, and
+/// [`text`](CacheEntry::text) restores the exact text.
 struct CacheEntry {
-    text: Box<str>,
+    packed: Box<str>,
     /// Logical timestamp of the last lookup or store that touched this
     /// entry; the eviction loop drops the smallest first.
     last_used: u64,
 }
 
+/// The stats key a packed code stands for (see [`CacheEntry`]).
+fn packed_key(code: char) -> Option<&'static str> {
+    let row = (code as usize).checked_sub(1).filter(|&row| row < 31)?;
+    STAT_FIELDS.get(row).map(|field| field.name)
+}
+
 impl CacheEntry {
+    /// Packs encoded report `text` (see [`CacheEntry`]).
+    fn new(text: &str, last_used: u64) -> CacheEntry {
+        debug_assert!(!text.bytes().any(|b| b < 0x20), "raw control character");
+        let mut packed = String::with_capacity(text.len());
+        let mut rest = text;
+        while let Some(at) = rest.find('"') {
+            packed.push_str(&rest[..at]);
+            rest = &rest[at + 1..];
+            let row = STAT_FIELDS.iter().take(31).position(|field| {
+                (rest.strip_prefix(field.name)).is_some_and(|tail| tail.starts_with("\":"))
+            });
+            match row {
+                Some(row) => {
+                    packed.push(char::from(row as u8 + 1));
+                    rest = &rest[STAT_FIELDS[row].name.len() + 2..];
+                }
+                None => packed.push('"'),
+            }
+        }
+        packed.push_str(rest);
+        CacheEntry {
+            packed: packed.into_boxed_str(),
+            last_used,
+        }
+    }
+
+    /// The report text: the packed keys spelled out again.
+    fn text(&self) -> String {
+        let mut text = String::with_capacity(self.text_len());
+        for c in self.packed.chars() {
+            match packed_key(c) {
+                Some(name) => {
+                    text.push('"');
+                    text.push_str(name);
+                    text.push_str("\":");
+                }
+                None => text.push(c),
+            }
+        }
+        text
+    }
+
+    /// Length of [`text`](CacheEntry::text), without building it.
+    fn text_len(&self) -> usize {
+        (self.packed.chars())
+            .map(|c| packed_key(c).map_or(c.len_utf8(), |name| name.len() + 3))
+            .sum()
+    }
+
     /// Exact number of bytes the entry contributes to the on-disk document
     /// (`"key":<report json>`, i.e. the quoted key, the colon, and the
-    /// report), so [`ResultCache::serialized_bytes`] is O(1) instead of a
-    /// full serialization per probe.
+    /// report), so [`ResultCache::serialized_bytes`] is O(1) in the number
+    /// of entries instead of a full serialization per probe.
     fn bytes(&self, key: &str) -> usize {
-        key.len() + "\"\":".len() + self.text.len()
+        key.len() + "\"\":".len() + self.text_len()
     }
 }
 
@@ -184,12 +247,9 @@ impl CacheMap {
     }
 
     /// Inserts (or replaces) an entry, keeping `payload_bytes` in step.
-    fn insert(&mut self, key: String, text: Box<str>) {
+    fn insert(&mut self, key: String, text: &str) {
         let tick = self.next_tick();
-        let entry = CacheEntry {
-            text,
-            last_used: tick,
-        };
+        let entry = CacheEntry::new(text, tick);
         self.payload_bytes += entry.bytes(&key);
         if let Some(old) = self.entries.insert(key.clone(), entry) {
             self.payload_bytes -= old.bytes(&key);
@@ -266,7 +326,7 @@ impl ResultCache {
         let tick = map.next_tick();
         let text = map.entries.get_mut(key).map(|e| {
             e.last_used = tick;
-            String::from(&*e.text)
+            e.text()
         });
         drop(map);
         let found = text.map(|text| {
@@ -287,7 +347,7 @@ impl ResultCache {
     pub fn store(&self, key: String, report: TerminationReport) {
         let text = encode(&report);
         let mut map = lock(&self.map);
-        map.insert(key.clone(), text);
+        map.insert(key.clone(), &text);
         let mut evicted = 0usize;
         if let Some(budget) = self.max_bytes {
             while map.serialized_bytes() > budget && map.entries.len() > 1 {
@@ -358,7 +418,7 @@ impl ResultCache {
             // Entries are stored in the *current* schema: a migrated v1 entry
             // holds (and accounts for) what a re-save would write, not the
             // bytes it occupied on disk.
-            map.insert(key.clone(), encode(&report_from_json(value)?));
+            map.insert(key.clone(), &encode(&report_from_json(value)?));
         }
         drop(map);
         Ok(cache)
@@ -436,11 +496,10 @@ impl ResultCache {
         let disk = disk_entries(path).unwrap_or_default();
         let map = lock(&self.map);
         let live_bytes = map.serialized_bytes();
-        let live: BTreeMap<&str, &str> = map
-            .entries
-            .iter()
-            .map(|(k, e)| (k.as_str(), &*e.text))
+        let texts: Vec<(&str, String)> = (map.entries.iter())
+            .map(|(k, e)| (k.as_str(), e.text()))
             .collect();
+        let live: BTreeMap<&str, &str> = texts.iter().map(|(k, t)| (*k, t.as_str())).collect();
         // Disk entries the live cache does not supersede, migrated to the
         // current schema. Malformed ones are dropped rather than failing the
         // save: preserving stale entries is best-effort.
@@ -956,7 +1015,9 @@ mod tests {
     #[test]
     fn committed_bench_reports_round_trip_byte_identically() {
         // Every embedded report of the newest trend file goes through the
-        // schema-driven codec and comes back as the exact bytes on disk.
+        // schema-driven codec and comes back as the exact bytes on disk. The
+        // optional rows the file predates decode to their zero default and
+        // are written back as 0; they are checked, then set aside.
         let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_0009.json");
         let text = std::fs::read_to_string(path).unwrap();
         let doc = Json::parse(&text).unwrap();
@@ -964,7 +1025,20 @@ mod tests {
         assert!(!benchmarks.is_empty());
         for bench in benchmarks {
             let embedded = bench.get("report").unwrap();
-            let encoded = report_to_json(&report_from_json(embedded).unwrap()).to_string();
+            let mut encoded = report_to_json(&report_from_json(embedded).unwrap());
+            let (Some(Json::Object(on_disk)), Json::Object(report)) =
+                (embedded.get("stats"), &mut encoded)
+            else {
+                panic!("reports are objects with a `stats` object");
+            };
+            let Some(Json::Object(stats)) = report.get_mut("stats") else {
+                panic!("encoded report without stats");
+            };
+            for field in STAT_FIELDS.iter().filter(|f| !on_disk.contains_key(f.name)) {
+                assert!(field.optional, "{} is required", field.name);
+                assert_eq!(stats.remove(field.name), Some(Json::Number(0.0)));
+            }
+            let encoded = encoded.to_string();
             assert_eq!(encoded, embedded.to_string());
             assert!(text.contains(&encoded), "{encoded} is not in {path}");
         }
@@ -1328,6 +1402,24 @@ mod tests {
     }
 
     #[test]
+    fn packed_entries_restore_their_exact_text() {
+        // A program name that spells a stats key, or holds a control
+        // character, stays text: only real keys pack.
+        let mut report = analysed(&job("var x; while (x > 0) { x = x - 1; }"));
+        report.program = "p\"iterations\":\u{1}".into();
+        let text = encode(&report);
+        let entry = CacheEntry::new(&text, 0);
+        assert_eq!(entry.text(), &*text);
+        assert_eq!(entry.text_len(), text.len());
+        assert!(
+            2 * entry.packed.len() < text.len(),
+            "packed {} of {} bytes",
+            entry.packed.len(),
+            text.len()
+        );
+    }
+
+    #[test]
     fn missing_file_loads_empty_and_garbage_errors() {
         let missing = std::env::temp_dir().join("termite-driver-no-such-cache.json");
         let _ = std::fs::remove_file(&missing);
@@ -1433,7 +1525,7 @@ mod tests {
             let entries = map
                 .entries
                 .iter()
-                .map(|(k, e)| (k.clone(), Json::parse(&e.text).unwrap()))
+                .map(|(k, e)| (k.clone(), Json::parse(&e.text()).unwrap()))
                 .collect();
             Json::object([
                 ("version", Json::Number(FORMAT_VERSION)),

@@ -1770,8 +1770,10 @@ mod tests {
                 "lp_pivots",
                 "lp_warm_hits",
                 "refinements",
+                "smt_lp_solves",
                 "smt_millis",
                 "smt_queries",
+                "smt_warm_checks",
                 "synthesis_millis",
             ],
             "the wire keys of the stats verb are part of the protocol"

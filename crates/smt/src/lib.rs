@@ -18,18 +18,21 @@
 //! 1. atoms (`Σ aᵢ·xᵢ ≥ b` over integer variables) are abstracted to
 //!    propositional variables and the Boolean skeleton is Tseitin-encoded to
 //!    CNF for the CDCL core ([`termite_sat::Solver`]);
-//! 2. every propositional model is checked for theory consistency by an exact
-//!    rational simplex ([`termite_lp`]) followed by branch-and-bound for
-//!    integrality. A conflict is shrunk by deletion — drop each asserted atom
-//!    whose removal leaves the relaxation infeasible — and the core goes back
-//!    to the SAT core as a blocking clause. The deletion is guided by Farkas
-//!    certificates: every infeasible simplex solve returns multipliers
-//!    combining its rows into `0 ≥ c > 0`, and an atom outside the most
-//!    recent certificate's support is dropped without solving, because the
-//!    remaining atoms still contain an infeasible system and the probe would
-//!    have answered "infeasible". Atoms in the support are probed as before,
-//!    so every keep/drop decision, and hence the core, the blocking clauses
-//!    and the search, is that of plain deletion (see the `theory` module);
+//! 2. every propositional model is checked for theory consistency on a warm
+//!    bounded-variable tableau that persists across the checks of one query:
+//!    each atom is a slack row, and the model's literals are bounds on those
+//!    rows. An infeasible check names a violated row and the bounds that
+//!    block it, which are infeasible on their own (a Farkas certificate). A
+//!    conflict is shrunk by deletion — drop each asserted atom whose removal
+//!    leaves the relaxation infeasible — and the core goes back to the SAT
+//!    core as a blocking clause. Each deletion probe retracts one bound and
+//!    re-checks on the same tableau, and an atom outside the most recent
+//!    certificate's support is dropped without a probe, because the
+//!    remaining atoms still contain an infeasible system. Every keep/drop
+//!    decision, and hence the core, the blocking clauses and the search, is
+//!    that of plain deletion (see the `theory` module). A consistent check
+//!    takes its model from an exact from-scratch simplex ([`termite_lp`])
+//!    followed by branch-and-bound for integrality;
 //! 3. on a theory-consistent model the objective can be **minimised** over the
 //!    model's polyhedron (optimization modulo theory, per the paper's
 //!    "extremal counterexample" requirement); an unbounded objective is
@@ -67,6 +70,7 @@
 //! }
 //! ```
 
+mod bounded;
 mod expr;
 mod formula;
 mod solver;

@@ -136,10 +136,14 @@ pub struct SolverStats {
     /// Number of models whose integrality could not be established within the
     /// branch-and-bound budget.
     pub non_integral_models: usize,
-    /// Number of LP relaxations the theory solver solved (see
-    /// [`TheorySolver::lp_solves`]); conflict probes that a Farkas
-    /// certificate answers are not solved and not counted.
+    /// Number of cold LPs the theory solver solved (see
+    /// [`TheorySolver::lp_solves`]): only checks that found a model,
+    /// branch-and-bound nodes and minimisations build an LP.
     pub theory_lp_solves: usize,
+    /// Number of warm checks on the theory solver's tableau (see
+    /// [`TheorySolver::warm_checks`]): every consistency check, plus the
+    /// conflict deletion probes that a certificate does not answer.
+    pub theory_warm_checks: usize,
 }
 
 /// An SMT solving context: declares integer variables and answers
@@ -213,16 +217,17 @@ impl SmtContext {
     }
 
     fn run(&mut self, formula: &Formula, objective: Option<&LinExpr>) -> RunResult {
-        let theory = TheorySolver::with_interrupt(self.interrupt.clone());
-        let result = self.search(&theory, formula, objective);
+        let mut theory = TheorySolver::with_interrupt(self.interrupt.clone());
+        let result = self.search(&mut theory, formula, objective);
         self.stats.theory_lp_solves += theory.lp_solves();
+        self.stats.theory_warm_checks += theory.warm_checks();
         result
     }
 
     /// The DPLL(T) loop proper: SAT models checked by `theory`.
     fn search(
         &mut self,
-        theory: &TheorySolver,
+        theory: &mut TheorySolver,
         formula: &Formula,
         objective: Option<&LinExpr>,
     ) -> RunResult {
@@ -276,7 +281,7 @@ impl SmtContext {
                                             "consistent conjunction cannot be inconsistent"
                                         )
                                     }
-                                    MinimizeOutcome::Unbounded { ray, .. } => {
+                                    MinimizeOutcome::Unbounded { ray } => {
                                         Some(OptOutcome::Unbounded { ray })
                                     }
                                     MinimizeOutcome::Optimal {
@@ -602,9 +607,9 @@ mod tests {
     #[test]
     fn certificate_skips_the_probes_of_irrelevant_atoms() {
         // x >= 5 ∧ x <= 3 conflict; y_k >= 0 for 20 further variables do not
-        // take part. One check solve plus one probe per core atom: the
+        // take part. One warm check plus one warm probe per core atom: the
         // check's certificate answers the 20 other probes (plain deletion
-        // solves 1 + 22 LPs here).
+        // probes all 22), and an infeasible check builds no cold LP.
         let mut ctx = SmtContext::new();
         let x = var(&mut ctx, "x");
         let mut conjuncts = vec![
@@ -618,7 +623,8 @@ mod tests {
         assert_eq!(ctx.solve(&Formula::and(conjuncts)), SmtResult::Unsat);
         assert_eq!(ctx.stats().theory_checks, 1);
         assert_eq!(ctx.stats().blocking_clauses, 1);
-        assert_eq!(ctx.stats().theory_lp_solves, 1 + 2);
+        assert_eq!(ctx.stats().theory_warm_checks, 1 + 2);
+        assert_eq!(ctx.stats().theory_lp_solves, 0);
     }
 
     #[test]

@@ -4,35 +4,42 @@
 //! coefficients), this module decides satisfiability over the integers and
 //! optionally minimises a linear objective:
 //!
-//! 1. the rational relaxation is solved by the exact simplex of
-//!    [`termite_lp`]; an infeasible relaxation yields a conflict set of
-//!    atoms, which the DPLL(T) driver turns into a blocking clause;
-//! 2. if the relaxation is feasible but the optimum/witness is fractional,
-//!    branch-and-bound on the fractional variables establishes integrality.
-//!    Branching is bounded by a node budget; if the budget is exhausted the
-//!    result is flagged as non-integral (`integral = false`), which callers
-//!    treat conservatively (see the crate documentation of `termite-core`).
+//! 1. the rational relaxation is decided on a warm bounded-variable tableau
+//!    (the `bounded` module) that persists across the checks of one solver;
+//!    an infeasible relaxation yields a conflict set of atoms, which the
+//!    DPLL(T) driver turns into a blocking clause;
+//! 2. a feasible relaxation is solved again by the exact (cold) simplex of
+//!    [`termite_lp`], which yields the model; if the witness or optimum is
+//!    fractional, branch-and-bound on the fractional variables establishes
+//!    integrality. Branching is bounded by a node budget; if the budget is
+//!    exhausted the result is flagged as non-integral (`integral = false`),
+//!    which callers treat conservatively (see the crate documentation of
+//!    `termite-core`).
 //!
-//! # Conflict cores from Farkas certificates
+//! Only answers that carry a model (consistent checks, minimisation and
+//! branch-and-bound) run cold, and they run exactly as a from-scratch solve
+//! would, so models and the counterexamples built from them do not depend
+//! on what the warm tableau has seen before.
+//!
+//! # Conflict cores from warm certificates
 //!
 //! A conflict is shrunk by deletion: walk the atoms in order and drop each
-//! one whose removal leaves the relaxation infeasible. Each "probe" is a
-//! from-scratch LP solve. An infeasible solve also returns a Farkas
-//! certificate ([`termite_lp::LpSolution::farkas`]): non-negative
-//! multipliers on the atoms whose combination reads `0 ≥ c` with `c > 0`.
-//! The atoms with non-zero multipliers (its *support*) are infeasible on
-//! their own. The deletion loop keeps the support of the most recent
-//! certificate: first that of the LP that found the conflict, then that of
-//! each probe that came back infeasible. An atom outside that support is
-//! dropped without a solve: the remaining atoms still contain the whole
-//! support, so the probe would have answered "infeasible" anyway. Atoms
-//! inside the support are probed as before. Every keep/drop decision is the
-//! one plain deletion makes, so the core — and with it the blocking
-//! clauses and the whole SAT search — is unchanged; only the solves whose
-//! answer was already known are skipped.
+//! one whose removal leaves the relaxation infeasible. Each "probe" retracts
+//! one bound on the tableau and re-checks from the current basis; a
+//! feasible probe puts the bound back. An infeasible warm check also
+//! returns a Farkas certificate: the violated row together with the bounds
+//! that block it, which are infeasible on their own (its *support*). The
+//! deletion loop keeps the support of the most recent certificate: first
+//! that of the check that found the conflict, then that of each probe that
+//! came back infeasible. An atom outside that support is dropped without a
+//! probe: the remaining atoms still contain the whole support, so the probe
+//! would have answered "infeasible" anyway. Atoms inside the support are
+//! probed. Every keep/drop decision is the one plain deletion makes, so the
+//! core — and with it the blocking clauses and the whole SAT search — is
+//! plain deletion's, whichever oracle answered the probes.
 
+use crate::bounded::{Interrupted, WarmTableau};
 use crate::{Atom, LinExpr, TermVar};
-use std::cell::Cell;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use termite_lp::{
     Constraint as LpConstraint, Interrupt, LinearProgram, LpOutcome, LpSolution, Relation, VarId,
@@ -72,8 +79,6 @@ pub enum MinimizeOutcome {
     /// The objective is unbounded below; `ray` is a recession direction of the
     /// (rational) feasible set along which the objective decreases.
     Unbounded {
-        /// A feasible point (not necessarily integral).
-        model: HashMap<TermVar, Rational>,
         /// Recession direction witnessing unboundedness.
         ray: HashMap<TermVar, Rational>,
     },
@@ -94,13 +99,16 @@ pub enum MinimizeOutcome {
 /// Branch-and-bound node budget (per theory call).
 const BB_NODE_LIMIT: usize = 400;
 
-/// The LIA theory solver (stateless apart from the interrupt source and a
-/// solve counter; all methods take the atom set).
+/// The LIA theory solver: a warm tableau over every atom it has checked,
+/// the interrupt source, and its work counters.
 #[derive(Debug, Default, Clone)]
 pub struct TheorySolver {
     interrupt: Interrupt,
-    /// LP relaxations solved so far (see [`TheorySolver::lp_solves`]).
-    lp_solves: Cell<usize>,
+    /// Cold LPs solved so far (see [`TheorySolver::lp_solves`]).
+    lp_solves: usize,
+    /// Warm checks and probes so far (see [`TheorySolver::warm_checks`]).
+    warm_checks: usize,
+    tableau: WarmTableau,
 }
 
 impl TheorySolver {
@@ -109,27 +117,40 @@ impl TheorySolver {
         TheorySolver::default()
     }
 
-    /// Creates a theory solver whose internal simplex solves poll
+    /// Creates a theory solver whose simplex solves, warm and cold, poll
     /// `interrupt` every few pivots, so cancellation lands mid-pivot even
     /// inside the SMT search (ROADMAP "interruptible solvers", SMT side).
     pub fn with_interrupt(interrupt: Interrupt) -> Self {
         TheorySolver {
             interrupt,
-            lp_solves: Cell::new(0),
+            ..TheorySolver::default()
         }
     }
 
-    /// Number of LP relaxations this solver has solved: consistency checks,
-    /// conflict-minimisation probes, branch-and-bound nodes and
-    /// minimisations (interrupted solves included).
+    /// Number of cold LPs this solver has solved: the consistency checks
+    /// that found a model, branch-and-bound nodes and minimisations
+    /// (interrupted solves included).
     pub fn lp_solves(&self) -> usize {
-        self.lp_solves.get()
+        self.lp_solves
+    }
+
+    /// Number of warm checks this solver has run on its tableau: one per
+    /// consistency check or infeasible minimisation, plus one per conflict
+    /// deletion probe (interrupted checks included).
+    pub fn warm_checks(&self) -> usize {
+        self.warm_checks
     }
 
     /// Runs one LP through the interruptible simplex.
-    fn solve_lp(&self, lp: &LinearProgram) -> Option<LpSolution> {
-        self.lp_solves.set(self.lp_solves.get() + 1);
+    fn solve_lp(&mut self, lp: &LinearProgram) -> Option<LpSolution> {
+        self.lp_solves += 1;
         lp.solve_interruptible(&self.interrupt)
+    }
+
+    /// Runs one warm check of the literals loaded on the tableau.
+    fn warm_check(&mut self) -> Result<Option<Vec<usize>>, Interrupted> {
+        self.warm_checks += 1;
+        self.tableau.check(&self.interrupt)
     }
 
     fn collect_vars(atoms: &[&Atom]) -> Vec<TermVar> {
@@ -209,7 +230,7 @@ impl TheorySolver {
     }
 
     /// Checks consistency of a conjunction of atoms over the integers.
-    pub fn check(&self, atoms: &[Atom]) -> TheoryOutcome {
+    pub fn check(&mut self, atoms: &[Atom]) -> TheoryOutcome {
         let refs: Vec<&Atom> = atoms.iter().collect();
         let vars = Self::collect_vars(&refs);
         if vars.is_empty() {
@@ -220,69 +241,71 @@ impl TheorySolver {
                 integral: true,
             };
         }
+        self.tableau.load(atoms);
+        match self.warm_check() {
+            Err(Interrupted) => return TheoryOutcome::Interrupted,
+            Ok(Some(support)) => {
+                return TheoryOutcome::Inconsistent {
+                    conflict: self.minimize_conflict(atoms, &vars, support),
+                }
+            }
+            Ok(None) => {}
+        }
         let (lp, ids) = Self::build_lp(&refs, &[], None, &vars);
         let Some(solution) = self.solve_lp(&lp) else {
             return TheoryOutcome::Interrupted;
         };
-        match solution.outcome {
-            LpOutcome::Infeasible => TheoryOutcome::Inconsistent {
-                conflict: self.minimize_conflict(atoms, &vars, solution.farkas_support()),
+        let LpOutcome::Optimal { assignment, .. } = solution.outcome else {
+            unreachable!("the warm check found the relaxation feasible");
+        };
+        let model = Self::model_from_assignment(&vars, &ids, &assignment);
+        match Self::first_fractional(&model) {
+            None => TheoryOutcome::Consistent {
+                model,
+                integral: true,
             },
-            LpOutcome::Unbounded { .. } => unreachable!("feasibility LP cannot be unbounded"),
-            LpOutcome::Optimal { assignment, .. } => {
-                let model = Self::model_from_assignment(&vars, &ids, &assignment);
-                match Self::first_fractional(&model) {
-                    None => TheoryOutcome::Consistent {
-                        model,
-                        integral: true,
-                    },
-                    Some(_) => self.branch_and_bound_feasible(&refs, &vars, model),
-                }
-            }
+            Some(_) => self.branch_and_bound_feasible(&refs, &vars, model),
         }
     }
 
-    /// Greedy conflict minimisation by deletion, skipping the probes a
-    /// Farkas certificate already answers (see the module documentation).
-    /// `support` indexes the atoms of a certificate for the whole system;
-    /// `None` probes every atom.
+    /// Greedy conflict minimisation by deletion on the warm tableau, which
+    /// holds `atoms` and found them infeasible with certificate `support`.
+    /// Probes the certificate does not answer retract one bound and re-check
+    /// (see the module documentation).
     fn minimize_conflict(
-        &self,
+        &mut self,
         atoms: &[Atom],
         vars: &[TermVar],
-        mut support: Option<Vec<usize>>,
+        mut support: Vec<usize>,
     ) -> Vec<usize> {
         let mut active: Vec<usize> = (0..atoms.len()).collect();
-        // `support` holds the atoms with a non-zero multiplier in the most
-        // recent certificate; it stays a subset of `active`.
+        // `support` holds the atoms of the most recent certificate; it stays
+        // a subset of `active`, and the tableau bounds exactly `active`.
         let mut i = 0;
         while i < active.len() {
             if active.len() <= 1 {
                 break;
             }
-            if support.as_ref().is_some_and(|s| !s.contains(&active[i])) {
+            let atom = active[i];
+            self.tableau.retract(atom);
+            if !support.contains(&atom) {
                 // The rest still holds the whole certificate: infeasible.
                 active.remove(i);
                 continue;
             }
-            let mut candidate = active.clone();
-            candidate.remove(i);
-            let subset: Vec<&Atom> = candidate.iter().map(|&j| &atoms[j]).collect();
-            let (lp, _) = Self::build_lp(&subset, &[], None, vars);
-            // An interrupted probe ends the minimisation early: the current
-            // `active` set is already known to be infeasible, so it is still
-            // a valid (just less minimal) conflict.
-            let Some(solution) = self.solve_lp(&lp) else {
-                break;
-            };
-            if matches!(solution.outcome, LpOutcome::Infeasible) {
-                // The probe's certificate indexes `candidate`'s rows.
-                support = solution
-                    .farkas_support()
-                    .map(|rows| rows.into_iter().map(|k| candidate[k]).collect());
-                active = candidate;
-            } else {
-                i += 1;
+            match self.warm_check() {
+                Ok(Some(probe_support)) => {
+                    support = probe_support;
+                    active.remove(i);
+                }
+                Ok(None) => {
+                    self.tableau.reassert(atom);
+                    i += 1;
+                }
+                // An interrupted probe ends the minimisation early: the
+                // current `active` set is already known to be infeasible, so
+                // it is still a valid (just less minimal) conflict.
+                Err(Interrupted) => break,
             }
         }
         // A wrong certificate would turn a satisfiable assignment into a
@@ -306,7 +329,7 @@ impl TheorySolver {
     /// Branch-and-bound search for an integer point of a rational-feasible
     /// system.
     fn branch_and_bound_feasible(
-        &self,
+        &mut self,
         atoms: &[&Atom],
         vars: &[TermVar],
         relaxation_model: HashMap<TermVar, Rational>,
@@ -361,7 +384,7 @@ impl TheorySolver {
 
     /// Minimises `objective` over the conjunction of atoms (integer
     /// variables).
-    pub fn minimize(&self, atoms: &[Atom], objective: &LinExpr) -> MinimizeOutcome {
+    pub fn minimize(&mut self, atoms: &[Atom], objective: &LinExpr) -> MinimizeOutcome {
         let refs: Vec<&Atom> = atoms.iter().collect();
         let mut vars = Self::collect_vars(&refs);
         // Make sure objective variables are represented even if they do not
@@ -384,25 +407,20 @@ impl TheorySolver {
             return MinimizeOutcome::Interrupted;
         };
         match solution.outcome {
-            LpOutcome::Infeasible => MinimizeOutcome::Inconsistent {
-                conflict: self.minimize_conflict(atoms, &vars, solution.farkas_support()),
-            },
-            LpOutcome::Unbounded { ray } => {
-                // Recover some feasible point for the model part.
-                let (flp, fids) = Self::build_lp(&refs, &[], None, &vars);
-                let model = match self.solve_lp(&flp).map(|s| s.outcome) {
-                    Some(LpOutcome::Optimal { assignment, .. }) => {
-                        Self::model_from_assignment(&vars, &fids, &assignment)
-                    }
-                    _ => HashMap::new(),
-                };
-                let ray_map: HashMap<TermVar, Rational> =
-                    vars.iter().map(|v| (*v, ray[ids[v].0].clone())).collect();
-                MinimizeOutcome::Unbounded {
-                    model,
-                    ray: ray_map,
+            LpOutcome::Infeasible => {
+                // The conflict comes from the warm tableau, as in `check`.
+                self.tableau.load(atoms);
+                match self.warm_check() {
+                    Err(Interrupted) => MinimizeOutcome::Interrupted,
+                    Ok(Some(support)) => MinimizeOutcome::Inconsistent {
+                        conflict: self.minimize_conflict(atoms, &vars, support),
+                    },
+                    Ok(None) => unreachable!("the cold solve found the relaxation infeasible"),
                 }
             }
+            LpOutcome::Unbounded { ray } => MinimizeOutcome::Unbounded {
+                ray: vars.iter().map(|v| (*v, ray[ids[v].0].clone())).collect(),
+            },
             LpOutcome::Optimal {
                 objective: value,
                 assignment,
@@ -425,7 +443,7 @@ impl TheorySolver {
 
     /// Branch-and-bound minimisation with an incumbent.
     fn branch_and_bound_minimize(
-        &self,
+        &mut self,
         atoms: &[&Atom],
         vars: &[TermVar],
         objective: &LinExpr,
@@ -449,11 +467,8 @@ impl TheorySolver {
             match solution.outcome {
                 LpOutcome::Infeasible => continue,
                 LpOutcome::Unbounded { ray } => {
-                    let ray_map: HashMap<TermVar, Rational> =
-                        vars.iter().map(|v| (*v, ray[ids[v].0].clone())).collect();
                     return MinimizeOutcome::Unbounded {
-                        model: relaxation_model,
-                        ray: ray_map,
+                        ray: vars.iter().map(|v| (*v, ray[ids[v].0].clone())).collect(),
                     };
                 }
                 LpOutcome::Optimal {
@@ -572,6 +587,65 @@ mod tests {
             })
     }
 
+    /// The cold path alone, as a from-scratch solver would take it: one LP
+    /// decides the relaxation, plain deletion shrinks a conflict, and a
+    /// feasible relaxation takes `check`'s cold model path. A warm solver
+    /// must give this answer at every step, whatever it has seen before.
+    fn cold_check(atoms: &[Atom]) -> TheoryOutcome {
+        let refs: Vec<&Atom> = atoms.iter().collect();
+        let vars = TheorySolver::collect_vars(&refs);
+        if vars.is_empty() {
+            return TheoryOutcome::Consistent {
+                model: HashMap::new(),
+                integral: true,
+            };
+        }
+        let (lp, ids) = TheorySolver::build_lp(&refs, &[], None, &vars);
+        match lp.solve().outcome {
+            LpOutcome::Infeasible => TheoryOutcome::Inconsistent {
+                conflict: plain_deletion_core(atoms),
+            },
+            LpOutcome::Unbounded { .. } => unreachable!("feasibility LP cannot be unbounded"),
+            LpOutcome::Optimal { assignment, .. } => {
+                let model = TheorySolver::model_from_assignment(&vars, &ids, &assignment);
+                match TheorySolver::first_fractional(&model) {
+                    None => TheoryOutcome::Consistent {
+                        model,
+                        integral: true,
+                    },
+                    Some(_) => TheorySolver::new().branch_and_bound_feasible(&refs, &vars, model),
+                }
+            }
+        }
+    }
+
+    /// The literal set a polarity assignment picks from `atoms`.
+    fn literals(atoms: &[Atom], polarity: &[bool]) -> Vec<Atom> {
+        atoms
+            .iter()
+            .zip(polarity)
+            .map(|(a, &p)| if p { a.clone() } else { a.negate() })
+            .collect()
+    }
+
+    /// A random atom set over 3 variables (repeats allowed) and a sequence
+    /// of polarity assignments to it, as DPLL(T) hands one solver its
+    /// literal sets.
+    fn assignment_sequence() -> impl Strategy<Value = (Vec<Atom>, Vec<Vec<bool>>)> {
+        (
+            prop::collection::vec((prop::collection::vec(-3i64..=3, 3), -4i64..=6), 1..8),
+            prop::collection::vec(prop::collection::vec(any::<bool>(), 8), 1..8),
+        )
+            .prop_map(|(rows, steps)| {
+                let atoms = rows
+                    .iter()
+                    .filter(|(c, _)| c.iter().any(|&k| k != 0))
+                    .map(|(c, b)| atom(&[(0, c[0]), (1, c[1]), (2, c[2])], *b))
+                    .collect::<Vec<Atom>>();
+                (atoms, steps)
+            })
+    }
+
     proptest! {
         /// Skipping the probes a certificate answers changes no decision:
         /// the core is plain deletion's, and every atom in it is necessary.
@@ -590,6 +664,99 @@ mod tests {
                 );
             }
         }
+
+        /// One solver driven through a sequence of literal sets answers
+        /// each exactly as the cold reference does: same outcome, same
+        /// core (plain deletion's), same model.
+        #[test]
+        fn warm_solver_matches_the_cold_reference_at_every_step(case in assignment_sequence()) {
+            let (atoms, steps) = case;
+            let mut theory = TheorySolver::new();
+            for polarity in &steps {
+                let set = literals(&atoms, polarity);
+                prop_assert_eq!(theory.check(&set), cold_check(&set));
+            }
+        }
+
+        /// Every infeasible support the warm tableau reports, for a loaded
+        /// set or for a probe with one support literal retracted, is
+        /// infeasible on its own under the cold oracle and avoids the
+        /// retracted literal.
+        #[test]
+        fn warm_supports_are_infeasible_on_their_own(case in assignment_sequence()) {
+            let (atoms, steps) = case;
+            let mut tableau = WarmTableau::default();
+            let never = Interrupt::default();
+            for polarity in &steps {
+                let set = literals(&atoms, polarity);
+                tableau.load(&set);
+                let Some(support) = tableau.check(&never).unwrap() else {
+                    continue;
+                };
+                prop_assert!(!relaxation_feasible(&set, &support), "support {:?}", support);
+                for &k in &support {
+                    tableau.retract(k);
+                    if let Some(probe) = tableau.check(&never).unwrap() {
+                        prop_assert!(!probe.contains(&k));
+                        prop_assert!(!relaxation_feasible(&set, &probe), "probe {:?}", probe);
+                    }
+                    tableau.reassert(k);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn duplicate_and_contradictory_literals_get_the_cold_answer() {
+        // Two bounds on one row: the extra literal takes a spare row with the
+        // same expression. One solver for all sets, so spare rows persist.
+        let x_ge_5 = atom(&[(0, 1)], 5);
+        let x_le_3 = atom(&[(0, -1)], -3);
+        let y_ge_0 = atom(&[(1, 1)], 0);
+        let sets = [
+            vec![x_ge_5.clone(), x_ge_5.clone(), x_le_3.clone()],
+            vec![x_ge_5.clone(), x_ge_5.negate()],
+            vec![y_ge_0.clone(), x_ge_5.clone(), x_ge_5.clone()],
+            vec![x_ge_5.negate(), y_ge_0, x_ge_5.clone(), x_ge_5.negate()],
+            vec![x_le_3.clone(), x_le_3.clone(), x_le_3],
+        ];
+        let mut theory = TheorySolver::new();
+        for set in &sets {
+            assert_eq!(theory.check(set), cold_check(set), "literals {set:?}");
+        }
+    }
+
+    #[test]
+    fn pre_raised_interrupt_stops_a_warm_check() {
+        let raised = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));
+        let flag = raised.clone();
+        let mut theory = TheorySolver::with_interrupt(Interrupt::new(move || {
+            flag.load(std::sync::atomic::Ordering::SeqCst)
+        }));
+        let conflict = vec![atom(&[(0, 1)], 5), atom(&[(0, -1)], -3)];
+        assert!(matches!(
+            theory.check(&conflict),
+            TheoryOutcome::Inconsistent { .. }
+        ));
+        raised.store(true, std::sync::atomic::Ordering::SeqCst);
+        assert_eq!(theory.check(&conflict), TheoryOutcome::Interrupted);
+        // Both checks ran warm, and neither built a cold LP.
+        assert_eq!(theory.lp_solves(), 0);
+        assert!(theory.warm_checks() >= 2);
+    }
+
+    #[test]
+    fn infeasible_minimization_returns_the_deletion_core() {
+        // y >= 0 is irrelevant; x >= 5 ∧ x <= 3 is the core.
+        let atoms = vec![atom(&[(1, 1)], 0), atom(&[(0, 1)], 5), atom(&[(0, -1)], -3)];
+        let mut theory = TheorySolver::new();
+        assert_eq!(
+            theory.minimize(&atoms, &LinExpr::var(TermVar(1))),
+            MinimizeOutcome::Inconsistent {
+                conflict: plain_deletion_core(&atoms)
+            }
+        );
+        assert_eq!(theory.lp_solves(), 1);
     }
 
     #[test]
