@@ -193,8 +193,10 @@ impl CacheEntry {
             }
         }
         packed.push_str(rest);
+        // A fresh allocation of the exact size: shrinking `packed` in place
+        // would leave its unused capacity behind as a heap hole per entry.
         CacheEntry {
-            packed: packed.into_boxed_str(),
+            packed: Box::from(packed.as_str()),
             last_used,
         }
     }

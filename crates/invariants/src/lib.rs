@@ -41,6 +41,8 @@ use termite_polyhedra::Polyhedron;
 
 mod backward;
 mod houdini;
+#[cfg(test)]
+mod identity_tests;
 mod pipeline;
 
 pub use backward::{entry_precondition, entry_precondition_dnf, MAX_WP_DISJUNCTS};
@@ -107,6 +109,13 @@ fn transfer(state: &Polyhedron, op: &CfgOp) -> Polyhedron {
     }
 }
 
+/// Marks the successors of a changed node for re-evaluation.
+fn mark_successors(cfg: &Cfg, node: usize, dirty: &mut [bool]) {
+    for edge in cfg.successors(node) {
+        dirty[edge.to] = true;
+    }
+}
+
 /// Runs the polyhedral analysis on a CFG, returning one invariant per node.
 /// The entry node starts at `⊤` (all states possible).
 pub fn analyze_cfg(cfg: &Cfg, options: &InvariantOptions) -> InvariantMap {
@@ -156,12 +165,20 @@ pub fn analyze_cfg_from(
         ts
     };
 
-    // Ascending iterations with (delayed) widening at loop headers.
+    // Ascending iterations with (delayed) widening at loop headers. A node
+    // is re-evaluated only when a predecessor changed since its last
+    // evaluation: with the same inputs it would find `incoming ⊆ state`
+    // (every update below contains its `incoming`) and change nothing, so
+    // the skipped sweeps leave every state, join count and pass identical.
+    let mut dirty = vec![true; num_nodes];
     let mut iteration = 0usize;
     loop {
         iteration += 1;
         let mut changed = false;
         for node in 0..num_nodes {
+            if !std::mem::take(&mut dirty[node]) {
+                continue;
+            }
             // New value: join of the incoming edge posts (entry keeps its
             // initial value as a lower bound).
             let mut incoming = if node == cfg.entry() {
@@ -196,6 +213,7 @@ pub fn analyze_cfg_from(
                 join_count[node] += 1;
                 state[node] = new_value.light_reduce();
                 changed = true;
+                mark_successors(cfg, node, &mut dirty);
             }
         }
         if !changed || iteration >= options.max_iterations {
@@ -254,9 +272,15 @@ pub fn entry_reach(
     state[cfg.entry()] = entry_state.clone();
     // The filtered graph is acyclic, so a plain round-robin fixpoint
     // stabilises after at most `num_nodes` sweeps; no widening is needed.
+    // Nodes none of whose predecessors changed are skipped, as in
+    // `analyze_cfg_from`.
+    let mut dirty = vec![true; num_nodes];
     for _ in 0..num_nodes {
         let mut changed = false;
         for node in 0..num_nodes {
+            if !std::mem::take(&mut dirty[node]) {
+                continue;
+            }
             let mut incoming = if node == cfg.entry() {
                 entry_state.clone()
             } else {
@@ -274,6 +298,7 @@ pub fn entry_reach(
             if !incoming.is_subset_of(&state[node]) {
                 state[node] = join(&state[node], &incoming).light_reduce();
                 changed = true;
+                mark_successors(cfg, node, &mut dirty);
             }
         }
         if !changed {

@@ -2,6 +2,7 @@
 
 use crate::{Constraint, ConstraintKind, Generator};
 use std::fmt;
+use std::sync::OnceLock;
 use termite_linalg::{QMatrix, QVector};
 use termite_lp::{Constraint as LpConstraint, LinearProgram, LpOutcome, Relation};
 use termite_num::Rational;
@@ -24,27 +25,69 @@ use termite_num::Rational;
 /// assert!(p.contains_point(&QVector::from_i64(&[1, 1])));
 /// assert_eq!(p.generators().iter().filter(|g| g.is_vertex()).count(), 3);
 /// ```
-#[derive(Clone, Debug, PartialEq, Eq)]
+///
+/// Equality, `Debug` and `Display` look at the dimension and the constraints
+/// only: the memoized emptiness answer (see [`Polyhedron::is_empty`]) is a
+/// cache, not part of the value.
+#[derive(Clone)]
 pub struct Polyhedron {
     dim: usize,
     constraints: Vec<Constraint>,
+    /// The answer of [`Polyhedron::is_empty`], once known. A `OnceLock` keeps
+    /// the type `Sync`: invariant snapshots are shared across threads.
+    empty: OnceLock<bool>,
+}
+
+impl PartialEq for Polyhedron {
+    fn eq(&self, other: &Self) -> bool {
+        self.dim == other.dim && self.constraints == other.constraints
+    }
+}
+
+impl Eq for Polyhedron {}
+
+impl fmt::Debug for Polyhedron {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Polyhedron")
+            .field("dim", &self.dim)
+            .field("constraints", &self.constraints)
+            .finish()
+    }
 }
 
 impl Polyhedron {
-    /// The full space Qⁿ.
-    pub fn universe(dim: usize) -> Self {
+    /// A polyhedron whose emptiness is `empty` when that is already known.
+    fn with_emptiness(dim: usize, constraints: Vec<Constraint>, empty: Option<bool>) -> Self {
         Polyhedron {
             dim,
-            constraints: Vec::new(),
+            constraints,
+            empty: empty.map_or_else(OnceLock::new, OnceLock::from),
         }
+    }
+
+    /// The memoized emptiness answer, without computing it.
+    fn known_empty(&self) -> Option<bool> {
+        self.empty.get().copied()
+    }
+
+    /// `Some(true)` when the polyhedron is known to be empty: the one answer
+    /// that survives adding constraints.
+    fn known_to_be_empty(&self) -> Option<bool> {
+        self.known_empty().filter(|&empty| empty)
+    }
+
+    /// The full space Qⁿ.
+    pub fn universe(dim: usize) -> Self {
+        Self::with_emptiness(dim, Vec::new(), Some(false))
     }
 
     /// The empty polyhedron (represented by the unsatisfiable constraint `0 ≥ 1`).
     pub fn empty(dim: usize) -> Self {
-        Polyhedron {
+        Self::with_emptiness(
             dim,
-            constraints: vec![Constraint::ge(QVector::zeros(dim), Rational::one())],
-        }
+            vec![Constraint::ge(QVector::zeros(dim), Rational::one())],
+            Some(true),
+        )
     }
 
     /// Builds a polyhedron from constraints.
@@ -56,7 +99,7 @@ impl Polyhedron {
         for c in &constraints {
             assert_eq!(c.dim(), dim, "constraint dimension mismatch");
         }
-        Polyhedron { dim, constraints }
+        Self::with_emptiness(dim, constraints, None)
     }
 
     /// Ambient dimension.
@@ -74,10 +117,14 @@ impl Polyhedron {
         self.constraints.len()
     }
 
-    /// Adds a constraint in place.
+    /// Adds a constraint in place. A polyhedron known to be empty stays
+    /// empty; a "non-empty" answer is forgotten.
     pub fn add_constraint(&mut self, c: Constraint) {
         assert_eq!(c.dim(), self.dim, "constraint dimension mismatch");
         self.constraints.push(c);
+        if self.known_empty() == Some(false) {
+            self.empty = OnceLock::new();
+        }
     }
 
     /// Intersection of two polyhedra over the same space.
@@ -85,10 +132,8 @@ impl Polyhedron {
         assert_eq!(self.dim, other.dim, "dimension mismatch");
         let mut constraints = self.constraints.clone();
         constraints.extend(other.constraints.iter().cloned());
-        Polyhedron {
-            dim: self.dim,
-            constraints,
-        }
+        let empty = self.known_to_be_empty().or(other.known_to_be_empty());
+        Self::with_emptiness(self.dim, constraints, empty)
     }
 
     /// Membership test.
@@ -111,11 +156,29 @@ impl Polyhedron {
     }
 
     /// Emptiness test (exact, via LP feasibility).
+    ///
+    /// The answer is memoized: the first call fills it and clones carry it.
+    /// Operations whose result's emptiness follows from their operands' set
+    /// it without an LP: [`universe`](Polyhedron::universe) and
+    /// [`empty`](Polyhedron::empty); joins, widening and
+    /// [`minimize`](Polyhedron::minimize) of checked operands (non-empty);
+    /// projections, affine images, dimension changes and
+    /// [`light_reduce`](Polyhedron::light_reduce) (same as the input);
+    /// [`intersection`](Polyhedron::intersection),
+    /// [`affine_preimage`](Polyhedron::affine_preimage) and
+    /// [`add_constraint`](Polyhedron::add_constraint) (empty stays empty).
+    /// A violated constraint with all-zero coefficients (`0 ≥ 1`) answers
+    /// "empty" without an LP as well.
     pub fn is_empty(&self) -> bool {
-        if self.constraints.is_empty() {
-            return false;
-        }
-        termite_lp::feasible_point(&self.lp_rows(), self.dim).is_none()
+        *self.empty.get_or_init(|| {
+            if self.constraints.is_empty() {
+                return false;
+            }
+            if self.constraints.iter().any(violated_constant) {
+                return true;
+            }
+            termite_lp::feasible_point(&self.lp_rows(), self.dim).is_none()
+        })
     }
 
     /// Returns a point of the polyhedron, if non-empty.
@@ -131,6 +194,13 @@ impl Polyhedron {
         match c.kind {
             ConstraintKind::Equality => c.as_inequalities().iter().all(|ineq| self.entails(ineq)),
             ConstraintKind::GreaterEq => {
+                if self.known_empty() == Some(true) {
+                    return true;
+                }
+                // 0 ≥ b holds everywhere or, for b > 0, only on the empty set.
+                if c.coeffs.is_zero() {
+                    return !c.rhs.is_positive() || self.is_empty();
+                }
                 // minimize a·x over the polyhedron; entailed iff min >= b
                 // (or the polyhedron is empty).
                 let mut lp = LinearProgram::new();
@@ -188,9 +258,7 @@ impl Polyhedron {
         for c in &self.constraints {
             let cc = c.canonicalize();
             if cc.coeffs.is_zero() {
-                if (cc.kind == ConstraintKind::GreaterEq && cc.rhs.is_positive())
-                    || (cc.kind == ConstraintKind::Equality && !cc.rhs.is_zero())
-                {
+                if violated_constant(&cc) {
                     return Polyhedron::empty(self.dim);
                 }
                 continue;
@@ -214,10 +282,7 @@ impl Polyhedron {
             }
         }
         equalities.extend(best);
-        Polyhedron {
-            dim: self.dim,
-            constraints: equalities,
-        }
+        Self::with_emptiness(self.dim, equalities, self.known_empty())
     }
 
     /// Removes syntactically duplicate and LP-redundant constraints.
@@ -252,10 +317,7 @@ impl Polyhedron {
             }
             i += 1;
         }
-        Polyhedron {
-            dim: self.dim,
-            constraints: keep,
-        }
+        Self::with_emptiness(self.dim, keep, Some(false))
     }
 
     // ------------------------------------------------------------------
@@ -306,10 +368,7 @@ impl Polyhedron {
                     });
                 }
             }
-            return Polyhedron {
-                dim: self.dim - 1,
-                constraints: out,
-            };
+            return Self::with_emptiness(self.dim - 1, out, self.known_empty());
         }
 
         // Otherwise classic Fourier–Motzkin on inequalities.
@@ -361,10 +420,7 @@ impl Polyhedron {
                 }
             }
         }
-        Polyhedron {
-            dim: self.dim - 1,
-            constraints: out,
-        }
+        Self::with_emptiness(self.dim - 1, out, self.known_empty())
     }
 
     /// Eliminates several dimensions (indices into the *current* space).
@@ -399,10 +455,7 @@ impl Polyhedron {
                 kind: c.kind,
             })
             .collect();
-        Polyhedron {
-            dim: self.dim,
-            constraints,
-        }
+        Self::with_emptiness(self.dim, constraints, self.known_empty())
     }
 
     /// Extends the ambient space with `extra` fresh unconstrained dimensions
@@ -413,10 +466,7 @@ impl Polyhedron {
             .iter()
             .map(|c| c.extend_dim(self.dim + extra))
             .collect();
-        Polyhedron {
-            dim: self.dim + extra,
-            constraints,
-        }
+        Self::with_emptiness(self.dim + extra, constraints, self.known_empty())
     }
 
     /// Image of the polyhedron under the affine assignment
@@ -444,7 +494,13 @@ impl Polyhedron {
         for i in var..n - 1 {
             perm.push(i);
         }
-        eliminated.permute_dims(&perm)
+        // The image of an affine map is empty exactly when its input is
+        // (`add_constraint` above forgot a "non-empty" answer).
+        Self::with_emptiness(
+            self.dim,
+            eliminated.permute_dims(&perm).constraints,
+            self.known_empty(),
+        )
     }
 
     /// Forgets all information about a variable (unconstrained assignment,
@@ -477,10 +533,7 @@ impl Polyhedron {
         if eliminated.constraints.is_empty() {
             constraints = Vec::new();
         }
-        Polyhedron {
-            dim: n,
-            constraints,
-        }
+        Self::with_emptiness(n, constraints, self.known_empty())
     }
 
     // ------------------------------------------------------------------
@@ -517,10 +570,7 @@ impl Polyhedron {
                 }
             })
             .collect();
-        Polyhedron {
-            dim: self.dim,
-            constraints,
-        }
+        Self::with_emptiness(self.dim, constraints, self.known_to_be_empty())
     }
 
     /// Pre-image of the polyhedron under `x_var := nondet()` for *demonic*
@@ -746,7 +796,8 @@ impl Polyhedron {
             ));
             constraints.push(Constraint::le(QVector::from_vec(vl), Rational::one()));
         }
-        let big = Polyhedron::from_constraints(total, constraints);
+        // Non-empty (λ = 1, y = x ∈ self), so the projection is too.
+        let big = Self::with_emptiness(total, constraints, Some(false));
         let to_eliminate: Vec<usize> = (d..total).collect();
         big.eliminate_dims(&to_eliminate).minimize()
     }
@@ -776,11 +827,8 @@ impl Polyhedron {
                 kept.push(c);
             }
         }
-        Polyhedron {
-            dim: self.dim,
-            constraints: kept,
-        }
-        .light_reduce()
+        // Both operands are non-empty, and the join contains them.
+        Self::with_emptiness(self.dim, kept, Some(false)).light_reduce()
     }
 
     /// Standard (Cousot–Halbwachs) widening: keeps the constraints of `self`
@@ -797,11 +845,18 @@ impl Polyhedron {
             .filter(|c| other.entails(c))
             .cloned()
             .collect();
-        Polyhedron {
-            dim: self.dim,
-            constraints: kept,
-        }
+        // A subset of the constraints of the non-empty `self`.
+        Self::with_emptiness(self.dim, kept, Some(false))
     }
+}
+
+/// Whether `c` has all-zero coefficients and is violated (`0 ≥ 1`, `0 = 1`).
+fn violated_constant(c: &Constraint) -> bool {
+    c.coeffs.is_zero()
+        && match c.kind {
+            ConstraintKind::GreaterEq => c.rhs.is_positive(),
+            ConstraintKind::Equality => !c.rhs.is_zero(),
+        }
 }
 
 impl fmt::Display for Polyhedron {
@@ -1100,7 +1155,99 @@ mod tests {
         assert!(m.equal(&p));
     }
 
+    /// A constraint over Q² with small integer coefficients; one in four is
+    /// an equality.
+    fn small_constraint() -> impl Strategy<Value = Constraint> {
+        (-2i64..3, -2i64..3, -3i64..4, 0u8..4).prop_map(|(a, b, rhs, kind)| {
+            let coeffs = QVector::from_i64(&[a, b]);
+            if kind == 0 {
+                Constraint::eq(coeffs, q(rhs))
+            } else {
+                Constraint::ge(coeffs, q(rhs))
+            }
+        })
+    }
+
+    /// A polyhedron over Q² with up to four small constraints.
+    fn small_polyhedron() -> impl Strategy<Value = Polyhedron> {
+        prop::collection::vec(small_constraint(), 0..5)
+            .prop_map(|cs| Polyhedron::from_constraints(2, cs))
+    }
+
+    /// `p`'s (possibly memoized) emptiness equals a fresh LP check of its
+    /// constraints, and the filled memo changes neither `==` nor `{:?}`.
+    fn assert_emptiness_memo_sound(p: &Polyhedron) {
+        let unfilled = Polyhedron::from_constraints(p.dim(), p.constraints().to_vec());
+        let expected = Polyhedron::from_constraints(p.dim(), p.constraints().to_vec()).is_empty();
+        assert_eq!(p.is_empty(), expected, "emptiness of {p}");
+        let unsatisfiable = Constraint::ge(QVector::zeros(p.dim()), q(1));
+        assert_eq!(p.entails(&unsatisfiable), expected, "{p} entails 0 >= 1");
+        assert_eq!(p, &unfilled);
+        assert_eq!(format!("{p:?}"), format!("{unfilled:?}"));
+        assert_eq!(format!("{p:#?}"), format!("{unfilled:#?}"));
+    }
+
+    #[test]
+    fn debug_output_has_the_derived_shape() {
+        let p =
+            Polyhedron::from_constraints(1, vec![Constraint::ge(QVector::from_i64(&[1]), q(0))]);
+        let before = format!("{p:?}");
+        assert!(!p.is_empty());
+        assert_eq!(format!("{p:?}"), before);
+        assert!(before.starts_with("Polyhedron { dim: 1, constraints: [Constraint {"));
+    }
+
     proptest! {
+        /// Every operation that sets or carries the emptiness memo agrees
+        /// with a fresh LP check, on operands whose memos were filled first
+        /// or left empty, and after a further constraint is added to the
+        /// result.
+        #[test]
+        fn prop_emptiness_memo_matches_a_fresh_check(
+            a in small_polyhedron(),
+            b in small_polyhedron(),
+            extra in small_constraint(),
+            coeffs in prop::collection::vec(-2i64..3, 2),
+            constant in -3i64..4,
+            var in 0usize..2,
+            fill in any::<bool>(),
+        ) {
+            if fill {
+                a.is_empty();
+                b.is_empty();
+            }
+            let cv = QVector::from_i64(&coeffs);
+            let k = q(constant);
+            let mut grown = a.clone();
+            grown.add_constraint(extra.clone());
+            let results = vec![
+                Polyhedron::universe(2),
+                Polyhedron::empty(2),
+                Polyhedron::from_constraints(2, vec![extra.clone()]),
+                grown,
+                a.intersection(&b),
+                a.weak_join(&b),
+                a.widen(&b),
+                a.convex_hull(&b),
+                a.minimize(),
+                a.light_reduce(),
+                a.eliminate_dim(var),
+                a.eliminate_dims(&[0, 1]),
+                a.extend_dims(1),
+                a.permute_dims(&[1, 0]),
+                a.forget_dim(var),
+                a.affine_assign(var, &cv, &k),
+                a.affine_preimage(var, &cv, &k),
+                a.havoc_preimage(var),
+            ];
+            for result in results {
+                assert_emptiness_memo_sound(&result);
+                let mut constrained = result.extend_dims(2 - result.dim().min(2));
+                constrained.add_constraint(extra.clone().extend_dim(constrained.dim()));
+                assert_emptiness_memo_sound(&constrained);
+            }
+        }
+
         /// Projection is sound: any point of P, with the eliminated coordinate
         /// dropped, belongs to the projection.
         #[test]
