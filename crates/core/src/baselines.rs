@@ -262,9 +262,9 @@ pub mod eager {
         }
         lp.maximize(delta_ids.iter().map(|&d| (d, Rational::one())).collect());
 
-        stats.record_lp(lp.num_constraints(), lp.num_vars());
-        let solution = lp.solve_interruptible(interrupt)?;
-        stats.lp_pivots += solution.pivots;
+        let solution = stats.solve_lp(lp.num_constraints(), lp.num_vars(), || {
+            lp.solve_interruptible(interrupt)
+        })?;
         let assignment = match solution.outcome {
             LpOutcome::Optimal { assignment, .. } => assignment,
             _ => return None,

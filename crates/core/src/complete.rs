@@ -176,13 +176,13 @@ pub fn prove(
     // Pure feasibility: the zero objective keeps the solve at one phase.
     lp.maximize(Vec::new());
     stats.iterations += 1;
-    stats.record_lp(lp.num_constraints(), lp.num_vars());
     let cancel = options.cancel.clone();
     let interrupt = termite_lp::Interrupt::new(move || cancel.is_cancelled());
-    let Some(solution) = lp.solve_interruptible(&interrupt) else {
+    let Some(solution) = stats.solve_lp(lp.num_constraints(), lp.num_vars(), || {
+        lp.solve_interruptible(&interrupt)
+    }) else {
         return Verdict::unknown(UnknownReason::Cancelled);
     };
-    stats.lp_pivots += solution.pivots;
     match solution.outcome {
         LpOutcome::Optimal { assignment, .. } => {
             let lambda: QVector = (0..n)

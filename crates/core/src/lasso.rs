@@ -205,11 +205,11 @@ pub fn prove(
             // refutes every depth at once (see module docs).
             inc.maximize(Vec::new());
             stats.iterations += 1;
-            stats.record_lp(inc.num_constraints(), inc.num_vars());
-            let Some(primed) = inc.solve() else {
+            let Some(primed) =
+                stats.solve_lp(inc.num_constraints(), inc.num_vars(), || inc.solve())
+            else {
                 break 'depths Verdict::unknown(UnknownReason::Cancelled);
             };
-            stats.lp_pivots += primed.pivots;
             match primed.outcome {
                 LpOutcome::Infeasible => {
                     break 'depths Verdict::unknown(UnknownReason::NoRankingFunction);
@@ -238,11 +238,11 @@ pub fn prove(
                     TAG_BOUND,
                 );
             }
-            stats.record_lp(inc.num_constraints(), inc.num_vars());
-            let Some(solution) = inc.solve() else {
+            let Some(solution) =
+                stats.solve_lp(inc.num_constraints(), inc.num_vars(), || inc.solve())
+            else {
                 break 'depths Verdict::unknown(UnknownReason::Cancelled);
             };
-            stats.lp_pivots += solution.pivots;
             if let LpOutcome::Optimal { assignment, .. } = solution.outcome {
                 let components: Vec<Vec<(QVector, Rational)>> = phases
                     .iter()

@@ -252,10 +252,9 @@ pub fn solve_lp_instance(
         rows: counterexamples.len(),
         cols: constraints.total_rows() + counterexamples.len(),
     };
-    stats.record_lp(shape.rows, shape.cols);
-
-    let solution = lp.solve();
-    stats.lp_pivots += solution.pivots;
+    let solution = stats
+        .solve_lp(shape.rows, shape.cols, || Some(lp.solve()))
+        .expect("an uninterruptible solve always answers");
     let assignment = match solution.outcome {
         LpOutcome::Optimal { assignment, .. } => assignment,
         // Definition 11: the LP is always feasible (γ = δ = 0).

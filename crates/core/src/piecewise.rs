@@ -174,10 +174,11 @@ pub fn prove(
     // Prime the session so every round's snapshot carries a live basis:
     // a failed round then restores warm instead of restarting cold.
     inc.maximize(Vec::new());
-    let Some(primed) = inc.solve() else {
+    // The program has no rows or columns yet: a zero-pivot solve that is
+    // not one of the engine's LP instances.
+    if inc.solve().is_none() {
         return Verdict::unknown(UnknownReason::Cancelled);
-    };
-    stats.lp_pivots += primed.pivots;
+    }
     let mut segments: Vec<Segment> = vec![Vec::new()];
     let mut next_predicate = 0;
     loop {
@@ -259,11 +260,10 @@ pub fn prove(
             }
         }
         stats.iterations += 1;
-        stats.record_lp(inc.num_constraints(), inc.num_vars());
-        let Some(solution) = inc.solve() else {
+        let Some(solution) = stats.solve_lp(inc.num_constraints(), inc.num_vars(), || inc.solve())
+        else {
             return Verdict::unknown(UnknownReason::Cancelled);
         };
-        stats.lp_pivots += solution.pivots;
         stats.lp_warm_hits = inc.warm_solves();
         if let LpOutcome::Optimal { assignment, .. } = solution.outcome {
             stats.dimension = 1;

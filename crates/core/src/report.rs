@@ -2,6 +2,7 @@
 
 use std::fmt;
 use termite_linalg::QVector;
+use termite_lp::LpSolution;
 use termite_num::Rational;
 use termite_polyhedra::Polyhedron;
 
@@ -302,8 +303,10 @@ pub struct SynthesisStats {
     /// Wall-clock time spent inside SMT solves (milliseconds): the extremal
     /// counterexample searches and the satisfiability probes.
     pub smt_millis: f64,
-    /// Wall-clock time spent inside LP solves (milliseconds): the
-    /// `LP(C, Constraints(I))` optimizations, warm or cold.
+    /// Wall-clock time spent inside the engines' LP solves (milliseconds):
+    /// the `LP(C, Constraints(I))` optimizations, warm or cold, and the
+    /// joint Farkas LPs of the eager, lasso, complete-lrf and piecewise
+    /// engines (all timed by [`SynthesisStats::solve_lp`]).
     pub lp_millis: f64,
     /// Wall-clock time spent in invariant generation and backward
     /// precondition refinement (milliseconds). Unlike `synthesis_millis`
@@ -340,6 +343,30 @@ impl SynthesisStats {
         if rows * cols >= self.lp_max.0 * self.lp_max.1 {
             self.lp_max = (rows, cols);
         }
+    }
+
+    /// Runs one LP solve and accounts for it: records its shape (as
+    /// [`Self::record_lp`]), then times `solve` under an `lp_solve` trace
+    /// span into `lp_millis` and adds its pivots to `lp_pivots`. Every
+    /// engine's LP goes through here, so LP time is attributed the same way
+    /// in every lane. `None` (an interrupted solve) still counts the shape
+    /// and the time.
+    pub fn solve_lp(
+        &mut self,
+        rows: usize,
+        cols: usize,
+        solve: impl FnOnce() -> Option<LpSolution>,
+    ) -> Option<LpSolution> {
+        self.record_lp(rows, cols);
+        let start = std::time::Instant::now();
+        let mut span = termite_obs::span!("lp_solve", rows = rows, cols = cols);
+        let solution = solve();
+        self.lp_millis += start.elapsed().as_secs_f64() * 1000.0;
+        if let Some(solution) = &solution {
+            span.arg("pivots", solution.pivots);
+            self.lp_pivots += solution.pivots;
+        }
+        solution
     }
 
     /// Folds `other` into these stats under each row's [`StatMerge`] rule:

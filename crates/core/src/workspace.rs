@@ -356,22 +356,11 @@ impl<'m> SynthesisLpWorkspace<'m> {
             rows: level.delta_ids.len(),
             cols: self.base.total_rows() + extra_total + level.delta_ids.len(),
         };
-        stats.record_lp(shape.rows, shape.cols);
-
         let warm_before = self.inc.warm_solves();
-        let lp_start = std::time::Instant::now();
-        let mut lp_span = termite_obs::span!("lp_solve", rows = shape.rows, cols = shape.cols);
-        let solution = self.inc.solve();
-        stats.lp_millis += lp_start.elapsed().as_secs_f64() * 1000.0;
-        let solution = solution?;
-        let warm = self.inc.warm_solves() > warm_before;
-        if warm {
+        let solution = stats.solve_lp(shape.rows, shape.cols, || self.inc.solve())?;
+        if self.inc.warm_solves() > warm_before {
             stats.lp_warm_hits += 1;
         }
-        lp_span.arg("pivots", solution.pivots);
-        lp_span.arg("warm", warm);
-        drop(lp_span);
-        stats.lp_pivots += solution.pivots;
         let assignment = match solution.outcome {
             LpOutcome::Optimal { assignment, .. } => assignment,
             // Definition 11: the LP is always feasible (γ = δ = 0).

@@ -8,11 +8,12 @@
 //! solve alive and re-optimizes in two warm-started steps:
 //!
 //! 1. **Feasibility restoration (dual simplex).** New rows are expressed in
-//!    terms of the current basis (one elimination sweep) and enter with their
-//!    slack basic; rows violated by the current optimum show up as negative
-//!    right-hand sides. Dual-simplex pivots with a zero cost row — which
-//!    every pivot trivially keeps dual-feasible — drive them non-negative
-//!    with least-index anti-cycling tie-breaks.
+//!    terms of the current basis (one elimination per basic column the row
+//!    touches) and enter with their slack basic; rows violated by the
+//!    current optimum show up as negative right-hand sides. Dual-simplex
+//!    pivots with a zero cost row — which every pivot trivially keeps
+//!    dual-feasible — drive them non-negative with least-index
+//!    anti-cycling tie-breaks.
 //! 2. **Primal re-optimization.** The real objective (extended over any new
 //!    variables) is re-eliminated against the warm basis and ordinary primal
 //!    simplex finishes the job. Only the handful of pivots the new rows make
@@ -28,8 +29,8 @@
 //! `farkas: None`. Its callers want the verdict, not a conflict core.
 
 use crate::simplex::{
-    ColKind, Constraint, Direction, FeasibilityOutcome, Interrupt, Interrupted, LinearProgram,
-    LpSolution, Relation, Tableau, VarId, VarKind,
+    user_terms, ColKind, Constraint, Direction, FeasibilityOutcome, Interrupt, Interrupted,
+    LinearProgram, LpSolution, Relation, SparseRow, Tableau, VarId, VarKind,
 };
 use termite_num::Rational;
 
@@ -107,9 +108,10 @@ impl RowTag {
     pub const UNTAGGED: RowTag = RowTag(0);
 }
 
-/// A saved session state: the mirrored program boundary plus a deep copy of
-/// the live tableau (when one existed). Produced by
-/// [`IncrementalLp::snapshot`], consumed by [`IncrementalLp::restore`].
+/// A saved session state: the mirrored program boundary plus a copy of the
+/// live tableau's sparse rows (when one existed), O(non-zeros) to take.
+/// Produced by [`IncrementalLp::snapshot`], consumed by
+/// [`IncrementalLp::restore`].
 ///
 /// Restoring rolls the session back to exactly the captured state — rows and
 /// variables added after the snapshot are dropped, and the captured basis
@@ -238,8 +240,8 @@ impl IncrementalLp {
     }
 
     /// Captures the current session state: program boundary, objective, and
-    /// a deep copy of the live basis (when one exists). [`restore`] rolls
-    /// back to it.
+    /// a copy of the live basis and its sparse rows (when one exists).
+    /// [`restore`] rolls back to it.
     ///
     /// [`restore`]: Self::restore
     pub fn snapshot(&self) -> LpSnapshot {
@@ -373,6 +375,11 @@ impl IncrementalLp {
 
         // 2. Append rows for constraints added since the last solve, each
         //    with a fresh basic slack, eliminated against the current basis.
+        // Column → the row it is basic in, for the eliminations below.
+        let mut basic_row: Vec<Option<usize>> = vec![None; w.t.ncols];
+        for (i, &b) in w.t.basis.iter().enumerate() {
+            basic_row[b] = Some(i);
+        }
         for ci in w.synced_constraints..self.lp.constraints.len() {
             let c = &self.lp.constraints[ci];
             // `add_constraint` drops the warm state on Eq rows, so only
@@ -381,31 +388,28 @@ impl IncrementalLp {
             let slack = w.t.ncols;
             Self::push_column(&mut w.t, ColKind::Slack);
 
-            // Dense row in ≤-orientation: a·x ≥ b becomes −a·x ≤ −b, so the
+            // Row in ≤-orientation: a·x ≥ b becomes −a·x ≤ −b, so the
             // slack always enters with coefficient +1 and goes basic.
             let flip = c.relation == Relation::Ge;
-            let mut row = vec![Rational::zero(); w.t.ncols];
-            for (v, k) in &c.terms {
-                let k = if flip { -k } else { k.clone() };
-                row[w.plus_col[v.0]] += &k;
-                if let Some(mc) = w.minus_col[v.0] {
-                    row[mc] -= &k;
-                }
+            let mut row = SparseRow::from_terms(user_terms(&c.terms, &w.plus_col, &w.minus_col));
+            if flip {
+                row.negate();
             }
-            row[slack] = Rational::one();
-            let mut row = termite_linalg::QVector::from_vec(row);
+            row.push(slack, Rational::one());
             let mut rhs = if flip { -&c.rhs } else { c.rhs.clone() };
 
-            // Express the new row in terms of the current basis. Canonical
-            // form makes the eliminations independent: basic column b_i is a
-            // unit column, so subtracting `row[b_i] · row_i` zeroes exactly
-            // that coefficient.
-            for (i, &b) in w.t.basis.iter().enumerate() {
-                let factor = row[b].clone();
-                if factor.is_zero() {
-                    continue;
-                }
-                row.sub_scaled_in_place(&w.t.rows[i], &factor);
+            // Express the new row in terms of the current basis.
+            // Canonical form makes the eliminations independent: basic
+            // column b_i is a unit column, so subtracting `row[b_i] ·
+            // row_i` zeroes exactly that coefficient and leaves the one
+            // on every other basic column as built. Only the row's own
+            // basic columns need an elimination.
+            let eliminations: Vec<(usize, Rational)> = row
+                .iter()
+                .filter_map(|(j, k)| basic_row.get(*j).copied().flatten().map(|i| (i, k.clone())))
+                .collect();
+            for (i, factor) in eliminations {
+                row.sub_scaled(&w.t.rows[i], &factor);
                 rhs -= &(&w.t.rhs[i] * &factor);
             }
             w.t.rows.push(row);
@@ -445,13 +449,11 @@ impl IncrementalLp {
         .map_err(|Interrupted| WarmFailure::Interrupted)
     }
 
-    /// Appends one all-zero column to every row of the tableau.
+    /// Appends one all-zero column to the tableau: O(1), since sparse rows
+    /// store no zeros.
     fn push_column(t: &mut Tableau, kind: ColKind) {
         t.col_kinds.push(kind);
         t.ncols += 1;
-        for row in &mut t.rows {
-            row.push(Rational::zero());
-        }
     }
 }
 

@@ -43,6 +43,8 @@
 //! }
 //! ```
 
+#[cfg(test)]
+mod identity_tests;
 mod incremental;
 mod simplex;
 

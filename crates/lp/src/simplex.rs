@@ -313,16 +313,150 @@ pub(crate) enum ColKind {
     Artificial,
 }
 
+/// One tableau row stored sparse: its non-zero entries as `(column,
+/// coefficient)` pairs in increasing column order. A Farkas LP row touches a
+/// handful of its thousands of columns, so the row costs its non-zeros, not
+/// the tableau width; an absent column reads as zero.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct SparseRow(Vec<(usize, Rational)>);
+
+impl SparseRow {
+    /// Builds a row from terms in any column order: sorts them, sums the
+    /// coefficients of repeated columns and drops the zeros.
+    pub(crate) fn from_terms(mut terms: Vec<(usize, Rational)>) -> Self {
+        terms.sort_by_key(|(j, _)| *j);
+        let mut entries: Vec<(usize, Rational)> = Vec::with_capacity(terms.len());
+        for (j, k) in terms {
+            match entries.last_mut() {
+                Some((last, sum)) if *last == j => *sum += &k,
+                _ => entries.push((j, k)),
+            }
+        }
+        entries.retain(|(_, k)| !k.is_zero());
+        SparseRow(entries)
+    }
+
+    /// The coefficient in column `col`, `None` when it is zero.
+    pub(crate) fn get(&self, col: usize) -> Option<&Rational> {
+        self.0
+            .binary_search_by_key(&col, |(j, _)| *j)
+            .ok()
+            .map(|at| &self.0[at].1)
+    }
+
+    /// The non-zero entries in increasing column order.
+    pub(crate) fn iter(&self) -> std::slice::Iter<'_, (usize, Rational)> {
+        self.0.iter()
+    }
+
+    /// Appends a non-zero entry past every stored column.
+    pub(crate) fn push(&mut self, col: usize, value: Rational) {
+        debug_assert!(self.0.last().is_none_or(|(j, _)| *j < col));
+        debug_assert!(!value.is_zero());
+        self.0.push((col, value));
+    }
+
+    /// Multiplies every entry by `factor` (non-zero, so no entry vanishes).
+    fn scale_in_place(&mut self, factor: &Rational) {
+        if factor.is_one() {
+            return;
+        }
+        for (_, v) in &mut self.0 {
+            *v = &*v * factor;
+        }
+    }
+
+    /// Negates every entry.
+    pub(crate) fn negate(&mut self) {
+        for (_, v) in &mut self.0 {
+            *v = -std::mem::take(v);
+        }
+    }
+
+    /// `self -= factor · other`, merged in place. A first pass counts the
+    /// columns of `other` missing here (the fill-in) and grows the row by
+    /// that many slots; a second pass merges from the back, so the entries
+    /// before `other`'s first column never move and a row without fill-in
+    /// is updated where it stands. A difference that reaches zero drops its
+    /// entry.
+    pub(crate) fn sub_scaled(&mut self, other: &SparseRow, factor: &Rational) {
+        let mine = &mut self.0;
+        let mut fill = 0;
+        let mut k = 0;
+        for (j, _) in &other.0 {
+            while k < mine.len() && mine[k].0 < *j {
+                k += 1;
+            }
+            if k == mine.len() || mine[k].0 != *j {
+                fill += 1;
+            }
+        }
+        // `mine[..read]` is still unmerged, `mine[write..]` is final, and
+        // the slots in between are free.
+        let mut read = mine.len();
+        mine.resize_with(read + fill, || (0, Rational::zero()));
+        let mut write = mine.len();
+        for (j, b) in other.0.iter().rev() {
+            while read > 0 && mine[read - 1].0 > *j {
+                read -= 1;
+                write -= 1;
+                if read != write {
+                    mine.swap(read, write);
+                }
+            }
+            let product = b * factor;
+            let value = if read > 0 && mine[read - 1].0 == *j {
+                read -= 1;
+                &mine[read].1 - &product
+            } else {
+                -product
+            };
+            if !value.is_zero() {
+                write -= 1;
+                mine[write] = (*j, value);
+            }
+        }
+        if write > read {
+            mine.drain(read..write);
+        }
+    }
+}
+
+/// The tableau terms of a linear form over user variables: each
+/// coefficient on its variable's Plus column, negated on its Minus column
+/// (free variables only), in the form's order.
+pub(crate) fn user_terms(
+    terms: &[(VarId, Rational)],
+    plus_col: &[usize],
+    minus_col: &[Option<usize>],
+) -> Vec<(usize, Rational)> {
+    let mut out = Vec::with_capacity(2 * terms.len());
+    for (v, k) in terms {
+        out.push((plus_col[v.0], k.clone()));
+        if let Some(mc) = minus_col[v.0] {
+            out.push((mc, -k));
+        }
+    }
+    out
+}
+
+/// `z -= factor · row` for a dense reduced-cost row `z`.
+fn sub_scaled_dense(z: &mut QVector, row: &SparseRow, factor: &Rational) {
+    for (j, b) in row.iter() {
+        z[*j] -= &(b * factor);
+    }
+}
+
 /// The simplex tableau in canonical form: every basic column is a unit
-/// column. Rows hold only the coefficient part; the right-hand sides live in
-/// a parallel vector so appending a column (incremental variable growth) is
-/// one push per row instead of an insert. `Clone` is what makes basis
-/// snapshots cheap relative to a re-solve: a snapshot is a deep copy of the
-/// rows, never a replay of the pivots that produced them.
+/// column. Rows are [`SparseRow`]s holding only the coefficient part; the
+/// right-hand sides live in a parallel vector. Appending a column
+/// (incremental variable growth) touches no row, and `Clone` — a basis
+/// snapshot — copies the stored non-zeros, never replays the pivots that
+/// produced them.
 #[derive(Clone)]
 pub(crate) struct Tableau {
-    /// Coefficient rows, `ncols` entries each.
-    pub(crate) rows: Vec<QVector>,
+    /// Coefficient rows over `ncols` columns, stored sparse.
+    pub(crate) rows: Vec<SparseRow>,
     /// Right-hand side of each row.
     pub(crate) rhs: Vec<Rational>,
     /// basis[i] = column basic in row i
@@ -355,77 +489,46 @@ impl Tableau {
             }
         }
 
+        // One slack per inequality (+1 for <=, -1 for >=), in row order.
         let m = lp.constraints.len();
-        let struct_cols = col_kinds.len();
-
-        // Dense rows over structural columns, all turned into equalities with
-        // non-negative rhs; remember which need a slack and with which sign.
-        struct RowBuild {
-            coeffs: Vec<Rational>,
-            rhs: Rational,
-            slack_sign: Option<Rational>, // +1 for <=, -1 for >=
-        }
-        let mut builds: Vec<RowBuild> = Vec::with_capacity(m);
+        let mut slack_of_row: Vec<Option<(usize, Rational)>> = Vec::with_capacity(m);
         for c in &lp.constraints {
-            let mut coeffs = vec![Rational::zero(); struct_cols];
-            for (v, k) in &c.terms {
-                coeffs[plus_col[v.0]] += k;
-                if let Some(mc) = minus_col[v.0] {
-                    coeffs[mc] -= k;
+            let sign = match c.relation {
+                Relation::Le => Rational::one(),
+                Relation::Ge => -Rational::one(),
+                Relation::Eq => {
+                    slack_of_row.push(None);
+                    continue;
                 }
-            }
-            let slack_sign = match c.relation {
-                Relation::Le => Some(Rational::one()),
-                Relation::Ge => Some(-Rational::one()),
-                Relation::Eq => None,
             };
-            builds.push(RowBuild {
-                coeffs,
-                rhs: c.rhs.clone(),
-                slack_sign,
-            });
+            slack_of_row.push(Some((col_kinds.len(), sign)));
+            col_kinds.push(ColKind::Slack);
         }
-
-        // Allocate slack columns.
-        let mut slack_col_of_row: Vec<Option<usize>> = vec![None; m];
-        for (i, b) in builds.iter().enumerate() {
-            if b.slack_sign.is_some() {
-                slack_col_of_row[i] = Some(col_kinds.len());
-                col_kinds.push(ColKind::Slack);
-            }
-        }
-        // Allocate one artificial per row (some will be unnecessary but this
-        // keeps the construction uniform; they are driven out in phase 1).
+        // One artificial per row (some will be unnecessary but this keeps
+        // the construction uniform; they are driven out in phase 1).
         let art_col_start = col_kinds.len();
-        for _ in 0..m {
-            col_kinds.push(ColKind::Artificial);
-        }
+        col_kinds.extend(std::iter::repeat_n(ColKind::Artificial, m));
         let ncols = col_kinds.len();
 
-        let mut rows: Vec<QVector> = Vec::with_capacity(m);
+        let mut rows: Vec<SparseRow> = Vec::with_capacity(m);
         let mut rhs: Vec<Rational> = Vec::with_capacity(m);
         let mut basis: Vec<usize> = Vec::with_capacity(m);
-        for (i, b) in builds.iter().enumerate() {
-            let mut row = vec![Rational::zero(); ncols];
-            for (j, v) in b.coeffs.iter().enumerate() {
-                row[j] = v.clone();
+        for (i, (c, slack)) in lp.constraints.iter().zip(slack_of_row).enumerate() {
+            let mut row = SparseRow::from_terms(user_terms(&c.terms, &plus_col, &minus_col));
+            if let Some((sc, sign)) = slack {
+                row.push(sc, sign);
             }
-            if let (Some(sc), Some(sign)) = (slack_col_of_row[i], b.slack_sign.clone()) {
-                row[sc] = sign;
-            }
-            let mut r = b.rhs.clone();
+            let mut r = c.rhs.clone();
             // Normalise to non-negative rhs.
             if r.is_negative() {
-                for v in row.iter_mut() {
-                    *v = -std::mem::replace(v, Rational::zero());
-                }
+                row.negate();
                 r = -r;
             }
             // Artificial basic variable for this row.
             let ac = art_col_start + i;
-            row[ac] = Rational::one();
+            row.push(ac, Rational::one());
             basis.push(ac);
-            rows.push(QVector::from_vec(row));
+            rows.push(row);
             rhs.push(r);
         }
 
@@ -505,9 +608,8 @@ impl Tableau {
             let mut col_dir: HashMap<usize, Rational> = HashMap::new();
             col_dir.insert(col, Rational::one());
             for (i, &b) in self.basis.iter().enumerate() {
-                let delta = -&self.rows[i][col];
-                if !delta.is_zero() {
-                    col_dir.insert(b, delta);
+                if let Some(a) = self.rows[i].get(col) {
+                    col_dir.insert(b, -a);
                 }
             }
             for (j, k) in self.col_kinds.iter().enumerate() {
@@ -601,7 +703,7 @@ impl Tableau {
             if factor.is_zero() {
                 continue;
             }
-            z.sub_scaled_in_place(&self.rows[i], &factor);
+            sub_scaled_dense(&mut z, &self.rows[i], &factor);
             z_rhs -= &(&self.rhs[i] * &factor);
         }
         loop {
@@ -617,8 +719,9 @@ impl Tableau {
             // Ratio test.
             let mut best: Option<(Rational, usize, usize)> = None; // (ratio, basic var, row)
             for (i, row) in self.rows.iter().enumerate() {
-                if row[col].is_positive() {
-                    let ratio = &self.rhs[i] / &row[col];
+                let Some(a) = row.get(col) else { continue };
+                if a.is_positive() {
+                    let ratio = &self.rhs[i] / a;
                     let candidate = (ratio, self.basis[i], i);
                     best = match best {
                         None => Some(candidate),
@@ -677,38 +780,40 @@ impl Tableau {
             };
             // Entering column: smallest index with a negative coefficient in
             // the leaving row (zero cost row makes every such ratio equal).
-            let entering = (0..self.ncols).find(|&j| self.rows[row][j].is_negative());
-            let Some(col) = entering else {
+            let entering = self.rows[row].iter().find(|(_, a)| a.is_negative());
+            let Some(&(col, _)) = entering else {
                 return Ok(FeasibilityOutcome::Infeasible);
             };
             self.pivot(row, col, &mut zero_z, &mut zero_rhs);
         }
     }
 
-    /// One pivot: normalise row `r` so column `c` becomes 1, eliminate `c`
-    /// from every other row and from the reduced-cost row — all in place, no
-    /// row allocation.
+    /// One pivot: normalise row `r` so column `c` becomes 1, then merge the
+    /// scaled pivot row into every row with a non-zero in column `c` and
+    /// into the dense reduced-cost row. Rows without an entry in `c` are
+    /// not touched.
     pub(crate) fn pivot(&mut self, r: usize, c: usize, z: &mut QVector, z_rhs: &mut Rational) {
         self.pivots += 1;
-        let inv = self.rows[r][c].recip();
+        let inv = self.rows[r]
+            .get(c)
+            .expect("pivot entry is non-zero")
+            .recip();
         let mut prow = std::mem::take(&mut self.rows[r]);
         let mut prhs = std::mem::take(&mut self.rhs[r]);
         prow.scale_in_place(&inv);
         prhs = &prhs * &inv;
+        // The taken-out pivot row is empty, so it is skipped like any row
+        // without an entry in column `c`.
         for (row, rhs) in self.rows.iter_mut().zip(self.rhs.iter_mut()) {
-            if row.dim() == 0 {
-                continue; // the taken-out pivot row itself
-            }
-            let factor = row[c].clone();
-            if factor.is_zero() {
+            let Some(factor) = row.get(c).cloned() else {
                 continue;
-            }
-            row.sub_scaled_in_place(&prow, &factor);
+            };
+            row.sub_scaled(&prow, &factor);
             *rhs -= &(&prhs * &factor);
         }
         let zf = z[c].clone();
         if !zf.is_zero() {
-            z.sub_scaled_in_place(&prow, &zf);
+            sub_scaled_dense(z, &prow, &zf);
             *z_rhs -= &(&prhs * &zf);
         }
         self.rows[r] = prow;
@@ -726,11 +831,11 @@ impl Tableau {
         while i < self.rows.len() {
             if self.col_kinds[self.basis[i]] == ColKind::Artificial {
                 // Try to pivot on any non-artificial column with a non-zero entry.
-                let cand = (0..ncols).find(|&j| {
-                    self.col_kinds[j] != ColKind::Artificial && !self.rows[i][j].is_zero()
-                });
+                let cand = self.rows[i]
+                    .iter()
+                    .find(|(j, _)| self.col_kinds[*j] != ColKind::Artificial);
                 match cand {
-                    Some(c) => {
+                    Some(&(c, _)) => {
                         self.pivot(i, c, &mut dummy, &mut dummy_rhs);
                         i += 1;
                     }
@@ -746,12 +851,9 @@ impl Tableau {
             }
         }
         // Forbid artificial columns from ever entering again by zeroing them.
+        let col_kinds = &self.col_kinds;
         for row in &mut self.rows {
-            for (j, k) in self.col_kinds.iter().enumerate() {
-                if *k == ColKind::Artificial && !row[j].is_zero() {
-                    row[j] = Rational::zero();
-                }
-            }
+            row.0.retain(|(j, _)| col_kinds[*j] != ColKind::Artificial);
         }
     }
 }

@@ -188,3 +188,18 @@ fn eager_and_lazy_engines_agree_on_small_programs() {
         assert_eq!(lazy.proved(), eager.proved(), "engines disagree on: {src}");
     }
 }
+
+/// The piecewise engine's joint Farkas LP for `multipath_loop(8)` (256
+/// paths) used to be stored dense, rows × columns, and its allocation took
+/// the process down. Stored sparse it is small, and the proof goes
+/// through.
+#[test]
+fn piecewise_proves_the_eight_test_multipath_loop() {
+    let program = generators::multipath_loop(8);
+    let report = prove_termination(&program, &AnalysisOptions::with_engine(Engine::Piecewise));
+    assert!(
+        report.proved(),
+        "piecewise must prove multipath_loop(8): {:?}",
+        report.verdict
+    );
+}
