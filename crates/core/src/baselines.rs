@@ -1,4 +1,5 @@
-//! Baseline termination provers used in the paper's evaluation.
+//! Baseline termination provers used in the paper's evaluation, and the
+//! Farkas row builder every path-polyhedron LP shares.
 //!
 //! * [`eager`] — the Rank / Alias-et-al. style approach: expand the block
 //!   transition relation into disjunctive normal form (one convex polyhedron
@@ -7,20 +8,30 @@
 //!   the approach the paper improves upon: the LP is built *eagerly* and its
 //!   size grows with the number of paths (exponential in the number of
 //!   successive tests), whereas Termite's LP only contains the extremal
-//!   counterexamples actually needed.
-//! * [`podelski_rybalchenko`] — the complete method for *monodimensional*
-//!   linear ranking functions (all paths must decrease strictly at once),
-//!   obtained as the one-dimension, all-strict special case of the eager LP.
+//!   counterexamples actually needed. The Podelski–Rybalchenko baseline
+//!   (`Engine::PodelskiRybalchenko`) is this prover capped at one level: a
+//!   single linear ranking function strictly decreasing on every path.
 //! * [`heuristic`] — a syntactic prover in the spirit of Loopus: guess
 //!   candidate ranking expressions from the loop guards and verify a fixed
 //!   lexicographic assembly with a handful of SMT queries. Fast, but proves
 //!   fewer programs.
+//!
+//! [`PathTransition::farkas_rows`] builds the rows of
+//! `∀v ∈ P(path) : target(v) ≥ rhs` once for all three DNF engines: eager
+//! adds them as `=` rows to a one-shot LP, [`lasso`](crate::lasso) and
+//! [`piecewise`](crate::piecewise) as tagged `≥`/`≤` pairs to a warm
+//! incremental session.
 
 use crate::engine::AnalysisOptions;
 use crate::report::{RankingFunction, SynthesisStats, UnknownReason, Verdict};
+use std::collections::BTreeSet;
 use termite_ir::TransitionSystem;
+use termite_lp::{
+    Constraint as LpConstraint, IncrementalLp, LinearProgram, Relation, RowTag, VarId,
+};
+use termite_num::Rational;
 use termite_polyhedra::Polyhedron;
-use termite_smt::{Atom, Formula, LinExpr};
+use termite_smt::{Atom, Formula, LinExpr, TermVar};
 
 /// A path transition: one disjunct of the DNF of a block transition, as a
 /// conjunction of atoms, together with its source and target locations.
@@ -32,6 +43,91 @@ pub struct PathTransition {
     pub to: usize,
     /// Conjunction of normalised atoms over pre/post/auxiliary variables.
     pub atoms: Vec<Atom>,
+}
+
+/// The Farkas rows of one implication `∀v ∈ P(path) : target(v) ≥ rhs`, as
+/// data: each caller adds them in its own row form.
+pub(crate) struct FarkasRows {
+    /// Per variable `v`, the terms of `Σ_r μ_r·coeff_{r,v} − target_v = 0`.
+    eqs: Vec<Vec<(VarId, Rational)>>,
+    /// `Σ_r μ_r·rhs_r + rhs_terms ≥ rhs`.
+    ge: LpConstraint,
+}
+
+impl FarkasRows {
+    /// Adds the rows to a one-shot LP, the equalities as `=` rows.
+    pub(crate) fn add_to(self, lp: &mut LinearProgram) {
+        for terms in self.eqs {
+            lp.add_constraint(LpConstraint::new(terms, Relation::Eq, Rational::zero()));
+        }
+        lp.add_constraint(self.ge);
+    }
+
+    /// Adds the rows to an incremental session under `tag`, each equality
+    /// as a `≥`/`≤` pair so the session keeps its warm basis (a true `=` row
+    /// would reset it).
+    pub(crate) fn add_tagged(self, inc: &mut IncrementalLp, tag: RowTag) {
+        for terms in self.eqs {
+            inc.add_constraint_tagged(
+                LpConstraint::new(terms.clone(), Relation::Ge, Rational::zero()),
+                tag,
+            );
+            inc.add_constraint_tagged(
+                LpConstraint::new(terms, Relation::Le, Rational::zero()),
+                tag,
+            );
+        }
+        inc.add_constraint_tagged(self.ge, tag);
+    }
+}
+
+impl PathTransition {
+    /// The Farkas rows certifying `∀v ∈ P(self) : target(v) ≥ rhs` over the
+    /// caller's multiplier columns `mu` (one `μ_r ≥ 0` per atom). `target`
+    /// maps each variable of the path polyhedron — the atoms' variables plus
+    /// every pre/post variable — to a linear combination of template columns;
+    /// `rhs_terms` are template columns added to the `≥` row's left side.
+    /// On a non-empty path polyhedron (`expand_paths` keeps only those) the
+    /// rows are feasible exactly when the implication holds (affine Farkas
+    /// lemma).
+    pub(crate) fn farkas_rows(
+        &self,
+        ts: &TransitionSystem,
+        mu: &[VarId],
+        target: impl Fn(TermVar) -> Vec<(VarId, Rational)>,
+        rhs_terms: Vec<(VarId, Rational)>,
+        rhs: Rational,
+    ) -> FarkasRows {
+        let mut vars: BTreeSet<TermVar> = BTreeSet::new();
+        for a in &self.atoms {
+            vars.extend(a.vars());
+        }
+        for i in 0..ts.num_vars() {
+            vars.insert(ts.pre_var(i));
+            vars.insert(ts.post_var(i));
+        }
+        let eqs = vars
+            .into_iter()
+            .filter_map(|v| {
+                let mut terms: Vec<(VarId, Rational)> = (self.atoms.iter().zip(mu))
+                    .filter_map(|(a, &m)| {
+                        a.coeffs.get(&v).map(|c| (m, Rational::from_int(c.clone())))
+                    })
+                    .collect();
+                terms.extend(target(v).into_iter().map(|(id, c)| (id, -c)));
+                (!terms.is_empty()).then_some(terms)
+            })
+            .collect();
+        let mut terms: Vec<(VarId, Rational)> = (self.atoms.iter().zip(mu))
+            .filter(|(a, _)| !a.rhs.is_zero())
+            .map(|(a, &m)| (m, Rational::from_int(a.rhs.clone())))
+            .collect();
+        terms.extend(rhs_terms);
+        FarkasRows {
+            eqs,
+            ge: LpConstraint::new(terms, Relation::Ge, rhs),
+        }
+    }
 }
 
 /// Expands a formula (in NNF) into disjunctive normal form over atoms.
@@ -126,10 +222,8 @@ pub fn expand_paths(
 pub mod eager {
     use super::*;
     use termite_linalg::QVector;
-    use termite_lp::{Constraint as LpConstraint, LinearProgram, LpOutcome, Relation, VarId};
-    use termite_num::Rational;
+    use termite_lp::LpOutcome;
     use termite_polyhedra::ConstraintKind;
-    use termite_smt::TermVar;
 
     /// One lexicographic level of the eager synthesis: a single Farkas LP over
     /// all still-alive path transitions. Returns the component and the set of
@@ -212,53 +306,26 @@ pub mod eager {
             ));
         }
         for (j, path) in alive.iter().enumerate() {
-            let mu_ids: Vec<VarId> = (0..path.atoms.len())
+            let mu: Vec<VarId> = (0..path.atoms.len())
                 .map(|r| lp.add_var(format!("mu_{j}_{r}")))
                 .collect();
-            // Variable set: every variable of the path atoms plus all pre/post
-            // variables of the involved locations.
-            let mut vars: std::collections::BTreeSet<TermVar> = std::collections::BTreeSet::new();
-            for a in &path.atoms {
-                vars.extend(a.vars());
-            }
-            for i in 0..n {
-                vars.insert(ts.pre_var(i));
-                vars.insert(ts.post_var(i));
-            }
-            for v in vars {
-                // Σ_r μ_r · coeff_{r,v}  =  c_v
-                let mut terms: Vec<(VarId, Rational)> = path
-                    .atoms
-                    .iter()
-                    .enumerate()
-                    .filter_map(|(r, a)| {
-                        a.coeffs
-                            .get(&v)
-                            .map(|c| (mu_ids[r], Rational::from_int(c.clone())))
-                    })
-                    .collect();
-                // c_v: λ_{from,i} for pre variables, -λ_{to,i} for post
-                // variables, 0 otherwise.
-                if v.0 < n {
-                    terms.push((lambda_ids[path.from][v.0], -Rational::one()));
-                } else if v.0 < 2 * n {
-                    terms.push((lambda_ids[path.to][v.0 - n], Rational::one()));
-                }
-                if terms.is_empty() {
-                    continue;
-                }
-                lp.add_constraint(LpConstraint::new(terms, Relation::Eq, Rational::zero()));
-            }
-            // Σ_r μ_r · rhs_r >= δ_j
-            let mut terms: Vec<(VarId, Rational)> = path
-                .atoms
-                .iter()
-                .enumerate()
-                .filter(|(_, a)| !a.rhs.is_zero())
-                .map(|(r, a)| (mu_ids[r], Rational::from_int(a.rhs.clone())))
-                .collect();
-            terms.push((delta_ids[j], -Rational::one()));
-            lp.add_constraint(LpConstraint::new(terms, Relation::Ge, Rational::zero()));
+            // Decrease by δ_j on the path: λ_from·x − λ_to·x′ ≥ δ_j.
+            path.farkas_rows(
+                ts,
+                &mu,
+                |v| {
+                    if v.0 < n {
+                        vec![(lambda_ids[path.from][v.0], Rational::one())]
+                    } else if v.0 < 2 * n {
+                        vec![(lambda_ids[path.to][v.0 - n], -Rational::one())]
+                    } else {
+                        Vec::new()
+                    }
+                },
+                vec![(delta_ids[j], -Rational::one())],
+                Rational::zero(),
+            )
+            .add_to(&mut lp);
         }
         lp.maximize(delta_ids.iter().map(|&d| (d, Rational::one())).collect());
 
@@ -287,11 +354,14 @@ pub mod eager {
         Some((component, strict))
     }
 
-    /// Runs the eager lexicographic synthesis.
+    /// Runs the eager lexicographic synthesis with at most `max_levels`
+    /// lexicographic levels (`usize::MAX` for the eager lane; 1 is the
+    /// Podelski–Rybalchenko baseline, which needs every path strict at once).
     pub fn prove(
         ts: &TransitionSystem,
         invariants: &[Polyhedron],
         options: &AnalysisOptions,
+        max_levels: usize,
         stats: &mut SynthesisStats,
     ) -> Verdict {
         let Some(paths) = expand_paths(ts, invariants, options.max_eager_disjuncts) else {
@@ -307,7 +377,7 @@ pub mod eager {
         let interrupt = termite_lp::Interrupt::new(move || cancel_in_lp.is_cancelled());
         let mut alive: Vec<&PathTransition> = paths.iter().collect();
         let mut components: Vec<Vec<(QVector, Rational)>> = Vec::new();
-        let max_dims = ts.num_locations() * ts.num_vars() + 1;
+        let max_dims = max_levels.min(ts.num_locations() * ts.num_vars() + 1);
         while !alive.is_empty() && components.len() < max_dims {
             if options.cancel.is_cancelled() {
                 return Verdict::unknown(UnknownReason::Cancelled);
@@ -345,34 +415,6 @@ pub mod eager {
             ts.var_names().to_vec(),
             components,
         ))
-    }
-}
-
-/// The Podelski–Rybalchenko-style baseline: a single linear ranking function
-/// strictly decreasing on every path.
-pub mod podelski_rybalchenko {
-    use super::*;
-
-    /// Attempts the one-dimensional, all-paths-strict synthesis.
-    pub fn prove(
-        ts: &TransitionSystem,
-        invariants: &[Polyhedron],
-        options: &AnalysisOptions,
-        stats: &mut SynthesisStats,
-    ) -> Verdict {
-        let Some(paths) = expand_paths(ts, invariants, options.max_eager_disjuncts) else {
-            return Verdict::unknown(UnknownReason::ResourceBudget);
-        };
-        stats.counterexamples = paths.len();
-        // One level; every path must become strict.
-        let mut one_level_options = options.clone();
-        one_level_options.max_eager_disjuncts = options.max_eager_disjuncts;
-        let verdict = eager::prove(ts, invariants, &one_level_options, stats);
-        match verdict {
-            Verdict::Terminates(rf) if rf.dimension() <= 1 => Verdict::Terminates(rf),
-            Verdict::Unknown { reason } => Verdict::unknown(reason),
-            _ => Verdict::unknown(UnknownReason::NoRankingFunction),
-        }
     }
 }
 
@@ -638,7 +680,7 @@ mod tests {
         let (ts, invs) = example1();
         let mut stats = SynthesisStats::default();
         let options = AnalysisOptions::with_engine(Engine::Eager);
-        let verdict = eager::prove(&ts, &invs, &options, &mut stats);
+        let verdict = eager::prove(&ts, &invs, &options, usize::MAX, &mut stats);
         match verdict {
             Verdict::Terminates(rf) => assert_eq!(rf.dimension(), 1),
             other => panic!("eager baseline must prove Example 1, got {other:?}"),
@@ -654,7 +696,7 @@ mod tests {
         let mut stats = SynthesisStats::default();
         let options = AnalysisOptions::with_engine(Engine::PodelskiRybalchenko);
         assert!(matches!(
-            podelski_rybalchenko::prove(&ts, &invs, &options, &mut stats),
+            eager::prove(&ts, &invs, &options, 1, &mut stats),
             Verdict::Terminates(_)
         ));
         // A two-phase loop with an unbounded reset needs a lexicographic
@@ -684,7 +726,7 @@ mod tests {
         )];
         let mut stats2 = SynthesisStats::default();
         assert!(matches!(
-            podelski_rybalchenko::prove(&ts2, &invs2, &options, &mut stats2),
+            eager::prove(&ts2, &invs2, &options, 1, &mut stats2),
             Verdict::Unknown { .. }
         ));
     }

@@ -44,7 +44,8 @@ pub enum Engine {
     /// block transitions and build one large Farkas LP per dimension.
     Eager,
     /// Podelski–Rybalchenko-style baseline: a single (monodimensional) linear
-    /// ranking function over the DNF expansion, all transitions strict.
+    /// ranking function over the DNF expansion, all transitions strict — the
+    /// eager baseline capped at one lexicographic level.
     PodelskiRybalchenko,
     /// Syntactic heuristic baseline in the spirit of Loopus: guess candidate
     /// ranking expressions from the loop guards and verify them with single
@@ -55,9 +56,9 @@ pub enum Engine {
     /// LP per nesting depth, deepening up to [`crate::lasso::MAX_PHASES`].
     Lasso,
     /// Complete linear-ranking-function existence test for single-location
-    /// loops, after Bagnara et al.: one Farkas LP whose infeasibility
-    /// *definitively* refutes linear ranking functions. Cheap enough to be
-    /// the portfolio's first racer.
+    /// loops, after Bagnara et al.: the lasso engine capped at depth 1, whose
+    /// infeasible Farkas system *definitively* refutes linear ranking
+    /// functions (see [`crate::lasso`]).
     CompleteLrf,
     /// Piecewise ranking functions over a learned segment lattice, after
     /// Kura, Unno & Hasuo: split the state space on predicates harvested
@@ -191,15 +192,17 @@ fn attempt(
             // transition source lies inside; see DESIGN.md).
             let enabled = enabled_invariants(ts, invariants);
             let verdict = match engine {
-                Engine::Eager => baselines::eager::prove(ts, &enabled, options, stats),
+                Engine::Eager => baselines::eager::prove(ts, &enabled, options, usize::MAX, stats),
                 Engine::PodelskiRybalchenko => {
-                    baselines::podelski_rybalchenko::prove(ts, &enabled, options, stats)
+                    baselines::eager::prove(ts, &enabled, options, 1, stats)
                 }
                 Engine::Heuristic => {
                     baselines::heuristic::prove(ts, &enabled, &options.cancel, stats)
                 }
-                Engine::Lasso => crate::lasso::prove(ts, &enabled, options, stats),
-                Engine::CompleteLrf => crate::complete::prove(ts, &enabled, options, stats),
+                Engine::Lasso => {
+                    crate::lasso::prove(ts, &enabled, options, crate::lasso::MAX_PHASES, stats)
+                }
+                Engine::CompleteLrf => crate::lasso::prove(ts, &enabled, options, 1, stats),
                 Engine::Piecewise => crate::piecewise::prove(ts, &enabled, options, stats),
                 Engine::Termite => unreachable!("handled above"),
             };

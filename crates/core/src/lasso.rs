@@ -39,19 +39,30 @@
 //! depth-`k` prefix, and the first `k` phases of any deeper nested ranking
 //! function satisfy it; hence an *infeasible priming solve* refutes nested
 //! ranking functions of **every** depth — reported as the definitive
-//! [`UnknownReason::NoRankingFunction`]. Exhausting [`MAX_PHASES`] with the
+//! [`UnknownReason::NoRankingFunction`]. Exhausting the depth cap with the
 //! bound always failing is merely a budget
 //! ([`UnknownReason::ResourceBudget`]): a deeper template might still exist.
-//! Multi-location programs are out of scope (`ResourceBudget`), as in
-//! [`complete`](crate::complete).
+//! Multi-location programs, and DNF expansions over the disjunct budget, are
+//! out of scope (`ResourceBudget`).
+//!
+//! # Depth 1: the complete linear-ranking-function test
+//!
+//! The `complete-lrf` engine is this prover capped at depth 1, after
+//! Bagnara, Mesnard, Pescetti & Zaffanella ("The automatic synthesis of
+//! linear ranking functions", arXiv 1004.0944). A depth-1 nested ranking
+//! function *is* a linear ranking function, and every path polyhedron is
+//! non-empty (`expand_paths` drops the empty ones), so the affine Farkas
+//! lemma is an equivalence: the depth-1 system is feasible exactly when a
+//! rational linear ranking function exists for the given paths. At cap 1 a
+//! failed bound is therefore the definitive `NoRankingFunction`, not a
+//! budget.
 
 use crate::baselines::{expand_paths, PathTransition};
 use crate::engine::AnalysisOptions;
 use crate::report::{RankingFunction, SynthesisStats, UnknownReason, Verdict};
-use std::collections::BTreeSet;
 use termite_ir::TransitionSystem;
 use termite_linalg::QVector;
-use termite_lp::{Constraint as LpConstraint, IncrementalLp, LpOutcome, Relation, RowTag, VarId};
+use termite_lp::{IncrementalLp, LpOutcome, RowTag, VarId};
 use termite_num::Rational;
 use termite_polyhedra::Polyhedron;
 use termite_smt::TermVar;
@@ -68,25 +79,15 @@ struct PhaseVars {
     offset: VarId,
 }
 
-/// Adds `terms = rhs` as a `≥`/`≤` pair (warm-basis friendly, see module
-/// docs).
-fn add_eq(inc: &mut IncrementalLp, terms: Vec<(VarId, Rational)>, rhs: Rational, tag: RowTag) {
-    inc.add_constraint_tagged(
-        LpConstraint::new(terms.clone(), Relation::Ge, rhs.clone()),
-        tag,
-    );
-    inc.add_constraint_tagged(LpConstraint::new(terms, Relation::Le, rhs), tag);
-}
-
-/// Adds the Farkas rows certifying `∀v ∈ P(atoms) : target(v) ≥ rhs` with
-/// fresh multipliers, tagging every row (and implicitly scoping the
-/// multiplier columns) with `tag`. Shared with the piecewise engine
+/// Adds the Farkas rows certifying `∀v ∈ P(path) : target(v) ≥ rhs` (see
+/// [`PathTransition::farkas_rows`]) with fresh multipliers named after
+/// `prefix`, tagging every row (and implicitly scoping the multiplier
+/// columns) with `tag`. Shared with the piecewise engine
 /// ([`crate::piecewise`]), which emits the same row shape per segment pair.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn farkas_rows(
     inc: &mut IncrementalLp,
     path: &PathTransition,
-    n: usize,
     ts: &TransitionSystem,
     prefix: &str,
     target: impl Fn(TermVar) -> Vec<(VarId, Rational)>,
@@ -94,50 +95,21 @@ pub(crate) fn farkas_rows(
     rhs: Rational,
     tag: RowTag,
 ) {
-    let mu_ids: Vec<VarId> = (0..path.atoms.len())
+    let mu: Vec<VarId> = (0..path.atoms.len())
         .map(|r| inc.add_var(format!("{prefix}_mu_{r}")))
         .collect();
-    let mut vars: BTreeSet<TermVar> = BTreeSet::new();
-    for a in &path.atoms {
-        vars.extend(a.vars());
-    }
-    for i in 0..n {
-        vars.insert(ts.pre_var(i));
-        vars.insert(ts.post_var(i));
-    }
-    for v in vars {
-        let mut terms: Vec<(VarId, Rational)> = path
-            .atoms
-            .iter()
-            .enumerate()
-            .filter_map(|(r, a)| {
-                a.coeffs
-                    .get(&v)
-                    .map(|c| (mu_ids[r], Rational::from_int(c.clone())))
-            })
-            .collect();
-        terms.extend(target(v).into_iter().map(|(id, c)| (id, -c)));
-        if terms.is_empty() {
-            continue;
-        }
-        add_eq(inc, terms, Rational::zero(), tag);
-    }
-    let mut terms: Vec<(VarId, Rational)> = path
-        .atoms
-        .iter()
-        .enumerate()
-        .filter(|(_, a)| !a.rhs.is_zero())
-        .map(|(r, a)| (mu_ids[r], Rational::from_int(a.rhs.clone())))
-        .collect();
-    terms.extend(rhs_terms);
-    inc.add_constraint_tagged(LpConstraint::new(terms, Relation::Ge, rhs), tag);
+    path.farkas_rows(ts, &mu, target, rhs_terms, rhs)
+        .add_tagged(inc, tag);
 }
 
-/// Runs the multiphase synthesis, deepening from 1 to [`MAX_PHASES`].
+/// Runs the multiphase synthesis, deepening from 1 to `max_depth`:
+/// [`MAX_PHASES`] for the lasso lane, 1 for `complete-lrf` (see the module
+/// docs for what a failure at each cap means).
 pub fn prove(
     ts: &TransitionSystem,
     invariants: &[Polyhedron],
     options: &AnalysisOptions,
+    max_depth: usize,
     stats: &mut SynthesisStats,
 ) -> Verdict {
     let n = ts.num_vars();
@@ -161,7 +133,7 @@ pub fn prove(
     inc.set_interrupt(termite_lp::Interrupt::new(move || cancel.is_cancelled()));
     let mut phases: Vec<PhaseVars> = Vec::new();
     let verdict = 'depths: {
-        for depth in 1..=MAX_PHASES {
+        for depth in 1..=max_depth {
             // Phase-`depth` template variables.
             let phase = PhaseVars {
                 coeffs: (0..n)
@@ -176,7 +148,6 @@ pub fn prove(
                 farkas_rows(
                     &mut inc,
                     path,
-                    n,
                     ts,
                     &format!("c{depth}_{j}"),
                     |v| {
@@ -216,14 +187,15 @@ pub fn prove(
                 }
                 LpOutcome::Optimal { .. } | LpOutcome::Unbounded { .. } => {}
             }
-            let snapshot = inc.snapshot();
+            // The last depth never deepens, so its bound rows need no
+            // retraction point.
+            let snapshot = (depth < max_depth).then(|| inc.snapshot());
             // Retractable bound rows: f_depth(x) ≥ 0 on every path source.
             let last = phases.last().expect("just pushed");
             for (j, path) in paths.iter().enumerate() {
                 farkas_rows(
                     &mut inc,
                     path,
-                    n,
                     ts,
                     &format!("b{depth}_{j}"),
                     |v| {
@@ -261,26 +233,26 @@ pub fn prove(
             }
             // Bound failed at this depth: retract it (restoring the primed
             // basis) and deepen.
-            if inc.restore(&snapshot) {
-                stats.basis_reuses += 1;
+            if let Some(snapshot) = snapshot {
+                if inc.restore(&snapshot) {
+                    stats.basis_reuses += 1;
+                }
+                debug_assert_eq!(
+                    inc.rows_tagged(TAG_BOUND),
+                    0,
+                    "bound rows must be retracted before deepening"
+                );
             }
         }
-        Verdict::unknown(UnknownReason::ResourceBudget)
+        // Depth 1 is complete for linear ranking functions (module docs);
+        // a deeper cap only bounds the search.
+        Verdict::unknown(if max_depth == 1 {
+            UnknownReason::NoRankingFunction
+        } else {
+            UnknownReason::ResourceBudget
+        })
     };
     stats.lp_warm_hits += inc.warm_solves();
-    debug_assert!(
-        matches!(
-            verdict,
-            Verdict::Terminates(_) | Verdict::TerminatesIf { .. }
-        ) || inc.rows_tagged(TAG_BOUND) == 0
-            || matches!(
-                verdict,
-                Verdict::Unknown {
-                    reason: UnknownReason::Cancelled
-                }
-            ),
-        "bound rows must be retracted before deepening"
-    );
     verdict
 }
 
@@ -299,7 +271,15 @@ mod tests {
         assert_eq!(ts.num_locations(), 1, "test programs are single loops");
         let mut stats = SynthesisStats::default();
         let options = AnalysisOptions::with_engine(Engine::Lasso);
-        let v = prove(&ts, &universe(n), &options, &mut stats);
+        let v = prove(&ts, &universe(n), &options, MAX_PHASES, &mut stats);
+        (v, stats)
+    }
+
+    /// Runs `complete-lrf`: the prover capped at depth 1.
+    fn prove_linear(ts: &TransitionSystem, invariants: &[Polyhedron]) -> (Verdict, SynthesisStats) {
+        let mut stats = SynthesisStats::default();
+        let options = AnalysisOptions::with_engine(Engine::CompleteLrf);
+        let v = prove(ts, invariants, &options, 1, &mut stats);
         (v, stats)
     }
 
@@ -366,7 +346,7 @@ mod tests {
             .transition_system();
         let mut stats = SynthesisStats::default();
         let options = AnalysisOptions::with_engine(Engine::Lasso);
-        let rf = match prove(&ts, &universe(2), &options, &mut stats) {
+        let rf = match prove(&ts, &universe(2), &options, MAX_PHASES, &mut stats) {
             Verdict::Terminates(rf) => rf,
             other => panic!("expected a proof, got {other:?}"),
         };
@@ -386,6 +366,97 @@ mod tests {
                 );
                 assert!(eval(1, x, y) >= Rational::zero());
             }
+        }
+    }
+
+    #[test]
+    fn depth_one_cap_proves_the_countdown_with_dimension_one() {
+        let ts = parse_program("var x; while (x > 0) { x = x - 1; }")
+            .unwrap()
+            .transition_system();
+        let (v, stats) = prove_linear(&ts, &universe(1));
+        match v {
+            Verdict::Terminates(rf) => assert_eq!(rf.dimension(), 1),
+            other => panic!("complete-lrf must prove the countdown, got {other:?}"),
+        }
+        assert_eq!(stats.dimension, 1);
+    }
+
+    #[test]
+    fn depth_one_cap_refutes_the_two_phase_choice_loop() {
+        // The classic two-phase loop has no *linear* RF (it needs a
+        // lexicographic or multiphase argument): at cap 1 the failed bound
+        // is the definitive refutation, not a budget.
+        let ts = parse_program(
+            r#"
+            var x, y;
+            while (x > 0) {
+                choice {
+                    assume y > 0;  y = y - 1;
+                } or {
+                    assume y <= 0; x = x - 1;
+                }
+            }
+            "#,
+        )
+        .unwrap()
+        .transition_system();
+        let (v, _) = prove_linear(&ts, &universe(2));
+        assert!(
+            matches!(
+                v,
+                Verdict::Unknown {
+                    reason: UnknownReason::NoRankingFunction
+                }
+            ),
+            "got {v:?}"
+        );
+    }
+
+    #[test]
+    fn depth_one_cap_leaves_multi_location_programs_out_of_scope() {
+        let ts = parse_program(
+            r#"
+            var i, j;
+            while (i > 0) {
+                j = i;
+                while (j > 0) { j = j - 1; }
+                i = i - 1;
+            }
+            "#,
+        )
+        .unwrap()
+        .transition_system();
+        assert!(ts.num_locations() > 1);
+        let (v, _) = prove_linear(&ts, &universe(2));
+        assert!(
+            matches!(
+                v,
+                Verdict::Unknown {
+                    reason: UnknownReason::ResourceBudget
+                }
+            ),
+            "got {v:?}"
+        );
+    }
+
+    #[test]
+    fn depth_one_cap_on_an_empty_invariant_is_dimension_zero() {
+        use termite_polyhedra::Constraint;
+        let ts = parse_program("var x; while (x > 0) { x = x - 1; }")
+            .unwrap()
+            .transition_system();
+        // Empty invariant at the cut point: no feasible path survives.
+        let empty = vec![Polyhedron::from_constraints(
+            1,
+            vec![
+                Constraint::ge(QVector::from_i64(&[1]), Rational::from(1)),
+                Constraint::le(QVector::from_i64(&[1]), Rational::from(0)),
+            ],
+        )];
+        match prove_linear(&ts, &empty).0 {
+            Verdict::Terminates(rf) => assert_eq!(rf.dimension(), 0),
+            other => panic!("unreachable body must be trivially terminating, got {other:?}"),
         }
     }
 }

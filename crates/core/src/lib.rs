@@ -36,7 +36,7 @@
 //! [`Engine`]): the **eager** Farkas/DNF approach of Rank / Alias et al.
 //! (`baselines::eager`) and a syntactic **heuristic** prover in the spirit of
 //! Loopus (`baselines::heuristic`), plus the Podelski–Rybalchenko
-//! single-ranking-function special case.
+//! single-ranking-function special case (eager capped at one level).
 //!
 //! # Quickstart
 //!
@@ -65,7 +65,6 @@
 
 mod baselines;
 mod cancel;
-pub mod complete;
 mod engine;
 pub mod lasso;
 mod lp_instance;
@@ -76,7 +75,7 @@ mod regions;
 mod report;
 mod workspace;
 
-pub use baselines::{eager, heuristic, podelski_rybalchenko};
+pub use baselines::{eager, heuristic};
 pub use cancel::CancelToken;
 pub use engine::{
     invariant_snapshot, prove_termination, prove_transition_system, prove_with_pipeline,

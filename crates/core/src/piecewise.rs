@@ -37,7 +37,8 @@
 //! polyhedra (the path atoms plus the segment atoms on the pre side, plus
 //! the target segment's atoms shifted to the post variables), so each
 //! segmentation is **one Farkas feasibility LP** — the same row shape as
-//! [`lasso`](crate::lasso), whose `farkas_rows` helper this engine shares.
+//! [`lasso`](crate::lasso), whose `farkas_rows` helper (over the shared
+//! `PathTransition::farkas_rows` builder) this engine uses too.
 //! The rounds share one warm [`IncrementalLp`] in the style of
 //! [`SynthesisLpWorkspace`](crate::workspace::SynthesisLpWorkspace): every
 //! per-segment row (and, implicitly, every template and multiplier column)
@@ -209,7 +210,6 @@ pub fn prove(
                 farkas_rows(
                     &mut inc,
                     &bounded,
-                    n,
                     ts,
                     &format!("b{i}_{t}"),
                     |v| {
@@ -233,7 +233,6 @@ pub fn prove(
                     farkas_rows(
                         &mut inc,
                         &step,
-                        n,
                         ts,
                         &format!("d{i}_{j}_{t}"),
                         |v| {

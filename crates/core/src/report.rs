@@ -305,8 +305,8 @@ pub struct SynthesisStats {
     pub smt_millis: f64,
     /// Wall-clock time spent inside the engines' LP solves (milliseconds):
     /// the `LP(C, Constraints(I))` optimizations, warm or cold, and the
-    /// joint Farkas LPs of the eager, lasso, complete-lrf and piecewise
-    /// engines (all timed by [`SynthesisStats::solve_lp`]).
+    /// joint Farkas LPs of the eager (and `pr`), lasso (and `complete-lrf`)
+    /// and piecewise engines (all timed by [`SynthesisStats::solve_lp`]).
     pub lp_millis: f64,
     /// Wall-clock time spent in invariant generation and backward
     /// precondition refinement (milliseconds). Unlike `synthesis_millis`

@@ -11,8 +11,9 @@
 
 use proptest::prelude::*;
 use termite_core::{
-    complete, monodim, prove_termination, AnalysisOptions, CancelToken, Engine, FarkasMemo,
-    LpReuse, MonodimInput, SynthesisLpWorkspace, SynthesisStats, UnknownReason, Verdict,
+    monodim, prove_termination, prove_transition_system, AnalysisOptions, CancelToken, Engine,
+    FarkasMemo, LpReuse, MonodimInput, SynthesisLpWorkspace, SynthesisStats, UnknownReason,
+    Verdict,
 };
 use termite_invariants::{analyze_cfg, entry_precondition, InvariantOptions};
 use termite_ir::{parse_program, Cfg, CfgOp};
@@ -184,12 +185,15 @@ enum OracleOutcome {
     Contradiction,
 }
 
-/// Runs `complete-lrf` and, when it claims no linear ranking function
-/// exists, monodim on the same transition system and invariants. Both sides
-/// of the oracle run relative to the *same* invariant — a box, not ⊤, so
-/// the extremal-counterexample optimizations stay bounded. Completeness is
-/// an invariant-relative notion, so the agreement claim is unaffected by
-/// which invariant is used.
+/// Runs `complete-lrf` through its engine entry (lasso capped at depth 1)
+/// and, when it claims no linear ranking function exists, monodim on the
+/// same transition system and invariant — a box, not ⊤, so the
+/// extremal-counterexample optimizations stay bounded. The engine entry
+/// narrows the box to the loop's enabled region; fewer transitions are
+/// easier to rank, so a refutation there also refutes every linear ranking
+/// function over the whole box, and monodim must fail there too.
+/// Completeness is an invariant-relative notion, so the agreement claim is
+/// unaffected by which invariant is used.
 fn oracle_agrees(src: &str) -> OracleOutcome {
     let program = parse_program(src).unwrap();
     let ts = program.transition_system();
@@ -208,10 +212,13 @@ fn oracle_agrees(src: &str) -> OracleOutcome {
             .collect(),
     );
     let invariants = vec![box_inv];
-    let mut stats = SynthesisStats::default();
-    let verdict = complete::prove(&ts, &invariants, &AnalysisOptions::default(), &mut stats);
+    let report = prove_transition_system(
+        &ts,
+        &invariants,
+        &AnalysisOptions::with_engine(Engine::CompleteLrf),
+    );
     if !matches!(
-        &verdict,
+        &report.verdict,
         Verdict::Unknown {
             reason: UnknownReason::NoRankingFunction
         }

@@ -45,6 +45,7 @@ use termite_driver::{
     cache_key, install_sigterm_handler, parse_selection, report_from_json, report_to_json,
     run_batch, serve, serve_tcp, stat_entries, stat_rows_from_json, verdict_name, verdict_rank,
     AnalysisJob, BatchConfig, BatchResult, BatchTotals, EngineSelection, ResultCache, ServeConfig,
+    ENGINE_NAMES,
 };
 use termite_invariants::InvariantOptions;
 use termite_ir::parse_named_program;
@@ -782,17 +783,13 @@ fn record_totals(records: &[BenchRecord], keep: impl Fn(&BenchRecord) -> bool) -
 /// no portfolio race picked a winner (single-engine run, no-proof race, or
 /// a report written before the field existed).
 fn engine_cell(engine_won: Option<&str>) -> String {
-    match engine_won {
-        None => "-".to_string(),
-        Some("Termite") => "termite".to_string(),
-        Some("Eager") => "eager".to_string(),
-        Some("PodelskiRybalchenko") => "pr".to_string(),
-        Some("Heuristic") => "heuristic".to_string(),
-        Some("Lasso") => "lasso".to_string(),
-        Some("CompleteLrf") => "complete-lrf".to_string(),
-        Some("Piecewise") => "piecewise".to_string(),
-        Some(other) => other.to_string(),
-    }
+    let Some(won) = engine_won else {
+        return "-".to_string();
+    };
+    (ENGINE_NAMES.iter())
+        .find(|(engine, _)| format!("{engine:?}") == won)
+        .map_or(won, |(_, spelling)| *spelling)
+        .to_string()
 }
 
 /// Reads the benchmark records of a `suite --json` report. A record's

@@ -84,7 +84,10 @@ pub use cache::{
 };
 pub use job::{AnalysisJob, JobInput};
 pub use net::{install_sigterm_handler, serve_tcp};
-pub use portfolio::{parse_selection, run_selection, EngineSelection, PortfolioOutcome};
+pub use portfolio::{
+    engine_cli_name, parse_selection, run_selection, EngineSelection, PortfolioOutcome,
+    ENGINE_NAMES,
+};
 pub use service::{
     parse_request, serve, with_scheduler, Request, SchedulerConfig, SchedulerHandle, ServeConfig,
     ServeSummary, TaskJob, TaskOutcome, TaskSpec,

@@ -142,11 +142,11 @@ impl EngineSelection {
     }
 
     /// The full default portfolio: the complete LRF existence test first
-    /// (cheap, and definitive on single-path loops), then the multiphase
-    /// lasso templates, then the paper's four engines. The order is the
-    /// *preference* order used to break ties between equally-ranked answers
-    /// (see `race`'s confluence contract), not a scheduling order — all
-    /// engines start simultaneously.
+    /// (lasso at depth 1: cheap, and definitive on single-path loops), then
+    /// the multiphase lasso templates, then the paper's four engines. The
+    /// order is the *preference* order used to break ties between
+    /// equally-ranked answers (see `race`'s confluence contract), not a
+    /// scheduling order — all engines start simultaneously.
     pub fn full_portfolio() -> Self {
         EngineSelection::Portfolio(vec![
             Engine::CompleteLrf,
@@ -168,37 +168,41 @@ impl EngineSelection {
     }
 }
 
+/// Every engine with its CLI and NDJSON-wire spelling, in `Engine`
+/// declaration order: the one table [`parse_selection`], [`engine_cli_name`]
+/// and the suite tables' winner column read.
+pub const ENGINE_NAMES: [(Engine, &str); 7] = [
+    (Engine::Termite, "termite"),
+    (Engine::Eager, "eager"),
+    (Engine::PodelskiRybalchenko, "pr"),
+    (Engine::Heuristic, "heuristic"),
+    (Engine::Lasso, "lasso"),
+    (Engine::CompleteLrf, "complete-lrf"),
+    (Engine::Piecewise, "piecewise"),
+];
+
 /// Parses an engine-selection name as used on the CLI and the NDJSON wire:
-/// one of the engine names (`termite`, `eager`, `pr` /
-/// `podelski-rybalchenko`, `heuristic`, `lasso`, `complete-lrf`,
-/// `piecewise`) or `portfolio` for the full seven-engine race.
+/// one of the [`ENGINE_NAMES`] (plus `podelski-rybalchenko`, an alias of
+/// `pr`) or `portfolio` for the full seven-engine race.
 pub fn parse_selection(name: &str) -> Result<EngineSelection, String> {
     match name {
         "portfolio" => Ok(EngineSelection::full_portfolio()),
-        "termite" => Ok(EngineSelection::single(Engine::Termite)),
-        "eager" => Ok(EngineSelection::single(Engine::Eager)),
-        "pr" | "podelski-rybalchenko" => Ok(EngineSelection::single(Engine::PodelskiRybalchenko)),
-        "heuristic" => Ok(EngineSelection::single(Engine::Heuristic)),
-        "lasso" => Ok(EngineSelection::single(Engine::Lasso)),
-        "complete-lrf" => Ok(EngineSelection::single(Engine::CompleteLrf)),
-        "piecewise" => Ok(EngineSelection::single(Engine::Piecewise)),
-        other => Err(format!("unknown engine `{other}`")),
+        "podelski-rybalchenko" => Ok(EngineSelection::single(Engine::PodelskiRybalchenko)),
+        _ => (ENGINE_NAMES.iter())
+            .find(|(_, spelling)| *spelling == name)
+            .map(|(engine, _)| EngineSelection::single(*engine))
+            .ok_or_else(|| format!("unknown engine `{name}`")),
     }
 }
 
 /// The CLI spelling of an engine — the inverse of [`parse_selection`]'s
 /// single-engine names, and the spelling the `slow_engine` fault point
 /// targets.
-fn engine_cli_name(engine: Engine) -> &'static str {
-    match engine {
-        Engine::Termite => "termite",
-        Engine::Eager => "eager",
-        Engine::PodelskiRybalchenko => "pr",
-        Engine::Heuristic => "heuristic",
-        Engine::Lasso => "lasso",
-        Engine::CompleteLrf => "complete-lrf",
-        Engine::Piecewise => "piecewise",
-    }
+pub fn engine_cli_name(engine: Engine) -> &'static str {
+    (ENGINE_NAMES.iter())
+        .find(|(e, _)| *e == engine)
+        .map(|(_, spelling)| *spelling)
+        .expect("ENGINE_NAMES lists every engine")
 }
 
 /// Stable textual form, used by the cache key derivation.
@@ -575,6 +579,19 @@ mod tests {
             EngineSelection::full_portfolio().to_string(),
             "portfolio:CompleteLrf+Lasso+Termite+Eager+PodelskiRybalchenko+Heuristic+Piecewise"
         );
+    }
+
+    #[test]
+    fn every_portfolio_engine_round_trips_through_its_name() {
+        for engine in EngineSelection::full_portfolio().engines() {
+            let name = engine_cli_name(engine);
+            assert_eq!(parse_selection(name).unwrap().engines(), vec![engine]);
+        }
+        assert_eq!(
+            parse_selection("podelski-rybalchenko").unwrap().engines(),
+            vec![Engine::PodelskiRybalchenko]
+        );
+        assert!(parse_selection("complete").is_err());
     }
 
     #[test]

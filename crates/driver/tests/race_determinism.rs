@@ -5,7 +5,7 @@
 //! the full portfolio in turn, that engine is handed a 40 ms head-start
 //! disadvantage before it begins proving, and the race's report must come
 //! out **byte-identical** (modulo wall-clock fields, which are zeroed before
-//! comparison) to the fault-free baseline. Three programs cover the verdict
+//! comparison) to the fault-free baseline. Four programs cover the verdict
 //! lattice:
 //!
 //! - a multiphase loop only the `lasso` engine proves unconditionally — the
@@ -24,11 +24,14 @@
 
 use termite_core::AnalysisOptions;
 use termite_driver::json::Json;
-use termite_driver::{faults, parse_selection, report_to_json, run_selection, AnalysisJob};
+use termite_driver::{
+    engine_cli_name, faults, parse_selection, report_to_json, run_selection, AnalysisJob,
+    EngineSelection,
+};
 use termite_invariants::InvariantOptions;
 use termite_ir::parse_program;
 
-/// The three lattice programs and the `engine_won` each race must report.
+/// The four lattice programs and the `engine_won` each race must report.
 const PROGRAMS: [(&str, &str, Option<&str>); 4] = [
     (
         "unique-unconditional",
@@ -52,18 +55,6 @@ const PROGRAMS: [(&str, &str, Option<&str>); 4] = [
         "var x; assume x >= 2; while (x > 0) { x = 3 - x; }",
         None,
     ),
-];
-
-/// Every engine of the full portfolio, in its `--engine` spelling — the
-/// names the `slow_engine` fault point targets.
-const ENGINE_NAMES: [&str; 7] = [
-    "complete-lrf",
-    "lasso",
-    "termite",
-    "eager",
-    "pr",
-    "heuristic",
-    "piecewise",
 ];
 
 fn job(src: &str) -> AnalysisJob {
@@ -106,7 +97,10 @@ fn race_reports_are_identical_no_matter_which_engine_is_slowed() {
             "{name}: unexpected baseline winner"
         );
         let baseline_json = normalized(report_to_json(&baseline.report));
-        for slowed in ENGINE_NAMES {
+        // Every engine of the full portfolio, in its `--engine` spelling —
+        // the name the `slow_engine` fault point targets.
+        for engine in EngineSelection::full_portfolio().engines() {
+            let slowed = engine_cli_name(engine);
             let _guard = faults::arm(&format!("slow_engine={slowed}:40")).unwrap();
             let raced = run_selection(&j, &selection, &AnalysisOptions::default());
             let raced_json = normalized(report_to_json(&raced.report));
