@@ -27,11 +27,11 @@ use crate::report::{RankingFunction, SynthesisStats, UnknownReason, Verdict};
 use std::collections::BTreeSet;
 use termite_ir::TransitionSystem;
 use termite_lp::{
-    Constraint as LpConstraint, IncrementalLp, LinearProgram, Relation, RowTag, VarId,
+    Constraint as LpConstraint, IncrementalLp, Interrupt, LinearProgram, Relation, RowTag, VarId,
 };
 use termite_num::Rational;
 use termite_polyhedra::Polyhedron;
-use termite_smt::{Atom, Formula, LinExpr, TermVar};
+use termite_smt::{Atom, Formula, LinExpr, TermVar, TheoryOutcome, TheorySolver};
 
 /// A path transition: one disjunct of the DNF of a block transition, as a
 /// conjunction of atoms, together with its source and target locations.
@@ -178,15 +178,17 @@ pub fn formula_to_dnf(formula: &Formula, limit: usize) -> Option<Vec<Vec<Atom>>>
 }
 
 /// Expands every block transition of a system into feasible path transitions,
-/// conjoining the source-location invariant. Returns `None` when the DNF
-/// exceeds the disjunct budget.
+/// conjoining the source-location invariant. Fails with `ResourceBudget` when
+/// the DNF exceeds the disjunct budget, and with `Cancelled` once `interrupt`
+/// is raised: it is polled before each disjunct's feasibility check, inside
+/// the check, and once more at the end.
 pub fn expand_paths(
     ts: &TransitionSystem,
     invariants: &[Polyhedron],
     limit: usize,
-) -> Option<Vec<PathTransition>> {
-    use termite_smt::TheorySolver;
-    let mut theory = TheorySolver::new();
+    interrupt: &Interrupt,
+) -> Result<Vec<PathTransition>, UnknownReason> {
+    let mut theory = TheorySolver::with_interrupt(interrupt.clone());
     let mut out = Vec::new();
     for t in ts.transitions() {
         let inv = &invariants[t.from];
@@ -195,15 +197,17 @@ pub fn expand_paths(
         }
         let inv_formula = crate::monodim::invariant_formula(inv);
         let combined = Formula::and(vec![inv_formula, t.formula.clone()]);
-        let disjuncts = formula_to_dnf(&combined, limit)?;
+        let disjuncts = formula_to_dnf(&combined, limit).ok_or(UnknownReason::ResourceBudget)?;
         for atoms in disjuncts {
+            if interrupt.is_raised() {
+                return Err(UnknownReason::Cancelled);
+            }
             // Drop infeasible paths (Rank performs the analogous emptiness
             // test on the path polyhedra).
-            if matches!(
-                theory.check(&atoms),
-                termite_smt::TheoryOutcome::Inconsistent { .. }
-            ) {
-                continue;
+            match theory.check(&atoms) {
+                TheoryOutcome::Inconsistent { .. } => continue,
+                TheoryOutcome::Interrupted => return Err(UnknownReason::Cancelled),
+                TheoryOutcome::Consistent { .. } => {}
             }
             out.push(PathTransition {
                 from: t.from,
@@ -212,10 +216,13 @@ pub fn expand_paths(
             });
         }
         if out.len() > limit {
-            return None;
+            return Err(UnknownReason::ResourceBudget);
         }
     }
-    Some(out)
+    if interrupt.is_raised() {
+        return Err(UnknownReason::Cancelled);
+    }
+    Ok(out)
 }
 
 /// The eager (Rank / Alias et al. 2010) baseline.
@@ -235,7 +242,7 @@ pub mod eager {
         ts: &TransitionSystem,
         invariants: &[Polyhedron],
         alive: &[&PathTransition],
-        interrupt: &termite_lp::Interrupt,
+        interrupt: &Interrupt,
         stats: &mut SynthesisStats,
     ) -> Option<(Vec<(QVector, Rational)>, Vec<bool>)> {
         let n = ts.num_vars();
@@ -364,17 +371,12 @@ pub mod eager {
         max_levels: usize,
         stats: &mut SynthesisStats,
     ) -> Verdict {
-        let Some(paths) = expand_paths(ts, invariants, options.max_eager_disjuncts) else {
-            return Verdict::unknown(UnknownReason::ResourceBudget);
+        let interrupt = crate::engine::interrupt_of(options);
+        let paths = match expand_paths(ts, invariants, options.max_eager_disjuncts, &interrupt) {
+            Ok(paths) => paths,
+            Err(reason) => return Verdict::unknown(reason),
         };
-        // The DNF expansion can be the bulk of the work on multipath loops;
-        // re-check for cancellation before committing to the (large) LP.
-        if options.cancel.is_cancelled() {
-            return Verdict::unknown(UnknownReason::Cancelled);
-        }
         stats.counterexamples = paths.len();
-        let cancel_in_lp = options.cancel.clone();
-        let interrupt = termite_lp::Interrupt::new(move || cancel_in_lp.is_cancelled());
         let mut alive: Vec<&PathTransition> = paths.iter().collect();
         let mut components: Vec<Vec<(QVector, Rational)>> = Vec::new();
         let max_dims = max_levels.min(ts.num_locations() * ts.num_vars() + 1);
@@ -669,10 +671,32 @@ mod tests {
     #[test]
     fn dnf_expansion_counts_paths() {
         let (ts, invs) = example1();
-        let paths = expand_paths(&ts, &invs, 1000).unwrap();
+        let paths = expand_paths(&ts, &invs, 1000, &Interrupt::never()).unwrap();
         // The single block transition has two feasible paths (t1 and t2).
         assert_eq!(paths.len(), 2);
         assert!(formula_to_dnf(&ts.transitions()[0].formula, 1).is_none());
+    }
+
+    #[test]
+    fn pre_cancelled_expansion_stops_before_the_first_disjunct() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        use std::sync::Arc;
+        // 2^10 paths, each a theory check when the expansion runs through.
+        let ts = termite_suite::generators::multipath_loop(10).transition_system();
+        let invs = vec![Polyhedron::universe(ts.num_vars()); ts.num_locations()];
+        let polls = Arc::new(AtomicUsize::new(0));
+        let counter = polls.clone();
+        let cancelled = Interrupt::new(move || {
+            counter.fetch_add(1, Ordering::SeqCst);
+            true
+        });
+        assert_eq!(
+            expand_paths(&ts, &invs, 4096, &cancelled).unwrap_err(),
+            UnknownReason::Cancelled
+        );
+        // One poll, before the first disjunct; a theory check would poll
+        // again on entry.
+        assert_eq!(polls.load(Ordering::SeqCst), 1);
     }
 
     #[test]

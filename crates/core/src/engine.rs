@@ -214,8 +214,9 @@ fn attempt(
     }
 }
 
-/// The interruption source the invariant stages poll: `options.cancel`.
-fn interrupt_of(options: &AnalysisOptions) -> termite_lp::Interrupt {
+/// The interruption source the invariant stages and the DNF lanes poll:
+/// `options.cancel`.
+pub(crate) fn interrupt_of(options: &AnalysisOptions) -> termite_lp::Interrupt {
     let cancel = options.cancel.clone();
     termite_lp::Interrupt::new(move || cancel.is_cancelled())
 }

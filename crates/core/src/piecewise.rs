@@ -156,12 +156,11 @@ pub fn prove(
     if ts.num_locations() != 1 {
         return Verdict::unknown(UnknownReason::ResourceBudget);
     }
-    let Some(paths) = expand_paths(ts, invariants, options.max_eager_disjuncts) else {
-        return Verdict::unknown(UnknownReason::ResourceBudget);
+    let interrupt = crate::engine::interrupt_of(options);
+    let paths = match expand_paths(ts, invariants, options.max_eager_disjuncts, &interrupt) {
+        Ok(paths) => paths,
+        Err(reason) => return Verdict::unknown(reason),
     };
-    if options.cancel.is_cancelled() {
-        return Verdict::unknown(UnknownReason::Cancelled);
-    }
     stats.counterexamples = paths.len();
     if paths.is_empty() {
         stats.dimension = 0;
@@ -170,8 +169,7 @@ pub fn prove(
 
     let pool = predicate_pool(&paths, n);
     let mut inc = IncrementalLp::new();
-    let cancel = options.cancel.clone();
-    inc.set_interrupt(termite_lp::Interrupt::new(move || cancel.is_cancelled()));
+    inc.set_interrupt(interrupt);
     // Prime the session so every round's snapshot carries a live basis:
     // a failed round then restores warm instead of restarting cold.
     inc.maximize(Vec::new());

@@ -1,0 +1,495 @@
+//! Feasibility on a bounded-variable tableau, in the style of Dutertre & de
+//! Moura ("A Fast Linear-Arithmetic Solver for DPLL(T)", CAV 2006).
+//!
+//! Every variable is a free column ([`BoundedTableau::add_column`]) or the
+//! slack `s = Σ aᵢ·xᵢ` of one linear form (its *row*,
+//! [`BoundedTableau::add_row`]), and may carry a lower and an upper bound;
+//! an equality is both bounds on one row. The rows, solved for the basic
+//! variables, never change when bounds come and go, so one tableau answers
+//! a sequence of feasibility questions over the same rows warm.
+//!
+//! Every nonbasic variable lies within its bounds: asserting a bound that a
+//! nonbasic value violates moves that value, and retracting a bound moves
+//! nothing. [`BoundedTableau::check`] then pivots (Bland's rule: smallest
+//! violated basic variable, smallest eligible nonbasic one) until every
+//! basic variable is within its bounds, or a violated row has no eligible
+//! nonbasic variable. That row and the bounds that block it are infeasible
+//! on their own: a Farkas certificate whose support is the blocking
+//! variables. Optima come from the two-phase
+//! [`LinearProgram`](crate::LinearProgram).
+
+use crate::simplex::{Interrupt, Interrupted, SparseRow, INTERRUPT_POLL_PERIOD};
+use termite_num::Rational;
+
+/// One bound on a variable of a [`BoundedTableau`].
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum Bound {
+    /// `x ≥ b`.
+    Lower(Rational),
+    /// `x ≤ b`.
+    Upper(Rational),
+}
+
+/// Where a variable sits in the tableau.
+#[derive(Clone, Copy, Debug)]
+enum Slot {
+    /// Basic in this row.
+    Basic(usize),
+    /// Nonbasic in this column.
+    Nonbasic(usize),
+}
+
+/// A bounded-variable simplex tableau answering feasibility questions (see
+/// the module documentation). Variables are numbered in order of creation,
+/// columns and rows alike.
+#[derive(Clone, Debug, Default)]
+pub struct BoundedTableau {
+    /// The basic variable of row `r` is `Σ rows[r][c]·` (the nonbasic
+    /// variable of column `c`).
+    rows: Vec<SparseRow>,
+    /// The basic variable of each row.
+    basic: Vec<usize>,
+    /// The nonbasic variable of each column.
+    nonbasic: Vec<usize>,
+    /// Per variable: its slot, current value and bounds.
+    slot: Vec<Slot>,
+    value: Vec<Rational>,
+    lower: Vec<Option<Rational>>,
+    upper: Vec<Option<Rational>>,
+}
+
+impl BoundedTableau {
+    /// An empty tableau.
+    pub fn new() -> Self {
+        BoundedTableau::default()
+    }
+
+    /// The current value of `var`. After a feasible [`check`](Self::check)
+    /// the values satisfy every bound and every row.
+    pub fn value(&self, var: usize) -> &Rational {
+        &self.value[var]
+    }
+
+    /// Adds an unbounded variable at value 0 and returns it.
+    pub fn add_column(&mut self) -> usize {
+        let var = self.new_var(Slot::Nonbasic(self.nonbasic.len()), Rational::zero());
+        self.nonbasic.push(var);
+        var
+    }
+
+    /// Adds the slack `s = Σ a·x` of a linear form over existing variables,
+    /// unbounded, and returns it.
+    pub fn add_row(&mut self, terms: impl IntoIterator<Item = (usize, Rational)>) -> usize {
+        let mut entries = Vec::new();
+        let mut value = Rational::zero();
+        for (var, a) in terms {
+            value += &(&a * &self.value[var]);
+            match self.slot[var] {
+                Slot::Nonbasic(c) => entries.push((c, a)),
+                Slot::Basic(r) => entries.extend(self.rows[r].iter().map(|(c, b)| (*c, &a * b))),
+            }
+        }
+        let var = self.new_var(Slot::Basic(self.rows.len()), value);
+        self.rows.push(SparseRow::from_terms(entries));
+        self.basic.push(var);
+        var
+    }
+
+    /// Puts `bound` on `var`, replacing the bound of the same side. A
+    /// nonbasic value that violates it moves onto it.
+    pub fn assert_bound(&mut self, var: usize, bound: Bound) {
+        let (target, violated) = match &bound {
+            Bound::Lower(b) => (b, self.value[var] < *b),
+            Bound::Upper(b) => (b, self.value[var] > *b),
+        };
+        if let (Slot::Nonbasic(column), true) = (self.slot[var], violated) {
+            self.update(column, target);
+        }
+        match bound {
+            Bound::Lower(b) => self.lower[var] = Some(b),
+            Bound::Upper(b) => self.upper[var] = Some(b),
+        }
+    }
+
+    /// Removes both bounds of `var`. No value moves.
+    pub fn retract(&mut self, var: usize) {
+        self.lower[var] = None;
+        self.upper[var] = None;
+    }
+
+    /// Removes every bound. No value moves.
+    pub fn retract_all(&mut self) {
+        self.lower.iter_mut().for_each(|b| *b = None);
+        self.upper.iter_mut().for_each(|b| *b = None);
+    }
+
+    /// Decides the rational feasibility of the asserted bounds, pivoting
+    /// from the current basis and polling `interrupt` on entry and every
+    /// few pivots. `Ok(None)` is feasible; `Ok(Some(vars))` lists
+    /// (ascending) the variables whose bounds are infeasible together.
+    pub fn check(&mut self, interrupt: &Interrupt) -> Result<Option<Vec<usize>>, Interrupted> {
+        // Crossed bounds on one variable need no pivot (and would break the
+        // invariant for a nonbasic one).
+        let crossed = (0..self.slot.len())
+            .find(|&v| matches!((&self.lower[v], &self.upper[v]), (Some(l), Some(u)) if l > u));
+        if let Some(var) = crossed {
+            return Ok(Some(vec![var]));
+        }
+        let mut pivots = 0usize;
+        loop {
+            if pivots.is_multiple_of(INTERRUPT_POLL_PERIOD) && interrupt.is_raised() {
+                return Err(Interrupted);
+            }
+            let Some((row, raise)) = self.violated_row() else {
+                return Ok(None);
+            };
+            // `raise`: the basic value is below its lower bound, so it must
+            // grow; a column helps if it can move in the matching direction.
+            let entering = self.rows[row]
+                .iter()
+                .filter(|(column, a)| {
+                    let var = self.nonbasic[*column];
+                    if a.is_positive() == raise {
+                        self.upper[var]
+                            .as_ref()
+                            .is_none_or(|u| &self.value[var] < u)
+                    } else {
+                        self.lower[var]
+                            .as_ref()
+                            .is_none_or(|l| &self.value[var] > l)
+                    }
+                })
+                .map(|(column, _)| *column)
+                .min_by_key(|&column| self.nonbasic[column]);
+            let Some(column) = entering else {
+                return Ok(Some(self.explain(row)));
+            };
+            let leaving = self.basic[row];
+            let bound = if raise { &self.lower } else { &self.upper };
+            let target = bound[leaving]
+                .clone()
+                .expect("a violated variable has its bound");
+            self.pivot_and_update(row, column, &target);
+            pivots += 1;
+        }
+    }
+
+    /// The row of the smallest basic variable outside its bounds, and
+    /// whether it lies below its lower bound.
+    fn violated_row(&self) -> Option<(usize, bool)> {
+        (0..self.rows.len())
+            .filter_map(|r| {
+                let var = self.basic[r];
+                let value = &self.value[var];
+                if self.lower[var].as_ref().is_some_and(|l| value < l) {
+                    Some((var, r, true))
+                } else if self.upper[var].as_ref().is_some_and(|u| value > u) {
+                    Some((var, r, false))
+                } else {
+                    None
+                }
+            })
+            .min()
+            .map(|(_, r, raise)| (r, raise))
+    }
+
+    /// The variables of a violated row that no column can repair: its basic
+    /// variable and the nonbasic variable of each of its non-zero columns.
+    fn explain(&self, row: usize) -> Vec<usize> {
+        let mut support: Vec<usize> = std::iter::once(self.basic[row])
+            .chain(self.rows[row].iter().map(|(c, _)| self.nonbasic[*c]))
+            .collect();
+        support.sort_unstable();
+        support
+    }
+
+    /// Sets nonbasic column `column` to `target`, moving every basic value
+    /// with it.
+    fn update(&mut self, column: usize, target: &Rational) {
+        let var = self.nonbasic[column];
+        let delta = target - &self.value[var];
+        for (r, row) in self.rows.iter().enumerate() {
+            if let Some(a) = row.get(column) {
+                self.value[self.basic[r]] += &(a * &delta);
+            }
+        }
+        self.value[var] = target.clone();
+    }
+
+    /// Moves the basic variable of `row` onto `target` by moving the
+    /// nonbasic variable of `column`, then swaps the two.
+    fn pivot_and_update(&mut self, row: usize, column: usize, target: &Rational) {
+        let leaving = self.basic[row];
+        let a = self.rows[row]
+            .get(column)
+            .expect("the entering column is non-zero");
+        let theta = &(target - &self.value[leaving]) / a;
+        let moved = &self.value[self.nonbasic[column]] + &theta;
+        self.update(column, &moved);
+        self.pivot(row, column);
+    }
+
+    /// Exchanges the basic variable of `row` with the nonbasic variable of
+    /// `column`: solve the row for the column, substitute everywhere else.
+    fn pivot(&mut self, row: usize, column: usize) {
+        let inverse = self.rows[row].get(column).expect("non-zero pivot").recip();
+        let solve = |unit: Rational| {
+            SparseRow::from_terms(
+                self.rows[row]
+                    .iter()
+                    .map(|(c, a)| {
+                        let entry = if *c == column {
+                            unit.clone()
+                        } else {
+                            -&(a * &inverse)
+                        };
+                        (*c, entry)
+                    })
+                    .collect(),
+            )
+        };
+        let solved = solve(inverse.clone());
+        // Substituting into a row with `f` in `column` adds `f·solved` and
+        // removes the old `f`: subtract `−f·(solved − e_column)`.
+        let step = solve(&inverse - &Rational::one());
+        for (r, other) in self.rows.iter_mut().enumerate() {
+            if let Some(f) = other.get(column).filter(|_| r != row) {
+                let factor = -f;
+                other.sub_scaled(&step, &factor);
+            }
+        }
+        self.rows[row] = solved;
+        let (leaving, entering) = (self.basic[row], self.nonbasic[column]);
+        self.basic[row] = entering;
+        self.nonbasic[column] = leaving;
+        self.slot[entering] = Slot::Basic(row);
+        self.slot[leaving] = Slot::Nonbasic(column);
+    }
+
+    /// A new unbounded variable.
+    fn new_var(&mut self, slot: Slot, value: Rational) -> usize {
+        self.slot.push(slot);
+        self.value.push(value);
+        self.lower.push(None);
+        self.upper.push(None);
+        self.slot.len() - 1
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{Constraint, LinearProgram, LpOutcome, Relation, VarId};
+    use proptest::prelude::*;
+
+    fn q(n: i64) -> Rational {
+        Rational::from(n)
+    }
+
+    /// The lower and upper bound of one variable.
+    type Bounds = (Option<Rational>, Option<Rational>);
+
+    /// Columns of every generated system.
+    const COLUMNS: usize = 3;
+
+    /// One step of a warm session; variable indices wrap around the
+    /// variables that exist.
+    #[derive(Clone, Debug)]
+    enum Step {
+        /// Assert these bounds (the sides present) on a variable.
+        Assert(usize, Bounds),
+        /// Retract both bounds of a variable.
+        Retract(usize),
+        /// Add a row over the columns, which may be basic by now.
+        AddRow(Vec<i64>),
+    }
+
+    /// Lower-only, upper-only, two-sided and equality bounds.
+    fn bounds() -> impl Strategy<Value = Bounds> {
+        (0u8..4, -4i64..=4, 0i64..=3).prop_map(|(kind, low, width)| match kind {
+            0 => (Some(q(low)), None),
+            1 => (None, Some(q(low))),
+            2 => (Some(q(low)), Some(q(low + width))),
+            _ => (Some(q(low)), Some(q(low))),
+        })
+    }
+
+    fn row() -> impl Strategy<Value = Vec<i64>> {
+        prop::collection::vec(-3i64..=3, COLUMNS)
+    }
+
+    /// A system of rows with bounds, then a sequence of asserts, retracts
+    /// and new rows.
+    fn session() -> impl Strategy<Value = (Vec<Vec<i64>>, Vec<Step>)> {
+        let step = prop_oneof![
+            (0usize..16, bounds()).prop_map(|(v, b)| Step::Assert(v, b)),
+            (0usize..16, bounds()).prop_map(|(v, b)| Step::Assert(v, b)),
+            (0usize..16).prop_map(Step::Retract),
+            row().prop_map(Step::AddRow),
+        ];
+        (
+            prop::collection::vec(row(), 1..6),
+            prop::collection::vec(step, 1..12),
+        )
+    }
+
+    /// A tableau and what the test knows about it: each variable's linear
+    /// form over the columns (`None` for a column) and current bounds.
+    struct Mirror {
+        tableau: BoundedTableau,
+        forms: Vec<Option<Vec<(usize, Rational)>>>,
+        bounds: Vec<Bounds>,
+    }
+
+    impl Mirror {
+        fn add_row(&mut self, coeffs: &[i64]) {
+            let form: Vec<(usize, Rational)> = (0..COLUMNS)
+                .filter(|&c| coeffs[c] != 0)
+                .map(|c| (c, q(coeffs[c])))
+                .collect();
+            let var = self.tableau.add_row(form.clone());
+            assert_eq!(var, self.forms.len());
+            self.forms.push(Some(form));
+            self.bounds.push((None, None));
+        }
+
+        fn assert_bounds(&mut self, var: usize, (lower, upper): &Bounds) {
+            if let Some(l) = lower {
+                self.tableau.assert_bound(var, Bound::Lower(l.clone()));
+                self.bounds[var].0 = Some(l.clone());
+            }
+            if let Some(u) = upper {
+                self.tableau.assert_bound(var, Bound::Upper(u.clone()));
+                self.bounds[var].1 = Some(u.clone());
+            }
+        }
+
+        fn retract(&mut self, var: usize) {
+            self.tableau.retract(var);
+            self.bounds[var] = (None, None);
+        }
+
+        /// The cold two-phase verdict on the bounds of `vars`: infeasible?
+        fn cold_infeasible(&self, vars: &[usize]) -> bool {
+            let mut lp = LinearProgram::new();
+            let columns: Vec<VarId> = (0..COLUMNS)
+                .map(|c| lp.add_free_var(format!("x{c}")))
+                .collect();
+            for &var in vars {
+                let terms: Vec<(VarId, Rational)> = match &self.forms[var] {
+                    None => vec![(columns[var], q(1))],
+                    Some(form) => form.iter().map(|(c, a)| (columns[*c], a.clone())).collect(),
+                };
+                let (lower, upper) = &self.bounds[var];
+                for (bound, relation) in [(lower, Relation::Ge), (upper, Relation::Le)] {
+                    if let Some(b) = bound {
+                        lp.add_constraint(Constraint::new(terms.clone(), relation, b.clone()));
+                    }
+                }
+            }
+            lp.solve().outcome == LpOutcome::Infeasible
+        }
+
+        /// Checks warm and compares with the cold verdict; returns the
+        /// support of an infeasible answer.
+        fn check_against_cold(&mut self) -> Option<Vec<usize>> {
+            let answer = self.tableau.check(&Interrupt::never()).unwrap();
+            let all: Vec<usize> = (0..self.forms.len()).collect();
+            assert_eq!(answer.is_some(), self.cold_infeasible(&all), "verdict");
+            match &answer {
+                Some(support) => {
+                    assert!(support.windows(2).all(|w| w[0] < w[1]), "{support:?}");
+                    assert!(self.cold_infeasible(support), "support {support:?}");
+                }
+                None => self.assert_values_consistent(),
+            }
+            answer
+        }
+
+        /// Every variable within its bounds, every row equal to its form.
+        fn assert_values_consistent(&self) {
+            for (var, (lower, upper)) in self.bounds.iter().enumerate() {
+                let value = self.tableau.value(var);
+                assert!(lower.as_ref().is_none_or(|l| value >= l), "x{var} below");
+                assert!(upper.as_ref().is_none_or(|u| value <= u), "x{var} above");
+            }
+            for (var, form) in self.forms.iter().enumerate() {
+                if let Some(form) = form {
+                    let mut sum = Rational::zero();
+                    for (c, a) in form {
+                        sum += &(a * self.tableau.value(*c));
+                    }
+                    assert_eq!(self.tableau.value(var), &sum, "row x{var}");
+                }
+            }
+        }
+    }
+
+    proptest! {
+        /// A warm session answers every check as a cold two-phase LP over
+        /// the bounds asserted at that point; every support is infeasible
+        /// on its own, and so is every support found with one of its
+        /// variables retracted (a deletion probe), which avoids that
+        /// variable; a feasible answer's values satisfy every bound and
+        /// every row.
+        #[test]
+        fn warm_sessions_agree_with_the_two_phase_lp(case in session()) {
+            let (rows, steps) = case;
+            let mut mirror = Mirror {
+                tableau: BoundedTableau::new(),
+                forms: vec![None; COLUMNS],
+                bounds: vec![(None, None); COLUMNS],
+            };
+            for _ in 0..COLUMNS {
+                mirror.tableau.add_column();
+            }
+            for coeffs in &rows {
+                mirror.add_row(coeffs);
+            }
+            for step in &steps {
+                let n = mirror.forms.len();
+                match step {
+                    Step::Assert(var, bounds) => mirror.assert_bounds(var % n, bounds),
+                    Step::Retract(var) => mirror.retract(var % n),
+                    Step::AddRow(coeffs) => mirror.add_row(coeffs),
+                }
+                let Some(support) = mirror.check_against_cold() else {
+                    continue;
+                };
+                for &k in &support {
+                    let saved = mirror.bounds[k].clone();
+                    mirror.retract(k);
+                    if let Some(probe) = mirror.check_against_cold() {
+                        prop_assert!(!probe.contains(&k), "probe {:?} without {}", probe, k);
+                    }
+                    mirror.assert_bounds(k, &saved);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn equality_rows_and_column_bounds() {
+        // x = 2y, x ≥ 3, y ≤ 1: infeasible through the equality row.
+        let mut t = BoundedTableau::new();
+        let (x, y) = (t.add_column(), t.add_column());
+        let eq = t.add_row([(x, q(1)), (y, q(-2))]);
+        t.assert_bound(eq, Bound::Lower(q(0)));
+        t.assert_bound(eq, Bound::Upper(q(0)));
+        t.assert_bound(x, Bound::Lower(q(3)));
+        assert_eq!(t.check(&Interrupt::never()), Ok(None));
+        assert_eq!(t.value(x), &(t.value(y) * &q(2)));
+        t.assert_bound(y, Bound::Upper(q(1)));
+        assert_eq!(t.check(&Interrupt::never()), Ok(Some(vec![x, y, eq])));
+    }
+
+    #[test]
+    fn raised_interrupt_stops_the_check() {
+        let mut t = BoundedTableau::new();
+        let x = t.add_column();
+        let row = t.add_row([(x, q(1))]);
+        t.assert_bound(row, Bound::Lower(q(1)));
+        assert_eq!(t.check(&Interrupt::new(|| true)), Err(Interrupted));
+        assert_eq!(t.check(&Interrupt::never()), Ok(None));
+    }
+}

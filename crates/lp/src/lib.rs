@@ -1,17 +1,20 @@
-//! Exact linear programming by two-phase primal simplex.
+//! Exact linear programming and feasibility by simplex.
 //!
 //! The synthesis algorithm of the paper (Definition 11) repeatedly solves
 //! small linear programs `LP(V, Constraints(I))` over the Farkas multipliers
 //! `γ_i ≥ 0` and the per-counterexample indicator variables `δ_j ∈ [0, 1]`,
-//! maximising `Σ_j δ_j`. The polyhedra library also uses LP for emptiness and
-//! redundancy checks, and the eager (Rank-style) baseline builds one large LP
-//! per loop. All of these need *exact* rational arithmetic: a termination
-//! certificate derived from a slightly-off floating point optimum would be
-//! unsound.
+//! maximising `Σ_j δ_j`. The polyhedra library also needs emptiness,
+//! entailment and redundancy checks, and the eager (Rank-style) baseline
+//! builds one large LP per loop. All of these need *exact* rational
+//! arithmetic: a termination certificate derived from a slightly-off
+//! floating point optimum would be unsound.
 //!
-//! This crate implements a classic two-phase primal simplex over
-//! [`termite_num::Rational`] with Bland's anti-cycling rule. Free variables
-//! are handled by the builder via the standard positive/negative split.
+//! Both simplex codes here work over [`termite_num::Rational`] with Bland's
+//! anti-cycling rule on sparse rows. [`LinearProgram`] and [`IncrementalLp`]
+//! optimize by two-phase primal simplex (free variables split in two,
+//! artificial columns in the first phase). [`BoundedTableau`] only decides
+//! feasibility, warm, under bounds asserted and retracted on its variables:
+//! it answers the SMT theory checks and polyhedron emptiness.
 //!
 //! # Example
 //!
@@ -43,12 +46,14 @@
 //! }
 //! ```
 
+mod bounded;
 #[cfg(test)]
 mod identity_tests;
 mod incremental;
 mod simplex;
 
+pub use bounded::{Bound, BoundedTableau};
 pub use incremental::{IncrementalLp, LpSnapshot, RowTag};
 pub use simplex::{
-    feasible_point, Constraint, Interrupt, LinearProgram, LpOutcome, LpSolution, Relation, VarId,
+    Constraint, Interrupt, Interrupted, LinearProgram, LpOutcome, LpSolution, Relation, VarId,
 };

@@ -6,8 +6,8 @@ use std::sync::Arc;
 use termite_linalg::QVector;
 use termite_num::Rational;
 
-/// How often the pivot loop polls the [`Interrupt`]: every
-/// `INTERRUPT_POLL_PERIOD` pivots. Polling is an atomic load behind an `Arc`
+/// How often the pivot loops (two-phase and bounded) poll the [`Interrupt`]:
+/// every `INTERRUPT_POLL_PERIOD` pivots. Polling is an atomic load behind an `Arc`
 /// call, so the period only has to amortise the indirect call, not the check.
 pub(crate) const INTERRUPT_POLL_PERIOD: usize = 64;
 
@@ -17,7 +17,7 @@ pub(crate) const INTERRUPT_POLL_PERIOD: usize = 64;
 /// the coupling is a plain closure: the caller wraps whatever flag it wants
 /// observed (a portfolio cancel token, a deadline, a test hook) and the
 /// solver polls it every `INTERRUPT_POLL_PERIOD` (64) pivots. An interrupted
-/// solve returns `None` — never a wrong answer.
+/// solve or check returns no answer — never a wrong one.
 #[derive(Clone, Default)]
 pub struct Interrupt(Option<Arc<dyn Fn() -> bool + Send + Sync>>);
 
@@ -47,9 +47,10 @@ impl fmt::Debug for Interrupt {
     }
 }
 
-/// Marker error: the solve was interrupted mid-pivot.
+/// Marker error: a solve or feasibility check was interrupted mid-pivot; no
+/// answer was established.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) struct Interrupted;
+pub struct Interrupted;
 
 /// Identifier of a decision variable in a [`LinearProgram`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -869,28 +870,6 @@ pub(crate) enum FeasibilityOutcome {
     GaveUp,
 }
 
-/// Convenience helper: checks whether the system `A x <= b` (rows given as
-/// `(coeffs, rhs)` over `dim` free variables) has a rational solution, and if
-/// so returns one.
-pub fn feasible_point(rows: &[(QVector, Rational)], dim: usize) -> Option<QVector> {
-    let mut lp = LinearProgram::new();
-    let vars: Vec<VarId> = (0..dim).map(|i| lp.add_free_var(format!("x{i}"))).collect();
-    for (coeffs, rhs) in rows {
-        let terms: Vec<(VarId, Rational)> = coeffs
-            .iter()
-            .enumerate()
-            .filter(|(_, c)| !c.is_zero())
-            .map(|(i, c)| (vars[i], c.clone()))
-            .collect();
-        lp.add_constraint(Constraint::new(terms, Relation::Le, rhs.clone()));
-    }
-    lp.maximize(vec![]);
-    match lp.solve().outcome {
-        LpOutcome::Optimal { assignment, .. } => Some(QVector::from_vec(assignment)),
-        _ => None,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1043,22 +1022,6 @@ mod tests {
         ]);
         let sol = lp.solve();
         assert_eq!(sol.objective(), Some(&Rational::from_ints(5, 4)));
-    }
-
-    #[test]
-    fn feasible_point_helper() {
-        // x <= 3, -x <= -1  (i.e. 1 <= x <= 3)
-        let rows = vec![
-            (QVector::from_i64(&[1]), q(3)),
-            (QVector::from_i64(&[-1]), q(-1)),
-        ];
-        let p = feasible_point(&rows, 1).unwrap();
-        assert!(p[0] >= q(1) && p[0] <= q(3));
-        let rows_empty = vec![
-            (QVector::from_i64(&[1]), q(1)),
-            (QVector::from_i64(&[-1]), q(-2)),
-        ];
-        assert!(feasible_point(&rows_empty, 1).is_none());
     }
 
     #[test]

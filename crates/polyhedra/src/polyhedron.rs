@@ -4,7 +4,10 @@ use crate::{Constraint, ConstraintKind, Generator};
 use std::fmt;
 use std::sync::OnceLock;
 use termite_linalg::{QMatrix, QVector};
-use termite_lp::{Constraint as LpConstraint, LinearProgram, LpOutcome, Relation};
+use termite_lp::{
+    Bound, BoundedTableau, Constraint as LpConstraint, Interrupt, LinearProgram, LpOutcome,
+    Relation,
+};
 use termite_num::Rational;
 
 /// A closed convex polyhedron `{x ∈ Qⁿ | ⋀ a_i·x ≥ b_i ∧ ⋀ c_j·x = d_j}` in
@@ -142,20 +145,8 @@ impl Polyhedron {
         self.constraints.iter().all(|c| c.satisfied_by(p))
     }
 
-    /// Converts the constraints to the `Σ coeff·x ≤ rhs` rows expected by the
-    /// LP front-end (splitting equalities).
-    fn lp_rows(&self) -> Vec<(QVector, Rational)> {
-        let mut rows = Vec::new();
-        for c in &self.constraints {
-            for ineq in c.as_inequalities() {
-                // ineq: a·x >= b  <=>  -a·x <= -b
-                rows.push((-&ineq.coeffs, -ineq.rhs.clone()));
-            }
-        }
-        rows
-    }
-
-    /// Emptiness test (exact, via LP feasibility).
+    /// Emptiness test (exact): one row per constraint on a fresh
+    /// [`BoundedTableau`], an equality as both bounds on its row.
     ///
     /// The answer is memoized: the first call fills it and clones carry it.
     /// Operations whose result's emptiness follows from their operands' set
@@ -177,16 +168,21 @@ impl Polyhedron {
             if self.constraints.iter().any(violated_constant) {
                 return true;
             }
-            termite_lp::feasible_point(&self.lp_rows(), self.dim).is_none()
+            let mut tableau = BoundedTableau::new();
+            for _ in 0..self.dim {
+                tableau.add_column();
+            }
+            for c in &self.constraints {
+                let terms = c.coeffs.iter().cloned().enumerate();
+                let row = tableau.add_row(terms.filter(|(_, a)| !a.is_zero()));
+                tableau.assert_bound(row, Bound::Lower(c.rhs.clone()));
+                if c.kind == ConstraintKind::Equality {
+                    tableau.assert_bound(row, Bound::Upper(c.rhs.clone()));
+                }
+            }
+            let check = tableau.check(&Interrupt::never());
+            check.expect("an unarmed interrupt never fires").is_some()
         })
-    }
-
-    /// Returns a point of the polyhedron, if non-empty.
-    pub fn sample_point(&self) -> Option<QVector> {
-        if self.constraints.is_empty() {
-            return Some(QVector::zeros(self.dim));
-        }
-        termite_lp::feasible_point(&self.lp_rows(), self.dim)
     }
 
     /// Whether every point of the polyhedron satisfies `c`.
@@ -725,17 +721,6 @@ impl Polyhedron {
             .collect()
     }
 
-    /// The rays of the polyhedron.
-    pub fn rays(&self) -> Vec<QVector> {
-        self.generators()
-            .into_iter()
-            .filter_map(|g| match g {
-                Generator::Ray(r) => Some(r),
-                Generator::Vertex(_) => None,
-            })
-            .collect()
-    }
-
     // ------------------------------------------------------------------
     // Lattice operations for abstract interpretation
     // ------------------------------------------------------------------
@@ -1174,11 +1159,34 @@ mod tests {
             .prop_map(|cs| Polyhedron::from_constraints(2, cs))
     }
 
-    /// `p`'s (possibly memoized) emptiness equals a fresh LP check of its
-    /// constraints, and the filled memo changes neither `==` nor `{:?}`.
+    /// Whether the two-phase simplex finds `p`'s constraints infeasible: an
+    /// emptiness oracle independent of the bounded tableau.
+    fn lp_says_empty(p: &Polyhedron) -> bool {
+        let mut lp = LinearProgram::new();
+        let vars: Vec<_> = (0..p.dim())
+            .map(|i| lp.add_free_var(format!("x{i}")))
+            .collect();
+        for c in p.constraints() {
+            let terms = c.coeffs.iter().enumerate();
+            let relation = match c.kind {
+                ConstraintKind::GreaterEq => Relation::Ge,
+                ConstraintKind::Equality => Relation::Eq,
+            };
+            lp.add_constraint(LpConstraint::new(
+                terms.map(|(i, a)| (vars[i], a.clone())).collect(),
+                relation,
+                c.rhs.clone(),
+            ));
+        }
+        lp.solve().outcome == LpOutcome::Infeasible
+    }
+
+    /// `p`'s (possibly memoized) emptiness equals a fresh two-phase LP check
+    /// of its constraints, and the filled memo changes neither `==` nor
+    /// `{:?}`.
     fn assert_emptiness_memo_sound(p: &Polyhedron) {
         let unfilled = Polyhedron::from_constraints(p.dim(), p.constraints().to_vec());
-        let expected = Polyhedron::from_constraints(p.dim(), p.constraints().to_vec()).is_empty();
+        let expected = lp_says_empty(p);
         assert_eq!(p.is_empty(), expected, "emptiness of {p}");
         let unsatisfiable = Constraint::ge(QVector::zeros(p.dim()), q(1));
         assert_eq!(p.entails(&unsatisfiable), expected, "{p} entails 0 >= 1");
@@ -1199,9 +1207,9 @@ mod tests {
 
     proptest! {
         /// Every operation that sets or carries the emptiness memo agrees
-        /// with a fresh LP check, on operands whose memos were filled first
-        /// or left empty, and after a further constraint is added to the
-        /// result.
+        /// with a fresh two-phase LP check, on operands whose memos were
+        /// filled first or left empty, and after a further constraint is
+        /// added to the result.
         #[test]
         fn prop_emptiness_memo_matches_a_fresh_check(
             a in small_polyhedron(),

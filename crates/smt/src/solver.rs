@@ -181,11 +181,6 @@ impl SmtContext {
         self.var_names.len()
     }
 
-    /// The name of a variable.
-    pub fn var_name(&self, v: TermVar) -> &str {
-        &self.var_names[v.0]
-    }
-
     /// Statistics accumulated so far.
     pub fn stats(&self) -> &SolverStats {
         &self.stats

@@ -4,10 +4,10 @@
 //! coefficients), this module decides satisfiability over the integers and
 //! optionally minimises a linear objective:
 //!
-//! 1. the rational relaxation is decided on a warm bounded-variable tableau
-//!    (the `bounded` module) that persists across the checks of one solver;
-//!    an infeasible relaxation yields a conflict set of atoms, which the
-//!    DPLL(T) driver turns into a blocking clause;
+//! 1. the rational relaxation is decided on a warm
+//!    [`BoundedTableau`](termite_lp::BoundedTableau) that persists across
+//!    the checks of one solver; an infeasible relaxation yields a conflict
+//!    set of atoms, which the DPLL(T) driver turns into a blocking clause;
 //! 2. a feasible relaxation is solved again by the exact (cold) simplex of
 //!    [`termite_lp`], which yields the model; if the witness or optimum is
 //!    fractional, branch-and-bound on the fractional variables establishes
@@ -20,6 +20,16 @@
 //! branch-and-bound) run cold, and they run exactly as a from-scratch solve
 //! would, so models and the counterexamples built from them do not depend
 //! on what the warm tableau has seen before.
+//!
+//! # Atoms on the tableau
+//!
+//! Every term variable is a free column, and every atom `Σ aᵢ·xᵢ ≥ b` one
+//! row `s = Σ aᵢ·xᵢ`, oriented so that the leading coefficient is positive.
+//! The atom is the lower bound `s ≥ b`; its negation `−Σ aᵢ·xᵢ ≥ 1 − b`
+//! shares the row as the upper bound `s ≤ b − 1`. A literal set that bounds
+//! one row twice (a duplicate atom, or an atom with its negation) puts the
+//! extra literal on a spare row with the same expression, so every row
+//! carries one literal and the blocking rows of a check name its support.
 //!
 //! # Conflict cores from warm certificates
 //!
@@ -38,11 +48,11 @@
 //! core — and with it the blocking clauses and the whole SAT search — is
 //! plain deletion's, whichever oracle answered the probes.
 
-use crate::bounded::{Interrupted, WarmTableau};
 use crate::{Atom, LinExpr, TermVar};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use termite_lp::{
-    Constraint as LpConstraint, Interrupt, LinearProgram, LpOutcome, LpSolution, Relation, VarId,
+    Bound, BoundedTableau, Constraint as LpConstraint, Interrupt, Interrupted, LinearProgram,
+    LpOutcome, LpSolution, Relation, VarId,
 };
 use termite_num::Rational;
 
@@ -99,6 +109,92 @@ pub enum MinimizeOutcome {
 /// Branch-and-bound node budget (per theory call).
 const BB_NODE_LIMIT: usize = 400;
 
+/// The literal set loaded on a [`BoundedTableau`] over every atom seen so
+/// far: which row carries which literal (see the module documentation).
+#[derive(Clone, Debug, Default)]
+struct AtomTableau {
+    tableau: BoundedTableau,
+    /// The column of each term variable.
+    columns: HashMap<TermVar, usize>,
+    /// The rows of each positively oriented atom: more than one only when a
+    /// literal set needed spare rows.
+    rows: HashMap<Atom, Vec<usize>>,
+    /// The row and bound of each loaded literal, indexed like the atoms
+    /// given to `load`.
+    literals: Vec<(usize, Bound)>,
+    /// The loaded literal whose bound each variable carries, if any.
+    owner: Vec<Option<usize>>,
+}
+
+impl AtomTableau {
+    /// Replaces the loaded literal set by `atoms`: clears every bound and
+    /// asserts one bound per atom, adding the rows and columns not seen yet.
+    fn load(&mut self, atoms: &[Atom]) {
+        self.tableau.retract_all();
+        self.owner.iter_mut().for_each(|o| *o = None);
+        self.literals.clear();
+        for (index, atom) in atoms.iter().enumerate() {
+            // Orient the row: `e ≥ b` with a positive leading coefficient is
+            // `s ≥ b`; otherwise the atom is `−e ≥ b`, i.e. `s ≤ −b` on the
+            // row of `e` (keyed by the atom's negation, `e ≥ 1 − b`).
+            let leading_negative = atom.coeffs.values().next().is_some_and(|c| c.is_negative());
+            let rhs = Rational::from_int(atom.rhs.clone());
+            let (bound, key) = if leading_negative {
+                (Bound::Upper(-rhs), atom.negate())
+            } else {
+                (Bound::Lower(rhs), atom.clone())
+            };
+            let spare = (self.rows.get(&key))
+                .and_then(|rows| rows.iter().copied().find(|&r| self.owner[r].is_none()));
+            let row = spare.unwrap_or_else(|| self.add_row(key));
+            self.owner[row] = Some(index);
+            self.literals.push((row, bound));
+            self.reassert(index);
+        }
+    }
+
+    /// Removes the bound of loaded literal `index`.
+    fn retract(&mut self, index: usize) {
+        self.tableau.retract(self.literals[index].0);
+    }
+
+    /// Puts the bound of loaded literal `index` (back) on its row.
+    fn reassert(&mut self, index: usize) {
+        let (row, bound) = self.literals[index].clone();
+        self.tableau.assert_bound(row, bound);
+    }
+
+    /// Checks the asserted literals: `Ok(Some(support))` lists (ascending)
+    /// the loaded literals of an infeasible subset.
+    fn check(&mut self, interrupt: &Interrupt) -> Result<Option<Vec<usize>>, Interrupted> {
+        let mut support = self.tableau.check(interrupt)?;
+        // Columns are free, so every blocking variable is a literal's row.
+        for var in support.iter_mut().flatten() {
+            *var = self.owner[*var].expect("a blocking row carries a literal");
+        }
+        support
+            .iter_mut()
+            .for_each(|literals| literals.sort_unstable());
+        Ok(support)
+    }
+
+    /// Adds the row of a positively oriented atom, and the columns of its
+    /// variables not seen yet.
+    fn add_row(&mut self, key: Atom) -> usize {
+        let terms: Vec<(usize, Rational)> = (key.coeffs.iter())
+            .map(|(v, a)| {
+                let column = self.columns.entry(*v);
+                let column = *column.or_insert_with(|| self.tableau.add_column());
+                (column, Rational::from_int(a.clone()))
+            })
+            .collect();
+        let row = self.tableau.add_row(terms);
+        self.owner.resize(row + 1, None);
+        self.rows.entry(key).or_default().push(row);
+        row
+    }
+}
+
 /// The LIA theory solver: a warm tableau over every atom it has checked,
 /// the interrupt source, and its work counters.
 #[derive(Debug, Default, Clone)]
@@ -108,7 +204,7 @@ pub struct TheorySolver {
     lp_solves: usize,
     /// Warm checks and probes so far (see [`TheorySolver::warm_checks`]).
     warm_checks: usize,
-    tableau: WarmTableau,
+    tableau: AtomTableau,
 }
 
 impl TheorySolver {
@@ -675,33 +771,6 @@ mod tests {
             for polarity in &steps {
                 let set = literals(&atoms, polarity);
                 prop_assert_eq!(theory.check(&set), cold_check(&set));
-            }
-        }
-
-        /// Every infeasible support the warm tableau reports, for a loaded
-        /// set or for a probe with one support literal retracted, is
-        /// infeasible on its own under the cold oracle and avoids the
-        /// retracted literal.
-        #[test]
-        fn warm_supports_are_infeasible_on_their_own(case in assignment_sequence()) {
-            let (atoms, steps) = case;
-            let mut tableau = WarmTableau::default();
-            let never = Interrupt::default();
-            for polarity in &steps {
-                let set = literals(&atoms, polarity);
-                tableau.load(&set);
-                let Some(support) = tableau.check(&never).unwrap() else {
-                    continue;
-                };
-                prop_assert!(!relaxation_feasible(&set, &support), "support {:?}", support);
-                for &k in &support {
-                    tableau.retract(k);
-                    if let Some(probe) = tableau.check(&never).unwrap() {
-                        prop_assert!(!probe.contains(&k));
-                        prop_assert!(!relaxation_feasible(&set, &probe), "probe {:?}", probe);
-                    }
-                    tableau.reassert(k);
-                }
             }
         }
     }
