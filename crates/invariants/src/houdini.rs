@@ -74,25 +74,19 @@ pub fn strengthen_inductive(
     interrupt: &Interrupt,
 ) -> bool {
     let num_locs = invariants.len();
-    // Initial candidate sets: must hold where the header is first entered,
-    // and must not already be entailed (nothing to gain).
+    // Initial candidate sets: must hold where the header is first entered
+    // (vacuously when no state enters it from outside its loop: the empty
+    // `entry_reach` entails every candidate, and inductiveness alone
+    // decides), and must not already be entailed (nothing to gain).
     let mut sets: Vec<Vec<Constraint>> = (0..num_locs)
         .map(|k| {
-            if entry_reach[k].is_empty() {
-                // Header unreachable from outside its loop: any candidate
-                // holds vacuously on entry; inductiveness alone decides.
-                candidates
-                    .iter()
-                    .filter(|c| !invariants[k].entails(c))
-                    .cloned()
-                    .collect()
-            } else {
-                candidates
-                    .iter()
-                    .filter(|c| entry_reach[k].entails(c) && !invariants[k].entails(c))
-                    .cloned()
-                    .collect()
-            }
+            let mut on_entry = entry_reach[k].entailment();
+            let mut already = invariants[k].entailment();
+            candidates
+                .iter()
+                .filter(|c| on_entry.entails(c) && !already.entails(c))
+                .cloned()
+                .collect()
         })
         .collect();
     if sets.iter().all(Vec::is_empty) {

@@ -262,3 +262,57 @@ fn snapshot_invariants_match_round_robin_stages() {
         );
     }
 }
+
+/// The forward and Houdini-strengthened snapshot invariants of every
+/// program of [`programs`], printed one cut point per line: under the
+/// default weak join for all of them, and under the exact join for the
+/// cheap ones of the exact-join identity test.
+fn snapshot_dump() -> String {
+    let exact = InvariantOptions {
+        exact_join: true,
+        ..InvariantOptions::default()
+    };
+    let programs = programs();
+    let raw = programs.len() / 2;
+    let mut out = String::new();
+    for options in [InvariantOptions::default(), exact] {
+        for (i, program) in programs.iter().enumerate() {
+            let slow =
+                program.num_vars() > 3 || SLOW_UNDER_EXACT_JOIN.contains(&program.name.as_str());
+            if options.exact_join && slow {
+                continue;
+            }
+            let form = if i < raw { "raw" } else { "optimized" };
+            let ts = program.transition_system();
+            let snapshot = InvariantSnapshot::new(program, &ts, &options, &Interrupt::never());
+            out += &format!(
+                "## {} ({form}, exact_join: {})\n",
+                program.name, options.exact_join
+            );
+            for (stage, invariants) in [
+                ("forward", snapshot.forward_invariants()),
+                ("strengthened", snapshot.invariants()),
+            ] {
+                for (k, invariant) in invariants.iter().enumerate() {
+                    out += &format!("{stage} {k}: {invariant}\n");
+                }
+            }
+        }
+    }
+    out
+}
+
+/// The snapshot invariants print byte for byte as recorded in
+/// `fixtures/snapshot_invariants.txt` before polyhedral entailment moved to
+/// warm sessions. Unlike the references above, which share the polyhedra
+/// library with the code they check, the fixture pins the entailment
+/// answers themselves.
+#[test]
+fn snapshot_invariants_match_the_recorded_fixture() {
+    let expected = include_str!("../fixtures/snapshot_invariants.txt");
+    let actual = snapshot_dump();
+    for (line, (a, e)) in actual.lines().zip(expected.lines()).enumerate() {
+        assert_eq!(a, e, "fixture line {}", line + 1);
+    }
+    assert_eq!(actual, expected, "fixture length");
+}

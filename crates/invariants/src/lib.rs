@@ -200,8 +200,9 @@ pub fn analyze_cfg_from(
             {
                 let joined = join(&state[node], &incoming);
                 let mut widened = state[node].widen(&joined);
+                let mut session = joined.entailment();
                 for t in &thresholds {
-                    if joined.entails(t) {
+                    if session.entails(t) {
                         widened.add_constraint(t.clone());
                     }
                 }

@@ -15,8 +15,15 @@
 //! basic variable is within its bounds, or a violated row has no eligible
 //! nonbasic variable. That row and the bounds that block it are infeasible
 //! on their own: a Farkas certificate whose support is the blocking
-//! variables. Optima come from the two-phase
-//! [`LinearProgram`](crate::LinearProgram).
+//! variables.
+//!
+//! [`BoundedTableau::minimize`] optimizes on the same tableau: from the
+//! feasible values a check leaves, a primal phase 2 lowers one variable
+//! under Bland's rule and leaves the tableau feasible for the next question.
+//! Warm sessions ask it many questions on one set of rows: which
+//! constraints a polyhedron entails, and which of its constraints are
+//! redundant (retract the bound, minimize the row, re-assert the bound
+//! unless the minimum already meets it).
 
 use crate::simplex::{Interrupt, Interrupted, SparseRow, INTERRUPT_POLL_PERIOD};
 use termite_num::Rational;
@@ -39,9 +46,9 @@ enum Slot {
     Nonbasic(usize),
 }
 
-/// A bounded-variable simplex tableau answering feasibility questions (see
-/// the module documentation). Variables are numbered in order of creation,
-/// columns and rows alike.
+/// A bounded-variable simplex tableau answering feasibility and
+/// minimization questions (see the module documentation). Variables are
+/// numbered in order of creation, columns and rows alike.
 #[derive(Clone, Debug, Default)]
 pub struct BoundedTableau {
     /// The basic variable of row `r` is `Σ rows[r][c]·` (the nonbasic
@@ -96,19 +103,28 @@ impl BoundedTableau {
     }
 
     /// Puts `bound` on `var`, replacing the bound of the same side. A
-    /// nonbasic value that violates it moves onto it.
+    /// nonbasic value that violates it moves onto it; one that violates
+    /// only the other side's bound (left there while the two crossed) moves
+    /// onto that one.
     pub fn assert_bound(&mut self, var: usize, bound: Bound) {
-        let (target, violated) = match &bound {
-            Bound::Lower(b) => (b, self.value[var] < *b),
-            Bound::Upper(b) => (b, self.value[var] > *b),
-        };
-        if let (Slot::Nonbasic(column), true) = (self.slot[var], violated) {
-            self.update(column, target);
-        }
+        let lower = matches!(bound, Bound::Lower(_));
         match bound {
             Bound::Lower(b) => self.lower[var] = Some(b),
             Bound::Upper(b) => self.upper[var] = Some(b),
         }
+        let Slot::Nonbasic(column) = self.slot[var] else {
+            return;
+        };
+        let value = &self.value[var];
+        let below = self.lower[var].as_ref().filter(|l| value < *l);
+        let above = self.upper[var].as_ref().filter(|u| value > *u);
+        let target = match (below, above) {
+            (Some(l), Some(_)) if lower => l,
+            (_, Some(u)) => u,
+            (Some(l), None) => l,
+            (None, None) => return,
+        };
+        self.update(column, &target.clone());
     }
 
     /// Removes both bounds of `var`. No value moves.
@@ -172,6 +188,102 @@ impl BoundedTableau {
             self.pivot_and_update(row, column, &target);
             pivots += 1;
         }
+    }
+
+    /// Minimizes `var` over the asserted bounds by bounded-variable primal
+    /// simplex, starting from the feasible values that a
+    /// [`check`](Self::check) answering `Ok(None)` (or an earlier
+    /// `minimize`) left, and polling `interrupt` on entry and every few
+    /// steps. `Ok(Some(min))` is the optimum, which `var` now holds;
+    /// `Ok(None)` means `var` is unbounded below, found without moving any
+    /// value. Either way every bound and row still holds, so the next
+    /// question starts warm.
+    ///
+    /// Each step lets the smallest nonbasic variable that can lower `var`
+    /// enter, moving it until it reaches its own opposite bound (a move
+    /// without a pivot) or a basic variable reaches a bound (which then
+    /// leaves); ties go to the smallest such variable (Bland's rule).
+    pub fn minimize(
+        &mut self,
+        var: usize,
+        interrupt: &Interrupt,
+    ) -> Result<Option<Rational>, Interrupted> {
+        let mut steps = 0usize;
+        loop {
+            if steps.is_multiple_of(INTERRUPT_POLL_PERIOD) && interrupt.is_raised() {
+                return Err(Interrupted);
+            }
+            let Some((column, down)) = self.improving_column(var) else {
+                return Ok(Some(self.value[var].clone()));
+            };
+            let Some((leaving, row, falls)) = self.ratio_test(column, down) else {
+                return Ok(None);
+            };
+            let bound = if falls { &self.lower } else { &self.upper };
+            let target = bound[leaving]
+                .clone()
+                .expect("a limiting variable has its bound");
+            match row {
+                None => self.update(column, &target),
+                Some(r) => self.pivot_and_update(r, column, &target),
+            }
+            steps += 1;
+        }
+    }
+
+    /// The smallest nonbasic column whose move lowers `var`, and whether
+    /// that move is down. `var` itself is the one candidate when nonbasic.
+    fn improving_column(&self, var: usize) -> Option<(usize, bool)> {
+        let can_move = |column: usize, down: bool| {
+            let x = self.nonbasic[column];
+            if down {
+                self.lower[x].as_ref().is_none_or(|l| &self.value[x] > l)
+            } else {
+                self.upper[x].as_ref().is_none_or(|u| &self.value[x] < u)
+            }
+        };
+        match self.slot[var] {
+            Slot::Nonbasic(column) => can_move(column, true).then_some((column, true)),
+            Slot::Basic(row) => self.rows[row]
+                .iter()
+                .map(|(column, a)| (*column, a.is_positive()))
+                .filter(|&(column, down)| can_move(column, down))
+                .min_by_key(|&(column, _)| self.nonbasic[column]),
+        }
+    }
+
+    /// The variable that first reaches a bound as nonbasic `column` moves
+    /// down (or up), ties to the smallest; its row (`None` for the column's
+    /// own variable); and whether it falls onto its lower bound. `None`
+    /// when nothing limits the move.
+    fn ratio_test(&self, column: usize, down: bool) -> Option<(usize, Option<usize>, bool)> {
+        // How far `var` can move down (or up) before it meets its bound.
+        let room = |var: usize, falls: bool| {
+            let value = &self.value[var];
+            if falls {
+                self.lower[var].as_ref().map(|l| value - l)
+            } else {
+                self.upper[var].as_ref().map(|u| u - value)
+            }
+        };
+        let entering = self.nonbasic[column];
+        let mut best = room(entering, down).map(|limit| (limit, entering, None, down));
+        for (r, row) in self.rows.iter().enumerate() {
+            let Some(a) = row.get(column) else {
+                continue;
+            };
+            let (basic, falls) = (self.basic[r], a.is_positive() == down);
+            let Some(limit) = room(basic, falls).map(|room| &room / &a.abs()) else {
+                continue;
+            };
+            let better = best.as_ref().is_none_or(|(least, var, _, _)| {
+                limit < *least || (limit == *least && basic < *var)
+            });
+            if better {
+                best = Some((limit, basic, Some(r), falls));
+            }
+        }
+        best.map(|(_, var, row, falls)| (var, row, falls))
     }
 
     /// The row of the smallest basic variable outside its bounds, and
@@ -319,8 +431,8 @@ mod tests {
     }
 
     /// A system of rows with bounds, then a sequence of asserts, retracts
-    /// and new rows.
-    fn session() -> impl Strategy<Value = (Vec<Vec<i64>>, Vec<Step>)> {
+    /// and new rows, each with the variable to minimize after it.
+    fn session() -> impl Strategy<Value = (Vec<Vec<i64>>, Vec<(Step, usize)>)> {
         let step = prop_oneof![
             (0usize..16, bounds()).prop_map(|(v, b)| Step::Assert(v, b)),
             (0usize..16, bounds()).prop_map(|(v, b)| Step::Assert(v, b)),
@@ -329,7 +441,7 @@ mod tests {
         ];
         (
             prop::collection::vec(row(), 1..6),
-            prop::collection::vec(step, 1..12),
+            prop::collection::vec((step, 0usize..16), 1..12),
         )
     }
 
@@ -369,17 +481,22 @@ mod tests {
             self.bounds[var] = (None, None);
         }
 
-        /// The cold two-phase verdict on the bounds of `vars`: infeasible?
-        fn cold_infeasible(&self, vars: &[usize]) -> bool {
+        /// `var`'s linear form over the columns of a cold LP.
+        fn terms(&self, var: usize, columns: &[VarId]) -> Vec<(VarId, Rational)> {
+            match &self.forms[var] {
+                None => vec![(columns[var], q(1))],
+                Some(form) => form.iter().map(|(c, a)| (columns[*c], a.clone())).collect(),
+            }
+        }
+
+        /// A cold two-phase LP over the bounds of `vars`, and its columns.
+        fn cold_lp(&self, vars: &[usize]) -> (LinearProgram, Vec<VarId>) {
             let mut lp = LinearProgram::new();
             let columns: Vec<VarId> = (0..COLUMNS)
                 .map(|c| lp.add_free_var(format!("x{c}")))
                 .collect();
             for &var in vars {
-                let terms: Vec<(VarId, Rational)> = match &self.forms[var] {
-                    None => vec![(columns[var], q(1))],
-                    Some(form) => form.iter().map(|(c, a)| (columns[*c], a.clone())).collect(),
-                };
+                let terms = self.terms(var, &columns);
                 let (lower, upper) = &self.bounds[var];
                 for (bound, relation) in [(lower, Relation::Ge), (upper, Relation::Le)] {
                     if let Some(b) = bound {
@@ -387,7 +504,36 @@ mod tests {
                     }
                 }
             }
-            lp.solve().outcome == LpOutcome::Infeasible
+            (lp, columns)
+        }
+
+        /// The cold two-phase verdict on the bounds of `vars`: infeasible?
+        fn cold_infeasible(&self, vars: &[usize]) -> bool {
+            self.cold_lp(vars).0.solve().outcome == LpOutcome::Infeasible
+        }
+
+        /// The cold two-phase minimum of `var` under every bound: `None`
+        /// when unbounded below.
+        fn cold_minimum(&self, var: usize) -> Option<Rational> {
+            let all: Vec<usize> = (0..self.forms.len()).collect();
+            let (mut lp, columns) = self.cold_lp(&all);
+            lp.minimize(self.terms(var, &columns));
+            match lp.solve().outcome {
+                LpOutcome::Optimal { objective, .. } => Some(objective),
+                LpOutcome::Unbounded { .. } => None,
+                LpOutcome::Infeasible => panic!("minimizing over infeasible bounds"),
+            }
+        }
+
+        /// Minimizes `var` warm and compares with the cold minimum; the
+        /// values stay consistent and `var` sits on a finite minimum.
+        fn minimize_against_cold(&mut self, var: usize) {
+            let warm = self.tableau.minimize(var, &Interrupt::never()).unwrap();
+            assert_eq!(warm, self.cold_minimum(var), "minimum of x{var}");
+            self.assert_values_consistent();
+            if let Some(min) = &warm {
+                assert_eq!(self.tableau.value(var), min, "x{var} at its minimum");
+            }
         }
 
         /// Checks warm and compares with the cold verdict; returns the
@@ -431,7 +577,9 @@ mod tests {
         /// on its own, and so is every support found with one of its
         /// variables retracted (a deletion probe), which avoids that
         /// variable; a feasible answer's values satisfy every bound and
-        /// every row.
+        /// every row. After each feasible check the session minimizes a
+        /// variable, which must find the cold two-phase minimum (or
+        /// unboundedness) and leave the session feasible for the next step.
         #[test]
         fn warm_sessions_agree_with_the_two_phase_lp(case in session()) {
             let (rows, steps) = case;
@@ -446,7 +594,7 @@ mod tests {
             for coeffs in &rows {
                 mirror.add_row(coeffs);
             }
-            for step in &steps {
+            for (step, objective) in &steps {
                 let n = mirror.forms.len();
                 match step {
                     Step::Assert(var, bounds) => mirror.assert_bounds(var % n, bounds),
@@ -454,6 +602,7 @@ mod tests {
                     Step::AddRow(coeffs) => mirror.add_row(coeffs),
                 }
                 let Some(support) = mirror.check_against_cold() else {
+                    mirror.minimize_against_cold(objective % mirror.forms.len());
                     continue;
                 };
                 for &k in &support {
@@ -491,5 +640,81 @@ mod tests {
         t.assert_bound(row, Bound::Lower(q(1)));
         assert_eq!(t.check(&Interrupt::new(|| true)), Err(Interrupted));
         assert_eq!(t.check(&Interrupt::never()), Ok(None));
+    }
+
+    #[test]
+    fn minimize_reports_unbounded_below_without_moving() {
+        // x − y with x ≥ 0 and y free: unbounded below along y.
+        let mut t = BoundedTableau::new();
+        let (x, y) = (t.add_column(), t.add_column());
+        let diff = t.add_row([(x, q(1)), (y, q(-1))]);
+        t.assert_bound(x, Bound::Lower(q(0)));
+        t.assert_bound(diff, Bound::Upper(q(5)));
+        assert_eq!(t.check(&Interrupt::never()), Ok(None));
+        let before: Vec<Rational> = (0..3).map(|v| t.value(v).clone()).collect();
+        assert_eq!(t.minimize(diff, &Interrupt::never()), Ok(None));
+        let after: Vec<Rational> = (0..3).map(|v| t.value(v).clone()).collect();
+        assert_eq!(after, before);
+    }
+
+    #[test]
+    fn minimize_moves_the_entering_variable_to_its_own_bound_without_a_pivot() {
+        // x + y with 1 ≤ x ≤ 3 and 2 ≤ y ≤ 4, both nonbasic at their upper
+        // bounds: each column reaches its own lower bound, and the row,
+        // bounded only above, never limits the move.
+        let mut t = BoundedTableau::new();
+        let (x, y) = (t.add_column(), t.add_column());
+        let sum = t.add_row([(x, q(1)), (y, q(1))]);
+        t.assert_bound(x, Bound::Lower(q(3)));
+        t.assert_bound(y, Bound::Lower(q(4)));
+        t.assert_bound(sum, Bound::Upper(q(100)));
+        assert_eq!(t.check(&Interrupt::never()), Ok(None));
+        // Widening the bounds moves nothing.
+        for (var, low, high) in [(x, 1, 3), (y, 2, 4)] {
+            t.assert_bound(var, Bound::Lower(q(low)));
+            t.assert_bound(var, Bound::Upper(q(high)));
+        }
+        assert_eq!((t.value(x), t.value(y)), (&q(3), &q(4)));
+        let basis = t.basic.clone();
+        assert_eq!(t.minimize(sum, &Interrupt::never()), Ok(Some(q(3))));
+        assert_eq!(t.basic, basis, "no pivot");
+        assert_eq!((t.value(x), t.value(y)), (&q(1), &q(2)));
+    }
+
+    #[test]
+    fn minimize_terminates_at_a_degenerate_vertex() {
+        // The cone 0 ≤ y ≤ x as four rows through the origin, over free
+        // columns at the origin: every ratio is zero, so each pivot is
+        // degenerate and ties go to the smallest variable.
+        let mut t = BoundedTableau::new();
+        let (x, y) = (t.add_column(), t.add_column());
+        let rows = [
+            t.add_row([(x, q(1)), (y, q(-1))]),
+            t.add_row([(x, q(1)), (y, q(1))]),
+            t.add_row([(x, q(1))]),
+            t.add_row([(y, q(1))]),
+        ];
+        for row in rows {
+            t.assert_bound(row, Bound::Lower(q(0)));
+        }
+        assert_eq!(t.check(&Interrupt::never()), Ok(None));
+        let objective = t.add_row([(x, q(2)), (y, q(1))]);
+        assert_eq!(t.minimize(objective, &Interrupt::never()), Ok(Some(q(0))));
+        assert_eq!((t.value(x), t.value(y)), (&q(0), &q(0)));
+        // Warm on the same rows: −x − y is unbounded below, x − y is not.
+        let down = t.add_row([(x, q(-1)), (y, q(-1))]);
+        assert_eq!(t.minimize(down, &Interrupt::never()), Ok(None));
+        let lean = t.add_row([(x, q(1)), (y, q(-1))]);
+        assert_eq!(t.minimize(lean, &Interrupt::never()), Ok(Some(q(0))));
+    }
+
+    #[test]
+    fn raised_interrupt_stops_the_minimization() {
+        let mut t = BoundedTableau::new();
+        let x = t.add_column();
+        t.assert_bound(x, Bound::Lower(q(1)));
+        assert_eq!(t.check(&Interrupt::never()), Ok(None));
+        assert_eq!(t.minimize(x, &Interrupt::new(|| true)), Err(Interrupted));
+        assert_eq!(t.minimize(x, &Interrupt::never()), Ok(Some(q(1))));
     }
 }

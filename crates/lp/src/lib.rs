@@ -12,9 +12,11 @@
 //! Both simplex codes here work over [`termite_num::Rational`] with Bland's
 //! anti-cycling rule on sparse rows. [`LinearProgram`] and [`IncrementalLp`]
 //! optimize by two-phase primal simplex (free variables split in two,
-//! artificial columns in the first phase). [`BoundedTableau`] only decides
-//! feasibility, warm, under bounds asserted and retracted on its variables:
-//! it answers the SMT theory checks and polyhedron emptiness.
+//! artificial columns in the first phase). [`BoundedTableau`] decides
+//! feasibility warm, under bounds asserted and retracted on its variables,
+//! and minimizes one of its variables from the feasible point a check
+//! leaves: it answers the SMT theory checks and every polyhedron question
+//! (emptiness, entailment, redundancy).
 //!
 //! # Example
 //!

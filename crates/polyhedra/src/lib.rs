@@ -11,8 +11,12 @@
 //! original toolchain:
 //!
 //! * [`Constraint`] / [`Polyhedron`] — constraint representation
-//!   (`a·x ⋈ b` with `⋈ ∈ {≥, =}`), emptiness and entailment via exact LP,
-//!   intersection, redundancy removal;
+//!   (`a·x ⋈ b` with `⋈ ∈ {≥, =}`), exact emptiness, intersection, and
+//!   redundancy removal on one warm bounded-variable simplex tableau
+//!   (`termite_lp::BoundedTableau`);
+//! * [`Entailment`] — a session that loads one polyhedron onto that
+//!   tableau once and answers a sequence of entailment queries from it, as
+//!   joins, widening and inclusion tests need;
 //! * [`Generator`] and [`Polyhedron::generators`] — the double-description
 //!   (Chernikova-style) conversion from constraints to vertices and rays,
 //!   performed on the homogenised cone;
@@ -28,7 +32,7 @@ mod polyhedron;
 
 pub use constraint::{Constraint, ConstraintKind};
 pub use generator::Generator;
-pub use polyhedron::Polyhedron;
+pub use polyhedron::{Entailment, Polyhedron};
 
 pub use termite_linalg::QVector;
 pub use termite_num::{Int, Rational};

@@ -4,10 +4,7 @@ use crate::{Constraint, ConstraintKind, Generator};
 use std::fmt;
 use std::sync::OnceLock;
 use termite_linalg::{QMatrix, QVector};
-use termite_lp::{
-    Bound, BoundedTableau, Constraint as LpConstraint, Interrupt, LinearProgram, LpOutcome,
-    Relation,
-};
+use termite_lp::{Bound, BoundedTableau, Interrupt};
 use termite_num::Rational;
 
 /// A closed convex polyhedron `{x ∈ Qⁿ | ⋀ a_i·x ≥ b_i ∧ ⋀ c_j·x = d_j}` in
@@ -146,9 +143,11 @@ impl Polyhedron {
     }
 
     /// Emptiness test (exact): one row per constraint on a fresh
-    /// [`BoundedTableau`], an equality as both bounds on its row.
+    /// [`BoundedTableau`], an equality as both bounds on its row (the
+    /// loader of an [`Entailment`] session).
     ///
-    /// The answer is memoized: the first call fills it and clones carry it.
+    /// The answer is memoized: the first call, or the first session that
+    /// loads the constraints, fills it and clones carry it.
     /// Operations whose result's emptiness follows from their operands' set
     /// it without an LP: [`universe`](Polyhedron::universe) and
     /// [`empty`](Polyhedron::empty); joins, widening and
@@ -161,81 +160,42 @@ impl Polyhedron {
     /// A violated constraint with all-zero coefficients (`0 ≥ 1`) answers
     /// "empty" without an LP as well.
     pub fn is_empty(&self) -> bool {
-        *self.empty.get_or_init(|| {
-            if self.constraints.is_empty() {
-                return false;
-            }
-            if self.constraints.iter().any(violated_constant) {
-                return true;
-            }
-            let mut tableau = BoundedTableau::new();
-            for _ in 0..self.dim {
-                tableau.add_column();
-            }
-            for c in &self.constraints {
-                let terms = c.coeffs.iter().cloned().enumerate();
-                let row = tableau.add_row(terms.filter(|(_, a)| !a.is_zero()));
-                tableau.assert_bound(row, Bound::Lower(c.rhs.clone()));
-                if c.kind == ConstraintKind::Equality {
-                    tableau.assert_bound(row, Bound::Upper(c.rhs.clone()));
-                }
-            }
-            let check = tableau.check(&Interrupt::never());
-            check.expect("an unarmed interrupt never fires").is_some()
-        })
+        match self.known_empty() {
+            Some(empty) => empty,
+            None => self.load().is_none(),
+        }
     }
 
-    /// Whether every point of the polyhedron satisfies `c`.
-    pub fn entails(&self, c: &Constraint) -> bool {
-        match c.kind {
-            ConstraintKind::Equality => c.as_inequalities().iter().all(|ineq| self.entails(ineq)),
-            ConstraintKind::GreaterEq => {
-                if self.known_empty() == Some(true) {
-                    return true;
-                }
-                // 0 ≥ b holds everywhere or, for b > 0, only on the empty set.
-                if c.coeffs.is_zero() {
-                    return !c.rhs.is_positive() || self.is_empty();
-                }
-                // minimize a·x over the polyhedron; entailed iff min >= b
-                // (or the polyhedron is empty).
-                let mut lp = LinearProgram::new();
-                let vars: Vec<_> = (0..self.dim)
-                    .map(|i| lp.add_free_var(format!("x{i}")))
-                    .collect();
-                for cc in &self.constraints {
-                    for ineq in cc.as_inequalities() {
-                        let terms = ineq
-                            .coeffs
-                            .iter()
-                            .enumerate()
-                            .filter(|(_, v)| !v.is_zero())
-                            .map(|(i, v)| (vars[i], v.clone()))
-                            .collect();
-                        lp.add_constraint(LpConstraint::new(terms, Relation::Ge, ineq.rhs.clone()));
-                    }
-                }
-                lp.minimize(
-                    c.coeffs
-                        .iter()
-                        .enumerate()
-                        .filter(|(_, v)| !v.is_zero())
-                        .map(|(i, v)| (vars[i], v.clone()))
-                        .collect(),
-                );
-                match lp.solve().outcome {
-                    LpOutcome::Infeasible => true,
-                    LpOutcome::Unbounded { .. } => false,
-                    LpOutcome::Optimal { objective, .. } => objective >= c.rhs,
-                }
-            }
+    /// Loads the constraints onto a fresh tableau and checks it (see
+    /// [`Loaded::new`]), filling the emptiness memo: `None` when the
+    /// polyhedron is empty.
+    fn load(&self) -> Option<Loaded> {
+        let loaded = Loaded::new(self.dim, &self.constraints);
+        // A racing thread may have filled the memo with the same answer.
+        let _ = self.empty.set(loaded.is_none());
+        loaded
+    }
+
+    /// A session answering entailment queries on this polyhedron from one
+    /// tableau, loaded on the first query that needs it.
+    pub fn entailment(&self) -> Entailment<'_> {
+        Entailment {
+            polyhedron: self,
+            loaded: None,
         }
+    }
+
+    /// Whether every point of the polyhedron satisfies `c`: a one-query
+    /// [`Entailment`] session.
+    pub fn entails(&self, c: &Constraint) -> bool {
+        self.entailment().entails(c)
     }
 
     /// Inclusion test `self ⊆ other`.
     pub fn is_subset_of(&self, other: &Polyhedron) -> bool {
         assert_eq!(self.dim, other.dim, "dimension mismatch");
-        other.constraints.iter().all(|c| self.entails(c))
+        let mut session = self.entailment();
+        other.constraints.iter().all(|c| session.entails(c))
     }
 
     /// Semantic equality of the two polyhedra.
@@ -283,7 +243,7 @@ impl Polyhedron {
 
     /// Removes syntactically duplicate and LP-redundant constraints.
     pub fn minimize(&self) -> Polyhedron {
-        if self.is_empty() {
+        if self.known_to_be_empty().is_some() || self.constraints.iter().any(violated_constant) {
             return Polyhedron::empty(self.dim);
         }
         // Canonicalise and deduplicate.
@@ -298,22 +258,23 @@ impl Polyhedron {
                 canon.push(cc);
             }
         }
-        // Drop inequalities entailed by the remaining constraints.
-        let mut keep: Vec<Constraint> = canon.clone();
-        let mut i = 0;
-        while i < keep.len() {
-            if keep[i].kind == ConstraintKind::GreaterEq && keep.len() > 1 {
-                let mut rest = keep.clone();
-                let candidate = rest.remove(i);
-                let rest_poly = Polyhedron::from_constraints(self.dim, rest.clone());
-                if rest_poly.entails(&candidate) {
-                    keep.remove(i);
-                    continue;
-                }
-            }
-            i += 1;
-        }
-        Self::with_emptiness(self.dim, keep, Some(false))
+        // `canon` is the polyhedron without its trivially true constraints,
+        // each scaled by a positive factor: loading it decides emptiness.
+        let loaded = Loaded::new(self.dim, &canon);
+        let _ = self.empty.set(loaded.is_none());
+        let Some(mut loaded) = loaded else {
+            return Polyhedron::empty(self.dim);
+        };
+        // Drop, in order, each inequality that the constraints still kept
+        // entail without it.
+        let mut count = canon.len();
+        let keep = canon.into_iter().enumerate().filter_map(|(i, c)| {
+            let drop =
+                c.kind == ConstraintKind::GreaterEq && count > 1 && loaded.redundant(i, &c.rhs);
+            count -= usize::from(drop);
+            (!drop).then_some(c)
+        });
+        Self::with_emptiness(self.dim, keep.collect(), Some(false))
     }
 
     // ------------------------------------------------------------------
@@ -795,21 +756,20 @@ impl Polyhedron {
     /// expensive.
     pub fn weak_join(&self, other: &Polyhedron) -> Polyhedron {
         assert_eq!(self.dim, other.dim, "dimension mismatch");
-        if self.is_empty() {
+        let mut sessions = [self.entailment(), other.entailment()];
+        if sessions[0].is_empty() {
             return other.clone();
         }
-        if other.is_empty() {
+        if sessions[1].is_empty() {
             return self.clone();
         }
         let mut kept: Vec<Constraint> = Vec::new();
-        for c in self.constraints.iter().flat_map(|c| c.as_inequalities()) {
-            if other.entails(&c) {
-                kept.push(c);
-            }
-        }
-        for c in other.constraints.iter().flat_map(|c| c.as_inequalities()) {
-            if self.entails(&c) {
-                kept.push(c);
+        // Each operand's constraints go to the other operand's session.
+        for (from, session) in [self, other].into_iter().zip(sessions.iter_mut().rev()) {
+            for c in from.constraints.iter().flat_map(|c| c.as_inequalities()) {
+                if session.entails(&c) {
+                    kept.push(c);
+                }
             }
         }
         // Both operands are non-empty, and the join contains them.
@@ -824,15 +784,189 @@ impl Polyhedron {
         if self.is_empty() {
             return other.clone();
         }
+        let mut session = other.entailment();
         let kept: Vec<Constraint> = self
             .constraints
             .iter()
-            .filter(|c| other.entails(c))
+            .filter(|c| session.entails(c))
             .cloned()
             .collect();
         // A subset of the constraints of the non-empty `self`.
         Self::with_emptiness(self.dim, kept, Some(false))
     }
+}
+
+/// Entailment queries on one polyhedron, answered warm from one tableau
+/// ([`Polyhedron::entailment`]).
+///
+/// The first query that needs the tableau loads the constraints and checks
+/// them, which fills the polyhedron's emptiness memo; nothing else is kept
+/// on the polyhedron. Each query `a·x ≥ b` then first evaluates `a·x` at
+/// the tableau's current feasible point, where a value below `b` answers
+/// "no" without a pivot; otherwise it minimizes `a·x` on one objective row
+/// per direction, which later queries with the same coefficients reuse,
+/// and answers whether the minimum reaches `b`.
+///
+/// ```
+/// use termite_polyhedra::{Constraint, Polyhedron};
+/// use termite_linalg::QVector;
+/// use termite_num::Rational;
+///
+/// // The square 0 <= x, y <= 2.
+/// let unit = |i| QVector::from_i64(if i == 0 { &[1, 0] } else { &[0, 1] });
+/// let square = Polyhedron::from_constraints(2, vec![
+///     Constraint::ge(unit(0), Rational::from(0)),
+///     Constraint::le(unit(0), Rational::from(2)),
+///     Constraint::ge(unit(1), Rational::from(0)),
+///     Constraint::le(unit(1), Rational::from(2)),
+/// ]);
+/// let mut session = square.entailment();
+/// let sum = QVector::from_i64(&[1, 1]);
+/// assert!(session.entails(&Constraint::le(sum.clone(), Rational::from(4))));
+/// assert!(!session.entails(&Constraint::le(sum, Rational::from(3))));
+/// ```
+pub struct Entailment<'a> {
+    polyhedron: &'a Polyhedron,
+    /// `None` until loaded; then `Some(None)` for an empty polyhedron.
+    loaded: Option<Option<Loaded>>,
+}
+
+impl Entailment<'_> {
+    /// Whether every point of the polyhedron satisfies `c`.
+    pub fn entails(&mut self, c: &Constraint) -> bool {
+        assert_eq!(c.dim(), self.polyhedron.dim, "dimension mismatch");
+        match c.kind {
+            ConstraintKind::Equality => c.as_inequalities().iter().all(|ineq| self.entails(ineq)),
+            // 0 ≥ b for b ≤ 0 holds everywhere.
+            ConstraintKind::GreaterEq if c.coeffs.is_zero() && !c.rhs.is_positive() => true,
+            // The empty set entails everything.
+            ConstraintKind::GreaterEq => self.loaded().is_none_or(|loaded| loaded.entails(c)),
+        }
+    }
+
+    /// Whether the polyhedron is empty: the memo's answer, or the
+    /// session's loading check.
+    fn is_empty(&mut self) -> bool {
+        self.loaded().is_none()
+    }
+
+    /// The loaded tableau, `None` for an empty polyhedron; loads it on
+    /// first use unless the polyhedron is known to be empty.
+    fn loaded(&mut self) -> Option<&mut Loaded> {
+        let polyhedron = self.polyhedron;
+        let loaded = self
+            .loaded
+            .get_or_insert_with(|| match polyhedron.known_empty() {
+                Some(true) => None,
+                _ => polyhedron.load(),
+            });
+        loaded.as_mut()
+    }
+}
+
+/// A non-empty system of constraints on a feasible [`BoundedTableau`]: one
+/// free column per dimension, then one row per constraint carrying its
+/// bound (an equality as both bounds), then the objective rows that
+/// entailment queries add.
+struct Loaded {
+    tableau: BoundedTableau,
+    /// The row variable of each constraint.
+    rows: Vec<usize>,
+    /// A row variable for each direction minimized so far (the
+    /// constraints' own rows first).
+    directions: Vec<(QVector, usize)>,
+}
+
+impl Loaded {
+    /// Loads `constraints` over `dim` variables and checks them: `None`
+    /// when they are infeasible.
+    fn new(dim: usize, constraints: &[Constraint]) -> Option<Loaded> {
+        if constraints.iter().any(violated_constant) {
+            return None;
+        }
+        let mut tableau = BoundedTableau::new();
+        for _ in 0..dim {
+            tableau.add_column();
+        }
+        let rows: Vec<usize> = constraints
+            .iter()
+            .map(|c| {
+                let row = tableau.add_row(nonzero_terms(&c.coeffs));
+                tableau.assert_bound(row, Bound::Lower(c.rhs.clone()));
+                if c.kind == ConstraintKind::Equality {
+                    tableau.assert_bound(row, Bound::Upper(c.rhs.clone()));
+                }
+                row
+            })
+            .collect();
+        let check = tableau.check(&Interrupt::never());
+        if check.expect("an unarmed interrupt never fires").is_some() {
+            return None;
+        }
+        let directions = constraints
+            .iter()
+            .zip(&rows)
+            .map(|(c, &row)| (c.coeffs.clone(), row))
+            .collect();
+        Some(Loaded {
+            tableau,
+            rows,
+            directions,
+        })
+    }
+
+    /// Whether the loaded constraints entail the inequality `c`.
+    fn entails(&mut self, c: &Constraint) -> bool {
+        let at_point = nonzero_terms(&c.coeffs)
+            .map(|(i, a)| &a * self.tableau.value(i))
+            .fold(Rational::zero(), |sum, term| &sum + &term);
+        if at_point < c.rhs {
+            return false;
+        }
+        let row = self.direction(&c.coeffs);
+        self.minimum(row).is_some_and(|min| min >= c.rhs)
+    }
+
+    /// Whether constraint `i`, an inequality `a·x ≥ rhs`, follows from the
+    /// other constraints whose bounds are asserted. A redundant
+    /// constraint's bound stays retracted; any other's is re-asserted.
+    fn redundant(&mut self, i: usize, rhs: &Rational) -> bool {
+        let row = self.rows[i];
+        self.tableau.retract(row);
+        if self.minimum(row).is_some_and(|min| min >= *rhs) {
+            return true;
+        }
+        self.tableau.assert_bound(row, Bound::Lower(rhs.clone()));
+        let check = self.tableau.check(&Interrupt::never());
+        debug_assert_eq!(check, Ok(None), "a subset of feasible constraints");
+        false
+    }
+
+    /// The row variable of direction `coeffs`, added on first use.
+    fn direction(&mut self, coeffs: &QVector) -> usize {
+        if let Some((_, row)) = self.directions.iter().find(|(d, _)| d == coeffs) {
+            return *row;
+        }
+        let row = self.tableau.add_row(nonzero_terms(coeffs));
+        self.directions.push((coeffs.clone(), row));
+        row
+    }
+
+    /// The minimum of `var`, `None` when unbounded below.
+    fn minimum(&mut self, var: usize) -> Option<Rational> {
+        let minimum = self.tableau.minimize(var, &Interrupt::never());
+        minimum.expect("an unarmed interrupt never fires")
+    }
+}
+
+/// The non-zero coefficients of `coeffs`, by index: a row over the columns
+/// of a [`Loaded`] tableau.
+fn nonzero_terms(coeffs: &QVector) -> impl Iterator<Item = (usize, Rational)> + '_ {
+    coeffs
+        .iter()
+        .cloned()
+        .enumerate()
+        .filter(|(_, a)| !a.is_zero())
 }
 
 /// Whether `c` has all-zero coefficients and is violated (`0 ≥ 1`, `0 = 1`).
@@ -864,6 +998,7 @@ impl fmt::Display for Polyhedron {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use termite_lp::{Constraint as LpConstraint, LinearProgram, LpOutcome, Relation};
 
     fn q(n: i64) -> Rational {
         Rational::from(n)
@@ -1181,6 +1316,87 @@ mod tests {
         lp.solve().outcome == LpOutcome::Infeasible
     }
 
+    /// Whether the two-phase simplex finds that `p` entails `c`: `c` (each
+    /// half of an equality) minimized cold over `p`'s constraints reaches
+    /// its right-hand side, or `p` is empty. An entailment oracle
+    /// independent of the bounded tableau and of the emptiness memo.
+    fn lp_says_entailed(p: &Polyhedron, c: &Constraint) -> bool {
+        c.as_inequalities().iter().all(|ineq| {
+            let mut lp = LinearProgram::new();
+            let vars: Vec<_> = (0..p.dim())
+                .map(|i| lp.add_free_var(format!("x{i}")))
+                .collect();
+            let terms = |coeffs: &QVector| -> Vec<_> {
+                let nonzero = coeffs.iter().enumerate().filter(|(_, a)| !a.is_zero());
+                nonzero.map(|(i, a)| (vars[i], a.clone())).collect()
+            };
+            for cc in p.constraints().iter().flat_map(|cc| cc.as_inequalities()) {
+                lp.add_constraint(LpConstraint::new(terms(&cc.coeffs), Relation::Ge, cc.rhs));
+            }
+            lp.minimize(terms(&ineq.coeffs));
+            match lp.solve().outcome {
+                LpOutcome::Infeasible => true,
+                LpOutcome::Unbounded { .. } => false,
+                LpOutcome::Optimal { objective, .. } => objective >= ineq.rhs,
+            }
+        })
+    }
+
+    /// [`Polyhedron::minimize`] as the per-candidate loop it replaces: each
+    /// inequality in turn is dropped when a cold LP finds it entailed by
+    /// the constraints still kept without it.
+    fn reference_minimize(p: &Polyhedron) -> Vec<Constraint> {
+        if lp_says_empty(p) {
+            return Polyhedron::empty(p.dim()).constraints().to_vec();
+        }
+        let mut keep: Vec<Constraint> = Vec::new();
+        for c in p.constraints() {
+            let cc = c.canonicalize();
+            if !cc.coeffs.is_zero() && !keep.contains(&cc) {
+                keep.push(cc);
+            }
+        }
+        let mut i = 0;
+        while i < keep.len() {
+            if keep[i].kind == ConstraintKind::GreaterEq && keep.len() > 1 {
+                let mut rest = keep.clone();
+                let candidate = rest.remove(i);
+                if lp_says_entailed(&Polyhedron::from_constraints(p.dim(), rest), &candidate) {
+                    keep.remove(i);
+                    continue;
+                }
+            }
+            i += 1;
+        }
+        keep
+    }
+
+    /// Queries over a pool of three directions of Q², one of them all-zero,
+    /// so that directions repeat with other right-hand sides and kinds; one
+    /// query in four is an equality.
+    fn query_sequence() -> impl Strategy<Value = Vec<Constraint>> {
+        (
+            prop::collection::vec(prop::collection::vec(-2i64..3, 2), 2),
+            prop::collection::vec((0usize..3, -3i64..4, 0u8..4), 1..10),
+        )
+            .prop_map(|(pool, picks)| {
+                let mut directions: Vec<QVector> =
+                    pool.iter().map(|d| QVector::from_i64(d)).collect();
+                directions.push(QVector::zeros(2));
+                picks
+                    .into_iter()
+                    .map(|(d, rhs, kind)| {
+                        let coeffs = directions[d].clone();
+                        if kind == 0 {
+                            Constraint::eq(coeffs, q(rhs))
+                        } else {
+                            Constraint::ge(coeffs, q(rhs))
+                        }
+                    })
+                    .collect()
+            })
+    }
+
     /// `p`'s (possibly memoized) emptiness equals a fresh two-phase LP check
     /// of its constraints, and the filled memo changes neither `==` nor
     /// `{:?}`.
@@ -1208,8 +1424,8 @@ mod tests {
     proptest! {
         /// Every operation that sets or carries the emptiness memo agrees
         /// with a fresh two-phase LP check, on operands whose memos were
-        /// filled first or left empty, and after a further constraint is
-        /// added to the result.
+        /// filled first or left empty (and by the operations themselves),
+        /// and after a further constraint is added to the result.
         #[test]
         fn prop_emptiness_memo_matches_a_fresh_check(
             a in small_polyhedron(),
@@ -1254,6 +1470,41 @@ mod tests {
                 constrained.add_constraint(extra.clone().extend_dim(constrained.dim()));
                 assert_emptiness_memo_sound(&constrained);
             }
+            // Entailment sessions and `minimize` fill their operands' memos.
+            assert_emptiness_memo_sound(&a);
+            assert_emptiness_memo_sound(&b);
+        }
+
+        /// One warm session answers a whole sequence of queries exactly as
+        /// a cold two-phase LP answers each on its own, whether or not the
+        /// emptiness memo was filled first; a memo that the session filled
+        /// is right too.
+        #[test]
+        fn prop_entailment_sessions_match_the_cold_lp(
+            p in small_polyhedron(),
+            queries in query_sequence(),
+            fill in any::<bool>(),
+        ) {
+            if fill {
+                p.is_empty();
+            }
+            let mut session = p.entailment();
+            for c in &queries {
+                prop_assert_eq!(session.entails(c), lp_says_entailed(&p, c), "{} entails {}", p, c);
+            }
+            if let Some(empty) = p.known_empty() {
+                prop_assert_eq!(empty, lp_says_empty(&p), "memo of {}", p);
+            }
+        }
+
+        /// Redundancy removal on one tableau keeps exactly the constraints
+        /// of the per-candidate loop over cold entailment LPs.
+        #[test]
+        fn prop_minimize_keeps_what_the_per_candidate_loop_keeps(
+            constraints in prop::collection::vec(small_constraint(), 0..8),
+        ) {
+            let p = Polyhedron::from_constraints(2, constraints);
+            prop_assert_eq!(p.minimize().constraints(), &reference_minimize(&p)[..], "{}", p);
         }
 
         /// Projection is sound: any point of P, with the eliminated coordinate
