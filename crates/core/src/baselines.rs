@@ -203,8 +203,9 @@ pub fn expand_paths(
                 return Err(UnknownReason::Cancelled);
             }
             // Drop infeasible paths (Rank performs the analogous emptiness
-            // test on the path polyhedra).
-            match theory.check(&atoms) {
+            // test on the path polyhedra). The model is not read, so an
+            // integral warm point decides the disjunct.
+            match theory.decide(&atoms) {
                 TheoryOutcome::Inconsistent { .. } => continue,
                 TheoryOutcome::Interrupted => return Err(UnknownReason::Cancelled),
                 TheoryOutcome::Consistent { .. } => {}

@@ -1413,12 +1413,17 @@ mod tests {
         let entry = CacheEntry::new(&text, 0);
         assert_eq!(entry.text(), &*text);
         assert_eq!(entry.text_len(), text.len());
-        assert!(
-            2 * entry.packed.len() < text.len(),
-            "packed {} of {} bytes",
-            entry.packed.len(),
-            text.len()
-        );
+        // Each packed `"<name>":` saves `name.len() + 2` bytes, and every
+        // packable stats row is written (so packed) at least once. The
+        // escaped name in the program field is not a key and saves nothing.
+        let saved: usize = (STAT_FIELDS.iter().take(31))
+            .map(|field| {
+                let written = text.matches(&format!("\"{}\":", field.name)).count();
+                assert!(written >= 1, "stats row {} not written", field.name);
+                written * (field.name.len() + 2)
+            })
+            .sum();
+        assert_eq!(entry.packed.len(), text.len() - saved);
     }
 
     #[test]

@@ -664,7 +664,7 @@ fn dense_solve(lp: &LinearProgram) -> LpSolution {
 fn prop_cold_solves_match_the_dense_tableau() {
     let mut rng = proptest::test_runner::TestRng::deterministic();
     let mut kinds = [0usize; 3];
-    for _ in 0..proptest::test_runner::CASES {
+    for _ in 0..proptest::test_runner::cases() {
         let lp = build_lp(&random_lp().generate(&mut rng));
         let sparse = lp.solve();
         assert_eq!(sparse, dense_solve(&lp), "on\n{lp}");
@@ -763,11 +763,11 @@ fn run_session(steps: &[SessionStep]) -> usize {
 #[test]
 fn prop_incremental_sessions_match_the_dense_tableau() {
     let mut rng = proptest::test_runner::TestRng::deterministic();
-    let warm: usize = (0..proptest::test_runner::CASES)
+    let warm: usize = (0..proptest::test_runner::cases())
         .map(|_| run_session(&random_session().generate(&mut rng)))
         .sum();
     assert!(
-        warm >= 2 * proptest::test_runner::CASES,
+        warm >= 2 * proptest::test_runner::cases(),
         "only {warm} warm solves"
     );
 }

@@ -1175,10 +1175,10 @@ mod tests {
     #[test]
     fn prop_farkas_certificate_is_exact() {
         let mut rng = proptest::test_runner::TestRng::deterministic();
-        let infeasible = (0..proptest::test_runner::CASES)
+        let infeasible = (0..proptest::test_runner::cases())
             .filter(|_| certificate_is_exact(&random_lp().generate(&mut rng)))
             .count();
-        let cases = proptest::test_runner::CASES;
+        let cases = proptest::test_runner::cases();
         assert!(
             infeasible >= cases / 4,
             "only {infeasible} of {cases} cases are infeasible"

@@ -20,18 +20,20 @@
 //!    CNF for the CDCL core ([`termite_sat::Solver`]);
 //! 2. every propositional model is checked for theory consistency on a warm
 //!    [`termite_lp::BoundedTableau`] (the simplex that also decides
-//!    polyhedron emptiness) that persists across the checks of one query:
-//!    each atom is a slack row, and the model's literals are bounds on those
-//!    rows. An infeasible check yields a conflict, shrunk by deletion to the
-//!    core plain deletion finds (see the `theory` module), which goes back to
-//!    the SAT core as a blocking clause. A consistent check takes its model
-//!    from an exact from-scratch simplex followed by branch-and-bound for
-//!    integrality;
+//!    polyhedron emptiness) that persists across all the queries of one
+//!    [`SmtContext`]: each atom is interned once as a slack row, and the
+//!    model's literals are bounds on those rows. An infeasible check yields
+//!    a conflict, shrunk by deletion to the core plain deletion finds (see
+//!    the `theory` module), which goes back to the SAT core as a blocking
+//!    clause. A consistent `solve` check answers with the tableau's point
+//!    when it is integral, and otherwise takes its model from an exact
+//!    from-scratch simplex followed by branch-and-bound for integrality;
 //! 3. on a theory-consistent model the objective can be **minimised** over the
 //!    model's polyhedron (optimization modulo theory, per the paper's
-//!    "extremal counterexample" requirement); an unbounded objective is
-//!    reported together with a recession **ray**, which Algorithm 1 adds to
-//!    the constraint system.
+//!    "extremal counterexample" requirement) by the same exact simplex, so
+//!    the minimiser does not depend on what the context answered before; an
+//!    unbounded objective is reported together with a recession **ray**,
+//!    which Algorithm 1 adds to the constraint system.
 //!
 //! All numeric variables are integer-valued (the paper's setting); strict
 //! inequalities and disequalities are normalised away using integrality.
@@ -66,6 +68,8 @@
 
 mod expr;
 mod formula;
+#[cfg(test)]
+mod identity_tests;
 mod solver;
 mod theory;
 

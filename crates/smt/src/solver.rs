@@ -1,6 +1,14 @@
 //! The lazy DPLL(T) driver with optimization modulo theory.
+//!
+//! An [`SmtContext`] owns one [`TheorySolver`] for its lifetime. Each query
+//! Tseitin-encodes its formula afresh, interns the encoding's atoms on the
+//! theory solver once, and then hands it one literal set per SAT model: a
+//! conflict becomes a blocking clause, a consistent set ends the search.
+//! `solve` accepts the theory solver's warm integral point as the model;
+//! `minimize` returns the cold minimiser (see the `theory` module for which
+//! models run cold, and why).
 
-use crate::theory::MinimizeOutcome;
+use crate::theory::{MinimizeOutcome, ModelSource, TheoryLit};
 use crate::{Atom, Formula, LinExpr, TermVar, TheoryOutcome, TheorySolver};
 use std::collections::HashMap;
 use std::fmt;
@@ -133,12 +141,15 @@ pub struct SolverStats {
     pub theory_checks: usize,
     /// Number of blocking clauses added.
     pub blocking_clauses: usize,
-    /// Number of models whose integrality could not be established within the
-    /// branch-and-bound budget.
+    /// Number of answered models whose integrality could not be established
+    /// within the branch-and-bound budget: a `solve` model, a minimiser, or
+    /// the model reported with an unbounded objective's ray.
     pub non_integral_models: usize,
     /// Number of cold LPs the theory solver solved (see
-    /// [`TheorySolver::lp_solves`]): only checks that found a model,
-    /// branch-and-bound nodes and minimisations build an LP.
+    /// [`TheorySolver::lp_solves`]): minimisations, branch-and-bound nodes,
+    /// and the check models a query reads. A `solve` query reads none when
+    /// the warm tableau's point is integral, and a `minimize` query none
+    /// when its minimiser is.
     pub theory_lp_solves: usize,
     /// Number of warm checks on the theory solver's tableau (see
     /// [`TheorySolver::warm_checks`]): every consistency check, plus the
@@ -149,12 +160,19 @@ pub struct SolverStats {
 /// An SMT solving context: declares integer variables and answers
 /// (optimizing) satisfiability queries.
 ///
+/// One [`TheorySolver`] serves every query of a context: its tableau keeps
+/// the row of each atom the context has seen, and each query only moves
+/// bounds on it (see the `theory` module). Answers do not depend on that
+/// history: conflict cores are plain deletion's, and `minimize` models are
+/// what a fresh context returns. `solve` models are integral and satisfy
+/// the formula, but may be the warm tableau's point.
+///
 /// See the crate-level documentation for an example.
 #[derive(Debug, Default)]
 pub struct SmtContext {
     var_names: Vec<String>,
     stats: SolverStats,
-    interrupt: Interrupt,
+    theory: TheorySolver,
 }
 
 impl SmtContext {
@@ -167,7 +185,7 @@ impl SmtContext {
     /// theory checks and the theory solver's simplex polls it every few
     /// pivots, so cancellation lands mid-pivot inside the SMT search.
     pub fn set_interrupt(&mut self, interrupt: Interrupt) {
-        self.interrupt = interrupt;
+        self.theory.set_interrupt(interrupt);
     }
 
     /// Declares a fresh integer variable.
@@ -211,101 +229,88 @@ impl SmtContext {
         }
     }
 
+    /// Runs one query, adding the theory solver's work on it to the stats.
     fn run(&mut self, formula: &Formula, objective: Option<&LinExpr>) -> RunResult {
-        let mut theory = TheorySolver::with_interrupt(self.interrupt.clone());
-        let result = self.search(&mut theory, formula, objective);
-        self.stats.theory_lp_solves += theory.lp_solves();
-        self.stats.theory_warm_checks += theory.warm_checks();
+        let lp_solves = self.theory.lp_solves();
+        let warm_checks = self.theory.warm_checks();
+        let result = self.search(formula, objective);
+        self.stats.theory_lp_solves += self.theory.lp_solves() - lp_solves;
+        self.stats.theory_warm_checks += self.theory.warm_checks() - warm_checks;
         result
     }
 
-    /// The DPLL(T) loop proper: SAT models checked by `theory`.
-    fn search(
-        &mut self,
-        theory: &mut TheorySolver,
-        formula: &Formula,
-        objective: Option<&LinExpr>,
-    ) -> RunResult {
+    /// The DPLL(T) loop proper: SAT models checked by the theory solver.
+    fn search(&mut self, formula: &Formula, objective: Option<&LinExpr>) -> RunResult {
         let nnf = formula.to_nnf();
         let mut enc = Encoder::new();
         let root = enc.encode(&nnf);
         enc.sat.add_clause(&[root]);
+        // Each atom is interned once per query; a SAT model then picks one
+        // theory literal per atom.
+        let theory_lits = self
+            .theory
+            .intern_all(enc.atom_vars.iter().map(|(atom, _)| atom));
+        let mut asserted: Vec<TheoryLit> = Vec::with_capacity(theory_lits.len());
+        let mut asserted_lits: Vec<Lit> = Vec::with_capacity(theory_lits.len());
 
         loop {
-            if self.interrupt.is_raised() {
+            if self.theory.interrupt().is_raised() {
                 return RunResult::Interrupted;
             }
-            match enc.sat.solve() {
-                SatResult::Unsat => return RunResult::Unsat,
-                SatResult::Sat(bool_model) => {
-                    self.stats.theory_checks += 1;
-                    // Collect the asserted theory literals.
-                    let mut asserted: Vec<Atom> = Vec::new();
-                    let mut asserted_lits: Vec<Lit> = Vec::new();
-                    for (atom, var) in &enc.atom_vars {
-                        if bool_model[var.index()] {
-                            asserted.push(atom.clone());
-                            asserted_lits.push(Lit::pos(*var));
-                        } else {
-                            asserted.push(atom.negate());
-                            asserted_lits.push(Lit::neg(*var));
-                        }
+            let SatResult::Sat(bool_model) = enc.sat.solve() else {
+                return RunResult::Unsat;
+            };
+            self.stats.theory_checks += 1;
+            asserted.clear();
+            asserted_lits.clear();
+            for (lit, (_, var)) in theory_lits.iter().zip(&enc.atom_vars) {
+                let value = bool_model[var.index()];
+                asserted.push(if value { *lit } else { lit.negate() });
+                asserted_lits.push(Lit::with_polarity(*var, value));
+            }
+            // A consistent answer ends the search; a conflict blocks it.
+            let answer = match objective {
+                None => match self
+                    .theory
+                    .check_literals(&asserted, ModelSource::WarmIfIntegral)
+                {
+                    TheoryOutcome::Interrupted => return RunResult::Interrupted,
+                    TheoryOutcome::Inconsistent { conflict } => Err(conflict),
+                    TheoryOutcome::Consistent { model, integral } => Ok((model, integral, None)),
+                },
+                Some(obj) => match self.theory.minimize_literals(&asserted, obj) {
+                    MinimizeOutcome::Interrupted => return RunResult::Interrupted,
+                    MinimizeOutcome::Inconsistent { conflict } => Err(conflict),
+                    MinimizeOutcome::Unbounded {
+                        model,
+                        integral,
+                        ray,
+                    } => Ok((model, integral, Some(OptOutcome::Unbounded { ray }))),
+                    MinimizeOutcome::Optimal {
+                        model,
+                        value,
+                        integral,
+                    } => Ok((model, integral, Some(OptOutcome::Minimum(value)))),
+                },
+            };
+            match answer {
+                Ok((values, integral, outcome)) => {
+                    if !integral {
+                        self.stats.non_integral_models += 1;
                     }
-                    match theory.check(&asserted) {
-                        TheoryOutcome::Interrupted => return RunResult::Interrupted,
-                        TheoryOutcome::Inconsistent { conflict } => {
-                            self.stats.blocking_clauses += 1;
-                            let clause: Vec<Lit> = conflict
-                                .iter()
-                                .map(|&i| asserted_lits[i].negate())
-                                .collect();
-                            if !enc.sat.add_clause(&clause) {
-                                return RunResult::Unsat;
-                            }
-                        }
-                        TheoryOutcome::Consistent { model, integral } => {
-                            if !integral {
-                                self.stats.non_integral_models += 1;
-                            }
-                            let outcome = match objective {
-                                None => None,
-                                Some(obj) => match theory.minimize(&asserted, obj) {
-                                    MinimizeOutcome::Interrupted => return RunResult::Interrupted,
-                                    MinimizeOutcome::Inconsistent { .. } => {
-                                        unreachable!(
-                                            "consistent conjunction cannot be inconsistent"
-                                        )
-                                    }
-                                    MinimizeOutcome::Unbounded { ray } => {
-                                        Some(OptOutcome::Unbounded { ray })
-                                    }
-                                    MinimizeOutcome::Optimal {
-                                        model: m,
-                                        value,
-                                        integral: int2,
-                                    } => {
-                                        if !int2 {
-                                            self.stats.non_integral_models += 1;
-                                        }
-                                        // Prefer the minimising model.
-                                        return RunResult::Sat {
-                                            model: Model {
-                                                values: m,
-                                                integral: int2,
-                                            },
-                                            outcome: Some(OptOutcome::Minimum(value)),
-                                        };
-                                    }
-                                },
-                            };
-                            return RunResult::Sat {
-                                model: Model {
-                                    values: model,
-                                    integral,
-                                },
-                                outcome,
-                            };
-                        }
+                    return RunResult::Sat {
+                        model: Model { values, integral },
+                        outcome,
+                    };
+                }
+                Err(conflict) => {
+                    self.stats.blocking_clauses += 1;
+                    let clause: Vec<Lit> = conflict
+                        .iter()
+                        .map(|&i| asserted_lits[i].negate())
+                        .collect();
+                    if !enc.sat.add_clause(&clause) {
+                        return RunResult::Unsat;
                     }
                 }
             }
@@ -620,6 +625,40 @@ mod tests {
         assert_eq!(ctx.stats().blocking_clauses, 1);
         assert_eq!(ctx.stats().theory_warm_checks, 1 + 2);
         assert_eq!(ctx.stats().theory_lp_solves, 0);
+    }
+
+    #[test]
+    fn only_the_models_a_query_reads_run_cold() {
+        // 3 <= x <= 10 ∧ y >= x: the warm point answers `solve`, and an
+        // integral minimiser needs no check model, so each query solves
+        // at most its minimisation LP. Both queries share one tableau.
+        let mut ctx = SmtContext::new();
+        let x = var(&mut ctx, "x");
+        let y = var(&mut ctx, "y");
+        let f = Formula::and(vec![
+            Formula::ge(LinExpr::var(x), LinExpr::constant(3)),
+            Formula::le(LinExpr::var(x), LinExpr::constant(10)),
+            Formula::ge(LinExpr::var(y), LinExpr::var(x)),
+        ]);
+        match ctx.solve(&f) {
+            SmtResult::Sat(m) => assert!(m.is_integral() && f.eval(&|v| m.value_or_zero(v))),
+            other => panic!("expected sat, got {other:?}"),
+        }
+        assert_eq!(ctx.stats().theory_lp_solves, 0);
+        match ctx.minimize(&f, &(LinExpr::var(x) + LinExpr::var(y))) {
+            OptResult::Sat {
+                model,
+                outcome: OptOutcome::Minimum(value),
+            } => {
+                assert_eq!(value, q(6));
+                assert_eq!(
+                    (model.value_or_zero(x), model.value_or_zero(y)),
+                    (q(3), q(3))
+                );
+            }
+            other => panic!("expected a minimum, got {other:?}"),
+        }
+        assert_eq!(ctx.stats().theory_lp_solves, 1);
     }
 
     #[test]

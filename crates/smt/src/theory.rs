@@ -5,31 +5,54 @@
 //! optionally minimises a linear objective:
 //!
 //! 1. the rational relaxation is decided on a warm
-//!    [`BoundedTableau`](termite_lp::BoundedTableau) that persists across
-//!    the checks of one solver; an infeasible relaxation yields a conflict
-//!    set of atoms, which the DPLL(T) driver turns into a blocking clause;
-//! 2. a feasible relaxation is solved again by the exact (cold) simplex of
-//!    [`termite_lp`], which yields the model; if the witness or optimum is
-//!    fractional, branch-and-bound on the fractional variables establishes
-//!    integrality. Branching is bounded by a node budget; if the budget is
-//!    exhausted the result is flagged as non-integral (`integral = false`),
-//!    which callers treat conservatively (see the crate documentation of
-//!    `termite-core`).
+//!    [`BoundedTableau`](termite_lp::BoundedTableau) that persists for the
+//!    solver's lifetime (an [`SmtContext`](crate::SmtContext) keeps one
+//!    solver across all its queries); an infeasible relaxation yields a
+//!    conflict set of atoms, which the DPLL(T) driver turns into a blocking
+//!    clause;
+//! 2. a feasible relaxation gets its model from the exact (cold) simplex of
+//!    [`termite_lp`] only where a caller reads that model; if the witness or
+//!    optimum is fractional, branch-and-bound on the fractional variables
+//!    establishes integrality. Branching is bounded by a node budget; if the
+//!    budget is exhausted the result is flagged as non-integral
+//!    (`integral = false`), which callers treat conservatively (see the
+//!    crate documentation of `termite-core`).
 //!
-//! Only answers that carry a model (consistent checks, minimisation and
-//! branch-and-bound) run cold, and they run exactly as a from-scratch solve
-//! would, so models and the counterexamples built from them do not depend
-//! on what the warm tableau has seen before.
+//! # Which models run cold
+//!
+//! * [`TheorySolver::minimize`] solves the cold minimisation LP first. An
+//!   integral optimum is the answer: an integer point exists, so a cold
+//!   check would have been consistent, and the minimiser is what a
+//!   from-scratch solve returns. Only an unbounded objective (reported with
+//!   the check's model) or a fractional optimum (which needs an integer
+//!   point before branch-and-bound) also runs the check's cold LP.
+//! * [`TheorySolver::check`] promises the cold model: the one a
+//!   from-scratch solver returns.
+//! * [`TheorySolver::decide`] answers from the warm tableau's point when it
+//!   is integral, and takes `check`'s cold path otherwise. The answer is
+//!   `check`'s; the model is a valid integer model, not necessarily the
+//!   cold one. `SmtContext::solve` and path-feasibility tests use it.
+//!
+//! Minimisers, rays and cold models do not depend on what the warm tableau
+//! has seen before, so the counterexamples built from them do not either.
 //!
 //! # Atoms on the tableau
 //!
 //! Every term variable is a free column, and every atom `Σ aᵢ·xᵢ ≥ b` one
 //! row `s = Σ aᵢ·xᵢ`, oriented so that the leading coefficient is positive.
 //! The atom is the lower bound `s ≥ b`; its negation `−Σ aᵢ·xᵢ ≥ 1 − b`
-//! shares the row as the upper bound `s ≤ b − 1`. A literal set that bounds
-//! one row twice (a duplicate atom, or an atom with its negation) puts the
-//! extra literal on a spare row with the same expression, so every row
-//! carries one literal and the blocking rows of a check name its support.
+//! shares the row as the upper bound `s ≤ b − 1`. A query interns each
+//! oriented atom once: its id names the row and the bound of each
+//! polarity, so every literal set of the query is loaded as
+//! `(id, polarity)` pairs without building, negating or hashing an atom.
+//! The atoms themselves are rebuilt from the table only for the cold LPs
+//! of a feasible set. Rows outlive their query, so later queries over the
+//! same atoms start warm; a query whose atoms would hold less than half
+//! the rows rebuilds the tableau from them alone
+//! ([`TheorySolver::intern_all`]). A literal set that bounds one row twice
+//! (a duplicate atom, or an atom with its negation) puts the extra literal
+//! on a spare row with the same expression, so every row carries one
+//! literal and the blocking rows of a check name its support.
 //!
 //! # Conflict cores from warm certificates
 //!
@@ -46,9 +69,11 @@
 //! would have answered "infeasible" anyway. Atoms inside the support are
 //! probed. Every keep/drop decision is the one plain deletion makes, so the
 //! core — and with it the blocking clauses and the whole SAT search — is
-//! plain deletion's, whichever oracle answered the probes.
+//! plain deletion's, whichever oracle answered the probes and whatever rows
+//! the tableau has collected.
 
 use crate::{Atom, LinExpr, TermVar};
+use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use termite_lp::{
     Bound, BoundedTableau, Constraint as LpConstraint, Interrupt, Interrupted, LinearProgram,
@@ -89,6 +114,10 @@ pub enum MinimizeOutcome {
     /// The objective is unbounded below; `ray` is a recession direction of the
     /// (rational) feasible set along which the objective decreases.
     Unbounded {
+        /// The consistency check's model of the conjunction.
+        model: HashMap<TermVar, Rational>,
+        /// Whether `model` is guaranteed integral.
+        integral: bool,
         /// Recession direction witnessing unboundedness.
         ray: HashMap<TermVar, Rational>,
     },
@@ -109,59 +138,165 @@ pub enum MinimizeOutcome {
 /// Branch-and-bound node budget (per theory call).
 const BB_NODE_LIMIT: usize = 400;
 
-/// The literal set loaded on a [`BoundedTableau`] over every atom seen so
-/// far: which row carries which literal (see the module documentation).
+/// A theory literal: an atom interned on a [`TheorySolver`] and a polarity.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct TheoryLit {
+    atom: usize,
+    positive: bool,
+}
+
+impl TheoryLit {
+    /// The opposite literal of the same atom.
+    pub(crate) fn negate(self) -> TheoryLit {
+        TheoryLit {
+            positive: !self.positive,
+            ..self
+        }
+    }
+}
+
+/// One interned atom (see the module documentation).
+#[derive(Clone, Debug)]
+struct InternedAtom {
+    /// The atom with a positive leading coefficient, `e ≥ b`.
+    key: Atom,
+    /// The rows `s = e`: one, plus the spares literal sets have needed.
+    rows: Vec<usize>,
+    /// `s ≥ b`, the bound of the positive literal.
+    holds: Bound,
+    /// `s ≤ b − 1`, the bound of the negative literal.
+    fails: Bound,
+}
+
+/// The atoms interned so far, their rows on a [`BoundedTableau`], and the
+/// literal set loaded on it.
 #[derive(Clone, Debug, Default)]
 struct AtomTableau {
     tableau: BoundedTableau,
     /// The column of each term variable.
     columns: HashMap<TermVar, usize>,
-    /// The rows of each positively oriented atom: more than one only when a
-    /// literal set needed spare rows.
-    rows: HashMap<Atom, Vec<usize>>,
-    /// The row and bound of each loaded literal, indexed like the atoms
-    /// given to `load`.
-    literals: Vec<(usize, Bound)>,
+    /// The interned atoms, by id.
+    atoms: Vec<InternedAtom>,
+    /// The id of each positively oriented atom.
+    ids: HashMap<Atom, usize>,
+    /// Each loaded literal and the row that carries it, in load order.
+    loaded: Vec<(TheoryLit, usize)>,
     /// The loaded literal whose bound each variable carries, if any.
     owner: Vec<Option<usize>>,
 }
 
 impl AtomTableau {
-    /// Replaces the loaded literal set by `atoms`: clears every bound and
-    /// asserts one bound per atom, adding the rows and columns not seen yet.
-    fn load(&mut self, atoms: &[Atom]) {
-        self.tableau.retract_all();
-        self.owner.iter_mut().for_each(|o| *o = None);
-        self.literals.clear();
-        for (index, atom) in atoms.iter().enumerate() {
-            // Orient the row: `e ≥ b` with a positive leading coefficient is
-            // `s ≥ b`; otherwise the atom is `−e ≥ b`, i.e. `s ≤ −b` on the
-            // row of `e` (keyed by the atom's negation, `e ≥ 1 − b`).
-            let leading_negative = atom.coeffs.values().next().is_some_and(|c| c.is_negative());
-            let rhs = Rational::from_int(atom.rhs.clone());
-            let (bound, key) = if leading_negative {
-                (Bound::Upper(-rhs), atom.negate())
-            } else {
-                (Bound::Lower(rhs), atom.clone())
+    /// The literal `atom`, interning its oriented form (and adding its row)
+    /// on first sight.
+    fn intern(&mut self, atom: &Atom) -> TheoryLit {
+        // `e ≥ b` with a negative leading coefficient is the negation of
+        // `−e ≥ 1 − b`, whose leading coefficient is positive.
+        let positive = !atom.coeffs.values().next().is_some_and(|c| c.is_negative());
+        let key = if positive {
+            Cow::Borrowed(atom)
+        } else {
+            Cow::Owned(atom.negate())
+        };
+        let id = match self.ids.get(key.as_ref()) {
+            Some(&id) => id,
+            None => self.add_atom(key.into_owned()),
+        };
+        TheoryLit { atom: id, positive }
+    }
+
+    /// Interns a positively oriented atom: its row, and both bounds.
+    fn add_atom(&mut self, key: Atom) -> usize {
+        let id = self.atoms.len();
+        let row = self.add_row(&key);
+        let b = Rational::from_int(key.rhs.clone());
+        let fails = Bound::Upper(&b - &Rational::one());
+        self.ids.insert(key.clone(), id);
+        self.atoms.push(InternedAtom {
+            key,
+            rows: vec![row],
+            holds: Bound::Lower(b),
+            fails,
+        });
+        id
+    }
+
+    /// Adds a row for `key`'s expression, and the columns of its variables
+    /// not seen yet.
+    fn add_row(&mut self, key: &Atom) -> usize {
+        let terms: Vec<(usize, Rational)> = (key.coeffs.iter())
+            .map(|(v, a)| {
+                let column = self.columns.entry(*v);
+                let column = *column.or_insert_with(|| self.tableau.add_column());
+                (column, Rational::from_int(a.clone()))
+            })
+            .collect();
+        let row = self.tableau.add_row(terms);
+        self.owner.resize(row + 1, None);
+        row
+    }
+
+    /// Replaces the loaded literal set by `literals`: retracts the bounds of
+    /// the previous set and asserts one bound per literal.
+    fn load(&mut self, literals: &[TheoryLit]) {
+        for &(_, row) in &self.loaded {
+            self.tableau.retract(row);
+            self.owner[row] = None;
+        }
+        self.loaded.clear();
+        for (index, &lit) in literals.iter().enumerate() {
+            let rows = &self.atoms[lit.atom].rows;
+            let row = match rows.iter().copied().find(|&r| self.owner[r].is_none()) {
+                Some(row) => row,
+                None => {
+                    let key = self.atoms[lit.atom].key.clone();
+                    let row = self.add_row(&key);
+                    self.atoms[lit.atom].rows.push(row);
+                    row
+                }
             };
-            let spare = (self.rows.get(&key))
-                .and_then(|rows| rows.iter().copied().find(|&r| self.owner[r].is_none()));
-            let row = spare.unwrap_or_else(|| self.add_row(key));
             self.owner[row] = Some(index);
-            self.literals.push((row, bound));
+            self.loaded.push((lit, row));
             self.reassert(index);
         }
     }
 
     /// Removes the bound of loaded literal `index`.
     fn retract(&mut self, index: usize) {
-        self.tableau.retract(self.literals[index].0);
+        self.tableau.retract(self.loaded[index].1);
     }
 
     /// Puts the bound of loaded literal `index` (back) on its row.
     fn reassert(&mut self, index: usize) {
-        let (row, bound) = self.literals[index].clone();
-        self.tableau.assert_bound(row, bound);
+        let (lit, row) = self.loaded[index];
+        let atom = &self.atoms[lit.atom];
+        let bound = if lit.positive {
+            &atom.holds
+        } else {
+            &atom.fails
+        };
+        self.tableau.assert_bound(row, bound.clone());
+    }
+
+    /// The loaded literals as atoms, in load order.
+    fn loaded_atoms(&self) -> Vec<Atom> {
+        (self.loaded.iter())
+            .map(|&(lit, _)| {
+                let key = &self.atoms[lit.atom].key;
+                if lit.positive {
+                    key.clone()
+                } else {
+                    key.negate()
+                }
+            })
+            .collect()
+    }
+
+    /// The variables of the loaded literals, ascending.
+    fn loaded_vars(&self) -> Vec<TermVar> {
+        let vars: BTreeSet<TermVar> = (self.loaded.iter())
+            .flat_map(|&(lit, _)| self.atoms[lit.atom].key.vars())
+            .collect();
+        vars.into_iter().collect()
     }
 
     /// Checks the asserted literals: `Ok(Some(support))` lists (ascending)
@@ -178,24 +313,29 @@ impl AtomTableau {
         Ok(support)
     }
 
-    /// Adds the row of a positively oriented atom, and the columns of its
-    /// variables not seen yet.
-    fn add_row(&mut self, key: Atom) -> usize {
-        let terms: Vec<(usize, Rational)> = (key.coeffs.iter())
-            .map(|(v, a)| {
-                let column = self.columns.entry(*v);
-                let column = *column.or_insert_with(|| self.tableau.add_column());
-                (column, Rational::from_int(a.clone()))
+    /// The tableau's current values of `vars`, if every one is integral.
+    /// After a feasible check they satisfy every loaded literal.
+    fn integral_point(&self, vars: &[TermVar]) -> Option<HashMap<TermVar, Rational>> {
+        (vars.iter())
+            .map(|v| {
+                let value = self.tableau.value(self.columns[v]);
+                value.is_integer().then(|| (*v, value.clone()))
             })
-            .collect();
-        let row = self.tableau.add_row(terms);
-        self.owner.resize(row + 1, None);
-        self.rows.entry(key).or_default().push(row);
-        row
+            .collect()
     }
 }
 
-/// The LIA theory solver: a warm tableau over every atom it has checked,
+/// Which model a consistent check returns.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum ModelSource {
+    /// The cold LP's model (after branch-and-bound), as a from-scratch
+    /// solver returns it.
+    Cold,
+    /// The warm tableau's point when it is integral, else the cold model.
+    WarmIfIntegral,
+}
+
+/// The LIA theory solver: a warm tableau over every atom it has interned,
 /// the interrupt source, and its work counters.
 #[derive(Debug, Default, Clone)]
 pub struct TheorySolver {
@@ -223,18 +363,48 @@ impl TheorySolver {
         }
     }
 
-    /// Number of cold LPs this solver has solved: the consistency checks
-    /// that found a model, branch-and-bound nodes and minimisations
-    /// (interrupted solves included).
+    /// Replaces the interruption source of later solves.
+    pub(crate) fn set_interrupt(&mut self, interrupt: Interrupt) {
+        self.interrupt = interrupt;
+    }
+
+    /// The interruption source the solves poll.
+    pub(crate) fn interrupt(&self) -> &Interrupt {
+        &self.interrupt
+    }
+
+    /// Number of cold LPs this solver has solved: minimisations, the
+    /// models a caller reads (see the module documentation) and
+    /// branch-and-bound nodes (interrupted solves included).
     pub fn lp_solves(&self) -> usize {
         self.lp_solves
     }
 
     /// Number of warm checks this solver has run on its tableau: one per
-    /// consistency check or infeasible minimisation, plus one per conflict
+    /// non-empty consistency check or minimisation, plus one per conflict
     /// deletion probe (interrupted checks included).
     pub fn warm_checks(&self) -> usize {
         self.warm_checks
+    }
+
+    /// Interns the atoms a query is about to load, in order. A tableau more
+    /// than half of whose rows would then belong to other atoms is rebuilt
+    /// from these alone: stale rows cost every check and pivot, and a
+    /// rebuild is paid for by the rows added since the last one. Answers do
+    /// not depend on the rows a tableau holds (see the module
+    /// documentation).
+    pub(crate) fn intern_all<'a, I>(&mut self, atoms: I) -> Vec<TheoryLit>
+    where
+        I: IntoIterator<Item = &'a Atom>,
+        I::IntoIter: Clone,
+    {
+        let atoms = atoms.into_iter();
+        let literals: Vec<TheoryLit> = atoms.clone().map(|a| self.tableau.intern(a)).collect();
+        if self.tableau.owner.len() <= 2 * literals.len() {
+            return literals;
+        }
+        self.tableau = AtomTableau::default();
+        atoms.map(|a| self.tableau.intern(a)).collect()
     }
 
     /// Runs one LP through the interruptible simplex.
@@ -325,56 +495,102 @@ impl TheorySolver {
         None
     }
 
-    /// Checks consistency of a conjunction of atoms over the integers.
+    /// Checks consistency of a conjunction of atoms over the integers; a
+    /// consistent answer carries the cold model.
     pub fn check(&mut self, atoms: &[Atom]) -> TheoryOutcome {
-        let refs: Vec<&Atom> = atoms.iter().collect();
-        let vars = Self::collect_vars(&refs);
+        let literals = self.intern_all(atoms);
+        self.check_literals(&literals, ModelSource::Cold)
+    }
+
+    /// Decides consistency of a conjunction of atoms over the integers, as
+    /// [`check`](Self::check) does; a consistent answer may carry the warm
+    /// tableau's (integral) point instead of the cold model.
+    pub fn decide(&mut self, atoms: &[Atom]) -> TheoryOutcome {
+        let literals = self.intern_all(atoms);
+        self.check_literals(&literals, ModelSource::WarmIfIntegral)
+    }
+
+    /// Minimises `objective` over the conjunction of atoms (integer
+    /// variables).
+    pub fn minimize(&mut self, atoms: &[Atom], objective: &LinExpr) -> MinimizeOutcome {
+        let literals = self.intern_all(atoms);
+        self.minimize_literals(&literals, objective)
+    }
+
+    /// Loads `literals` and decides their relaxation warm: `Ok(Some(core))`
+    /// (indices into `literals`) when it is infeasible.
+    fn decide_relaxation(
+        &mut self,
+        literals: &[TheoryLit],
+    ) -> Result<Option<Vec<usize>>, Interrupted> {
+        self.tableau.load(literals);
+        // Atoms are never variable-free, so an empty set is the only one
+        // that needs no check.
+        if literals.is_empty() {
+            return Ok(None);
+        }
+        Ok(self
+            .warm_check()?
+            .map(|support| self.minimize_conflict(support)))
+    }
+
+    /// [`check`](Self::check) on interned literals, with the model from
+    /// `source`.
+    pub(crate) fn check_literals(
+        &mut self,
+        literals: &[TheoryLit],
+        source: ModelSource,
+    ) -> TheoryOutcome {
+        match self.decide_relaxation(literals) {
+            Err(Interrupted) => return TheoryOutcome::Interrupted,
+            Ok(Some(conflict)) => return TheoryOutcome::Inconsistent { conflict },
+            Ok(None) => {}
+        }
+        let vars = self.tableau.loaded_vars();
+        if source == ModelSource::WarmIfIntegral {
+            if let Some(model) = self.tableau.integral_point(&vars) {
+                return TheoryOutcome::Consistent {
+                    model,
+                    integral: true,
+                };
+            }
+        }
+        let atoms = self.tableau.loaded_atoms();
+        self.cold_model(&atoms.iter().collect::<Vec<_>>(), &vars)
+    }
+
+    /// The cold model of a conjunction whose relaxation is feasible: the
+    /// LP's vertex, then branch-and-bound if it is fractional.
+    fn cold_model(&mut self, atoms: &[&Atom], vars: &[TermVar]) -> TheoryOutcome {
         if vars.is_empty() {
-            // Only trivially true/false atoms would have no variables; atoms
-            // are normalised, so an empty conjunction is consistent.
             return TheoryOutcome::Consistent {
                 model: HashMap::new(),
                 integral: true,
             };
         }
-        self.tableau.load(atoms);
-        match self.warm_check() {
-            Err(Interrupted) => return TheoryOutcome::Interrupted,
-            Ok(Some(support)) => {
-                return TheoryOutcome::Inconsistent {
-                    conflict: self.minimize_conflict(atoms, &vars, support),
-                }
-            }
-            Ok(None) => {}
-        }
-        let (lp, ids) = Self::build_lp(&refs, &[], None, &vars);
+        let (lp, ids) = Self::build_lp(atoms, &[], None, vars);
         let Some(solution) = self.solve_lp(&lp) else {
             return TheoryOutcome::Interrupted;
         };
         let LpOutcome::Optimal { assignment, .. } = solution.outcome else {
             unreachable!("the warm check found the relaxation feasible");
         };
-        let model = Self::model_from_assignment(&vars, &ids, &assignment);
+        let model = Self::model_from_assignment(vars, &ids, &assignment);
         match Self::first_fractional(&model) {
             None => TheoryOutcome::Consistent {
                 model,
                 integral: true,
             },
-            Some(_) => self.branch_and_bound_feasible(&refs, &vars, model),
+            Some(_) => self.branch_and_bound_feasible(atoms, vars, model),
         }
     }
 
     /// Greedy conflict minimisation by deletion on the warm tableau, which
-    /// holds `atoms` and found them infeasible with certificate `support`.
-    /// Probes the certificate does not answer retract one bound and re-check
-    /// (see the module documentation).
-    fn minimize_conflict(
-        &mut self,
-        atoms: &[Atom],
-        vars: &[TermVar],
-        mut support: Vec<usize>,
-    ) -> Vec<usize> {
-        let mut active: Vec<usize> = (0..atoms.len()).collect();
+    /// holds the loaded literals and found them infeasible with certificate
+    /// `support`. Probes the certificate does not answer retract one bound
+    /// and re-check (see the module documentation).
+    fn minimize_conflict(&mut self, mut support: Vec<usize>) -> Vec<usize> {
+        let mut active: Vec<usize> = (0..self.tableau.loaded.len()).collect();
         // `support` holds the atoms of the most recent certificate; it stays
         // a subset of `active`, and the tableau bounds exactly `active`.
         let mut i = 0;
@@ -407,17 +623,20 @@ impl TheorySolver {
         // A wrong certificate would turn a satisfiable assignment into a
         // blocking clause: re-check the core (outside the solve count).
         debug_assert!(
-            self.relaxation_infeasible(atoms, &active, vars),
+            {
+                let atoms = self.tableau.loaded_atoms();
+                self.relaxation_infeasible(active.iter().map(|&j| &atoms[j]))
+            },
             "conflict core {active:?} has a rational solution"
         );
         active
     }
 
-    /// Whether the relaxation of `atoms[core]` is infeasible (an interrupted
+    /// Whether the relaxation of `atoms` is infeasible (an interrupted
     /// re-check proves nothing either way and counts as infeasible).
-    fn relaxation_infeasible(&self, atoms: &[Atom], core: &[usize], vars: &[TermVar]) -> bool {
-        let subset: Vec<&Atom> = core.iter().map(|&j| &atoms[j]).collect();
-        let (lp, _) = Self::build_lp(&subset, &[], None, vars);
+    fn relaxation_infeasible<'a>(&self, atoms: impl IntoIterator<Item = &'a Atom>) -> bool {
+        let atoms: Vec<&Atom> = atoms.into_iter().collect();
+        let (lp, _) = Self::build_lp(&atoms, &[], None, &Self::collect_vars(&atoms));
         lp.solve_interruptible(&self.interrupt)
             .is_none_or(|solution| solution.outcome == LpOutcome::Infeasible)
     }
@@ -478,19 +697,29 @@ impl TheorySolver {
         }
     }
 
-    /// Minimises `objective` over the conjunction of atoms (integer
-    /// variables).
-    pub fn minimize(&mut self, atoms: &[Atom], objective: &LinExpr) -> MinimizeOutcome {
-        let refs: Vec<&Atom> = atoms.iter().collect();
-        let mut vars = Self::collect_vars(&refs);
-        // Make sure objective variables are represented even if they do not
-        // occur in the atoms (they are then unconstrained).
-        for v in objective.vars() {
-            if !vars.contains(&v) {
-                vars.push(v);
-            }
+    /// [`minimize`](Self::minimize) on interned literals: the warm check,
+    /// then the cold minimisation, then the check's cold model only where
+    /// the answer needs it (see the module documentation).
+    pub(crate) fn minimize_literals(
+        &mut self,
+        literals: &[TheoryLit],
+        objective: &LinExpr,
+    ) -> MinimizeOutcome {
+        match self.decide_relaxation(literals) {
+            Err(Interrupted) => return MinimizeOutcome::Interrupted,
+            Ok(Some(conflict)) => return MinimizeOutcome::Inconsistent { conflict },
+            Ok(None) => {}
         }
-        vars.sort();
+        let atoms = self.tableau.loaded_atoms();
+        let refs: Vec<&Atom> = atoms.iter().collect();
+        let check_vars = self.tableau.loaded_vars();
+        // Objective variables that do not occur in the atoms are represented
+        // too (they are then unconstrained).
+        let vars: Vec<TermVar> = (check_vars.iter().copied())
+            .chain(objective.vars())
+            .collect::<BTreeSet<_>>()
+            .into_iter()
+            .collect();
         if vars.is_empty() {
             return MinimizeOutcome::Optimal {
                 model: HashMap::new(),
@@ -502,49 +731,59 @@ impl TheorySolver {
         let Some(solution) = self.solve_lp(&lp) else {
             return MinimizeOutcome::Interrupted;
         };
-        match solution.outcome {
-            LpOutcome::Infeasible => {
-                // The conflict comes from the warm tableau, as in `check`.
-                self.tableau.load(atoms);
-                match self.warm_check() {
-                    Err(Interrupted) => MinimizeOutcome::Interrupted,
-                    Ok(Some(support)) => MinimizeOutcome::Inconsistent {
-                        conflict: self.minimize_conflict(atoms, &vars, support),
-                    },
-                    Ok(None) => unreachable!("the cold solve found the relaxation infeasible"),
-                }
+        // The relaxation's minimiser and minimum, or its ray.
+        let relaxation = match solution.outcome {
+            LpOutcome::Infeasible => unreachable!("the warm check found the relaxation feasible"),
+            LpOutcome::Unbounded { ray } => {
+                Err(vars.iter().map(|v| (*v, ray[ids[v].0].clone())).collect())
             }
-            LpOutcome::Unbounded { ray } => MinimizeOutcome::Unbounded {
-                ray: vars.iter().map(|v| (*v, ray[ids[v].0].clone())).collect(),
-            },
             LpOutcome::Optimal {
                 objective: value,
                 assignment,
             } => {
                 let model = Self::model_from_assignment(&vars, &ids, &assignment);
                 let value = &value + objective.constant_term();
-                match Self::first_fractional(&model) {
-                    None => MinimizeOutcome::Optimal {
+                if Self::first_fractional(&model).is_none() {
+                    return MinimizeOutcome::Optimal {
                         model,
                         value,
                         integral: true,
-                    },
-                    Some(_) => {
-                        self.branch_and_bound_minimize(&refs, &vars, objective, model, value)
-                    }
+                    };
                 }
+                Ok((model, value))
+            }
+        };
+        // A ray is reported with the check's model, and a fractional optimum
+        // needs an integer point: both take the cold check first.
+        let check = match self.cold_model(&refs, &check_vars) {
+            TheoryOutcome::Consistent { model, integral } => (model, integral),
+            TheoryOutcome::Inconsistent { conflict } => {
+                return MinimizeOutcome::Inconsistent { conflict }
+            }
+            TheoryOutcome::Interrupted => return MinimizeOutcome::Interrupted,
+        };
+        match relaxation {
+            Err(ray) => MinimizeOutcome::Unbounded {
+                model: check.0,
+                integral: check.1,
+                ray,
+            },
+            Ok((model, value)) => {
+                self.branch_and_bound_minimize(&refs, &vars, objective, (model, value), check)
             }
         }
     }
 
-    /// Branch-and-bound minimisation with an incumbent.
+    /// Branch-and-bound minimisation with an incumbent, from the
+    /// relaxation's fractional minimiser; `check` is the conjunction's
+    /// model, reported if a branch turns out unbounded.
     fn branch_and_bound_minimize(
         &mut self,
         atoms: &[&Atom],
         vars: &[TermVar],
         objective: &LinExpr,
-        relaxation_model: HashMap<TermVar, Rational>,
-        relaxation_value: Rational,
+        relaxation: (HashMap<TermVar, Rational>, Rational),
+        check: (HashMap<TermVar, Rational>, bool),
     ) -> MinimizeOutcome {
         let mut best: Option<(HashMap<TermVar, Rational>, Rational)> = None;
         let mut stack: Vec<Vec<(TermVar, Relation, Rational)>> = vec![Vec::new()];
@@ -564,6 +803,8 @@ impl TheorySolver {
                 LpOutcome::Infeasible => continue,
                 LpOutcome::Unbounded { ray } => {
                     return MinimizeOutcome::Unbounded {
+                        model: check.0,
+                        integral: check.1,
                         ray: vars.iter().map(|v| (*v, ray[ids[v].0].clone())).collect(),
                     };
                 }
@@ -602,20 +843,15 @@ impl TheorySolver {
                 value,
                 integral: true,
             },
-            None => {
-                if budget_exhausted {
-                    MinimizeOutcome::Optimal {
-                        model: relaxation_model,
-                        value: relaxation_value,
-                        integral: false,
-                    }
-                } else {
-                    // No integer point at all.
-                    MinimizeOutcome::Inconsistent {
-                        conflict: (0..atoms.len()).collect(),
-                    }
-                }
-            }
+            None if budget_exhausted => MinimizeOutcome::Optimal {
+                model: relaxation.0,
+                value: relaxation.1,
+                integral: false,
+            },
+            // No integer point at all.
+            None => MinimizeOutcome::Inconsistent {
+                conflict: (0..atoms.len()).collect(),
+            },
         }
     }
 }
@@ -647,13 +883,12 @@ mod tests {
     /// Plain deletion without certificates: the reference the
     /// certificate-guided loop must reproduce core for core.
     fn plain_deletion_core(atoms: &[Atom]) -> Vec<usize> {
-        let vars = TheorySolver::collect_vars(&atoms.iter().collect::<Vec<_>>());
         let mut active: Vec<usize> = (0..atoms.len()).collect();
         let mut i = 0;
         while i < active.len() && active.len() > 1 {
             let mut candidate = active.clone();
             candidate.remove(i);
-            if TheorySolver::new().relaxation_infeasible(atoms, &candidate, &vars) {
+            if !relaxation_feasible(atoms, &candidate) {
                 active = candidate;
             } else {
                 i += 1;
@@ -663,8 +898,7 @@ mod tests {
     }
 
     fn relaxation_feasible(atoms: &[Atom], subset: &[usize]) -> bool {
-        let vars = TheorySolver::collect_vars(&atoms.iter().collect::<Vec<_>>());
-        !TheorySolver::new().relaxation_infeasible(atoms, subset, &vars)
+        !TheorySolver::new().relaxation_infeasible(subset.iter().map(|&j| &atoms[j]))
     }
 
     /// Random atom systems over 3 variables whose rational relaxation is
@@ -773,6 +1007,32 @@ mod tests {
                 prop_assert_eq!(theory.check(&set), cold_check(&set));
             }
         }
+
+        /// `decide` on the same warm solver gives `check`'s answer; where
+        /// it is consistent, the model (the warm point or the cold one) is
+        /// integral and satisfies every literal.
+        #[test]
+        fn decide_gives_the_cold_answer_with_a_valid_model(case in assignment_sequence()) {
+            let (atoms, steps) = case;
+            let mut theory = TheorySolver::new();
+            for polarity in &steps {
+                let set = literals(&atoms, polarity);
+                match (theory.decide(&set), cold_check(&set)) {
+                    (
+                        TheoryOutcome::Consistent { model, integral },
+                        TheoryOutcome::Consistent { integral: cold_integral, .. },
+                    ) => {
+                        prop_assert!(integral || !cold_integral);
+                        if integral {
+                            prop_assert!(model.values().all(Rational::is_integer));
+                        }
+                        let value = |v: TermVar| model.get(&v).cloned().unwrap_or_else(Rational::zero);
+                        prop_assert!(set.iter().all(|a| a.eval(&value)), "{:?} fails {:?}", model, set);
+                    }
+                    (warm, cold) => prop_assert_eq!(warm, cold),
+                }
+            }
+        }
     }
 
     #[test]
@@ -825,7 +1085,8 @@ mod tests {
                 conflict: plain_deletion_core(&atoms)
             }
         );
-        assert_eq!(theory.lp_solves(), 1);
+        // The warm check finds the conflict: no cold LP.
+        assert_eq!(theory.lp_solves(), 0);
     }
 
     #[test]

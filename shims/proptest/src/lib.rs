@@ -9,7 +9,8 @@
 //!
 //! Generation is deterministic (a fixed-seed xorshift generator) so test runs
 //! are reproducible; there is no shrinking. Each `proptest!` test runs
-//! [`test_runner::CASES`] generated cases.
+//! [`test_runner::cases`] generated cases: 128, or `PROPTEST_CASES` when
+//! set.
 
 pub mod collection;
 pub mod strategy;
@@ -33,7 +34,7 @@ macro_rules! proptest {
             $(#[$meta])*
             fn $name() {
                 let mut __proptest_rng = $crate::test_runner::TestRng::deterministic();
-                for __proptest_case in 0..$crate::test_runner::CASES {
+                for __proptest_case in 0..$crate::test_runner::cases() {
                     let _ = __proptest_case;
                     $(let $arg = $crate::strategy::Strategy::generate(&($strat), &mut __proptest_rng);)*
                     $body

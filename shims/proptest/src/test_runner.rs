@@ -1,7 +1,24 @@
 //! Deterministic random-number generation for the property-test runner.
 
-/// Number of generated cases per `proptest!` test.
+/// Default number of generated cases per `proptest!` test.
 pub const CASES: usize = 128;
+
+/// Number of generated cases per `proptest!` test: `PROPTEST_CASES` from
+/// the environment (the variable proptest proper reads), else [`CASES`].
+/// The seed stays fixed, so a larger count extends the default run.
+///
+/// # Panics
+///
+/// If `PROPTEST_CASES` is set but is not a case count.
+pub fn cases() -> usize {
+    match std::env::var("PROPTEST_CASES") {
+        Ok(value) => value
+            .trim()
+            .parse()
+            .unwrap_or_else(|_| panic!("PROPTEST_CASES={value:?} is not a case count")),
+        Err(_) => CASES,
+    }
+}
 
 /// A small deterministic xorshift64* generator.
 ///
