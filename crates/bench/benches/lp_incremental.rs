@@ -1,15 +1,13 @@
 //! Warm-started incremental LP vs from-scratch re-solves on the CEGIS
 //! pattern: the counterexample loop of Algorithm 1 grows `LP(C,
 //! Constraints(I))` by one δ variable and two rows per iteration, and
-//! Algorithm 2 repeats the whole loop once per lexicographic level over a
-//! largely shared Farkas structure. The workspace must beat rebuilding the
-//! tableau every iteration *and* rebuilding the session every level.
+//! Algorithm 2 repeats the whole loop once per lexicographic level, each
+//! level on a fresh primed session. The workspace must beat rebuilding the
+//! tableau every iteration.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use termite_core::SynthesisStats;
-use termite_core::{
-    solve_lp_instance, FarkasMemo, LpReuse, StackedConstraints, SynthesisLpWorkspace,
-};
+use termite_core::{solve_lp_instance, StackedConstraints, SynthesisLpWorkspace};
 use termite_linalg::QVector;
 use termite_lp::Interrupt;
 use termite_num::Rational;
@@ -68,16 +66,14 @@ fn run_levels(
     invs: &[Polyhedron],
     cexs: &[QVector],
     levels: usize,
-    reuse: LpReuse,
     stats: &mut SynthesisStats,
 ) -> Rational {
-    let mut memo = FarkasMemo::new();
-    let mut ws = SynthesisLpWorkspace::new(invs, Interrupt::never(), reuse, &mut memo);
+    let mut ws = SynthesisLpWorkspace::new(invs, Interrupt::never());
     let mut power = Rational::zero();
     for level in 0..levels {
-        ws.begin_level(&vec![None; invs.len()], stats);
+        ws.begin_level(&vec![None; invs.len()]);
         for u in cexs.iter().skip(level) {
-            ws.push_counterexample(u, stats);
+            ws.push_counterexample(u);
             power = ws.solve(stats).unwrap().delta.iter().sum();
         }
     }
@@ -100,7 +96,7 @@ fn lp_incremental(c: &mut Criterion) {
             |b, _| {
                 b.iter(|| {
                     let mut stats = SynthesisStats::default();
-                    black_box(run_levels(&invs, &cexs, 1, LpReuse::CrossLevel, &mut stats))
+                    black_box(run_levels(&invs, &cexs, 1, &mut stats))
                 })
             },
         );
@@ -122,46 +118,25 @@ fn lp_incremental(c: &mut Criterion) {
             },
         );
 
-        // Cross-level reuse: the same workspace descends 4 levels (snapshot
-        // restore + Farkas memo) vs rebuilding the session per level.
+        // A lexicographic run: the same workspace descends 4 levels, each
+        // on a fresh primed session.
         const LEVELS: usize = 4;
         group.bench_with_input(
-            BenchmarkId::new("cross_level", format!("n{n}_c{count}_l{LEVELS}")),
+            BenchmarkId::new("levels", format!("n{n}_c{count}_l{LEVELS}")),
             &count,
             |b, _| {
                 b.iter(|| {
                     let mut stats = SynthesisStats::default();
-                    black_box(run_levels(
-                        &invs,
-                        &cexs,
-                        LEVELS,
-                        LpReuse::CrossLevel,
-                        &mut stats,
-                    ))
-                })
-            },
-        );
-        group.bench_with_input(
-            BenchmarkId::new("per_level", format!("n{n}_c{count}_l{LEVELS}")),
-            &count,
-            |b, _| {
-                b.iter(|| {
-                    let mut stats = SynthesisStats::default();
-                    black_box(run_levels(
-                        &invs,
-                        &cexs,
-                        LEVELS,
-                        LpReuse::PerLevel,
-                        &mut stats,
-                    ))
+                    black_box(run_levels(&invs, &cexs, LEVELS, &mut stats))
                 })
             },
         );
 
-        // Sanity + visibility: all strategies must reach the same optimum;
-        // report the pivot counts and reuse counters behind the speedups.
+        // Sanity + visibility: both strategies must reach the same optimum,
+        // and every workspace solve must be warm; report the pivot counts
+        // behind the speedups.
         let mut warm_stats = SynthesisStats::default();
-        let warm_power = run_levels(&invs, &cexs, 1, LpReuse::CrossLevel, &mut warm_stats);
+        let warm_power = run_levels(&invs, &cexs, 1, &mut warm_stats);
         let mut scratch_stats = SynthesisStats::default();
         let mut so_far: Vec<QVector> = Vec::new();
         let mut scratch_power = Rational::zero();
@@ -173,15 +148,14 @@ fn lp_incremental(c: &mut Criterion) {
                 .sum();
         }
         assert_eq!(warm_power, scratch_power, "strategies must agree");
-        let mut cross_stats = SynthesisStats::default();
-        let cross_power = run_levels(&invs, &cexs, LEVELS, LpReuse::CrossLevel, &mut cross_stats);
-        let mut fresh_stats = SynthesisStats::default();
-        let fresh_power = run_levels(&invs, &cexs, LEVELS, LpReuse::PerLevel, &mut fresh_stats);
-        assert_eq!(cross_power, fresh_power, "level modes must agree");
-        assert_eq!(
-            cross_stats.lp_pivots, fresh_stats.lp_pivots,
-            "a restore reinstates exactly the fresh-build state"
-        );
+        let mut level_stats = SynthesisStats::default();
+        run_levels(&invs, &cexs, LEVELS, &mut level_stats);
+        for stats in [&warm_stats, &level_stats] {
+            assert_eq!(
+                stats.lp_warm_hits, stats.lp_instances,
+                "every solve of a primed level is warm"
+            );
+        }
         println!(
             "n={n} cexs={} : warm pivots {:>6}  scratch pivots {:>6}  (Σδ = {warm_power})",
             cexs.len(),
@@ -189,13 +163,11 @@ fn lp_incremental(c: &mut Criterion) {
             scratch_stats.lp_pivots,
         );
         println!(
-            "n={n} cexs={} levels={LEVELS}: basis reuses {:>2}  farkas memo hits {:>5}  \
-             warm LP solves {:>4}/{:<4}",
+            "n={n} cexs={} levels={LEVELS}: pivots {:>6}  warm LP solves {:>4}/{:<4}",
             cexs.len(),
-            cross_stats.basis_reuses,
-            cross_stats.farkas_cache_hits,
-            cross_stats.lp_warm_hits,
-            cross_stats.lp_instances,
+            level_stats.lp_pivots,
+            level_stats.lp_warm_hits,
+            level_stats.lp_instances,
         );
     }
     group.finish();

@@ -16,7 +16,7 @@
 //! Run with `cargo bench --bench smt`.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
-use termite_core::{synthesize_lexicographic, CancelToken, FarkasMemo, LpReuse, SynthesisStats};
+use termite_core::{synthesize_lexicographic, CancelToken, SynthesisStats};
 use termite_invariants::{
     entry_reach, guard_candidates, location_invariants, strengthen_inductive, InvariantOptions,
 };
@@ -46,8 +46,6 @@ fn monodim(c: &mut Criterion) {
                         ts,
                         &invariants,
                         MAX_ITERATIONS_PER_DIM,
-                        LpReuse::default(),
-                        &mut FarkasMemo::new(),
                         &CancelToken::new(),
                         &mut stats,
                     ))

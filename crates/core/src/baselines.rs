@@ -19,15 +19,15 @@
 //! [`PathTransition::farkas_rows`] builds the rows of
 //! `∀v ∈ P(path) : target(v) ≥ rhs` once for all three DNF engines: eager
 //! adds them as `=` rows to a one-shot LP, [`lasso`](crate::lasso) and
-//! [`piecewise`](crate::piecewise) as tagged `≥`/`≤` pairs to a warm
-//! incremental session.
+//! [`piecewise`](crate::piecewise) as `≥`/`≤` pairs to a warm incremental
+//! session.
 
 use crate::engine::AnalysisOptions;
 use crate::report::{RankingFunction, SynthesisStats, UnknownReason, Verdict};
 use std::collections::BTreeSet;
 use termite_ir::TransitionSystem;
 use termite_lp::{
-    Constraint as LpConstraint, IncrementalLp, Interrupt, LinearProgram, Relation, RowTag, VarId,
+    Constraint as LpConstraint, IncrementalLp, Interrupt, LinearProgram, Relation, VarId,
 };
 use termite_num::Rational;
 use termite_polyhedra::Polyhedron;
@@ -63,21 +63,19 @@ impl FarkasRows {
         lp.add_constraint(self.ge);
     }
 
-    /// Adds the rows to an incremental session under `tag`, each equality
-    /// as a `≥`/`≤` pair so the session keeps its warm basis (a true `=` row
+    /// Adds the rows to an incremental session, each equality as a
+    /// `≥`/`≤` pair so the session keeps its warm basis (a true `=` row
     /// would reset it).
-    pub(crate) fn add_tagged(self, inc: &mut IncrementalLp, tag: RowTag) {
+    pub(crate) fn add_to_session(self, inc: &mut IncrementalLp) {
         for terms in self.eqs {
-            inc.add_constraint_tagged(
-                LpConstraint::new(terms.clone(), Relation::Ge, Rational::zero()),
-                tag,
-            );
-            inc.add_constraint_tagged(
-                LpConstraint::new(terms, Relation::Le, Rational::zero()),
-                tag,
-            );
+            inc.add_constraint(LpConstraint::new(
+                terms.clone(),
+                Relation::Ge,
+                Rational::zero(),
+            ));
+            inc.add_constraint(LpConstraint::new(terms, Relation::Le, Rational::zero()));
         }
-        inc.add_constraint_tagged(self.ge, tag);
+        inc.add_constraint(self.ge);
     }
 }
 

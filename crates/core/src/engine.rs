@@ -23,11 +23,10 @@ use crate::regions::enabled_invariants;
 use crate::report::{
     Precondition, RankingFunction, SynthesisStats, TerminationReport, UnknownReason, Verdict,
 };
-use crate::workspace::{FarkasMemo, LpReuse};
 use std::sync::Arc;
 use std::time::Instant;
 use termite_invariants::{
-    FixpointPipeline, InvariantOptions, InvariantPipeline, InvariantSnapshot, RefinementWitness,
+    FixpointPipeline, InvariantOptions, InvariantSnapshot, RefinementWitness,
 };
 use termite_ir::{Program, TransitionSystem};
 use termite_linalg::QVector;
@@ -84,12 +83,6 @@ pub struct AnalysisOptions {
     /// pipeline (`0` disables conditional verdicts; only the Termite engine
     /// produces refinement witnesses).
     pub max_refinements: usize,
-    /// How the Termite engine's LP workspace treats lexicographic level
-    /// transitions: restore the shared γ-basis snapshot (the default) or
-    /// rebuild per level. Both modes produce byte-identical verdicts,
-    /// ranking functions and preconditions; the per-level mode exists as the
-    /// reference side of that equivalence.
-    pub lp_reuse: LpReuse,
     /// Cooperative cancellation: the provers poll this token at every
     /// iteration / lexicographic level — and, via [`termite_lp::Interrupt`],
     /// inside every simplex pivot loop, including the ones under the SMT
@@ -107,7 +100,6 @@ impl Default for AnalysisOptions {
             max_iterations_per_dim: 120,
             max_eager_disjuncts: 4096,
             max_refinements: 3,
-            lp_reuse: LpReuse::default(),
             cancel: CancelToken::new(),
         }
     }
@@ -134,14 +126,11 @@ impl AnalysisOptions {
 /// (possibly) a refinement witness.
 type Attempt = Result<Verdict, (UnknownReason, Option<(usize, QVector)>)>;
 
-/// Runs the selected engine once against a fixed set of invariants. `memo`
-/// is the analysis-wide Farkas memo: it outlives every attempt so a
-/// refinement retry re-uses the γ-coefficients of all unchanged rows.
+/// Runs the selected engine once against a fixed set of invariants.
 fn attempt(
     ts: &TransitionSystem,
     invariants: &[Polyhedron],
     options: &AnalysisOptions,
-    memo: &mut FarkasMemo,
     stats: &mut SynthesisStats,
 ) -> Attempt {
     if ts.num_locations() == 0 {
@@ -160,8 +149,6 @@ fn attempt(
                 ts,
                 invariants,
                 options.max_iterations_per_dim,
-                options.lp_reuse,
-                memo,
                 &options.cancel,
                 stats,
             );
@@ -324,12 +311,12 @@ fn verify_pending_disjuncts(
     }
 }
 
-/// Proves termination of a transition system against an
-/// [`InvariantPipeline`]: the refinement loop at the heart of the
+/// Proves termination of a transition system against a
+/// [`FixpointPipeline`]: the refinement loop at the heart of the
 /// conditional-termination architecture.
 pub fn prove_with_pipeline(
     ts: &TransitionSystem,
-    pipeline: &mut dyn InvariantPipeline,
+    pipeline: &mut FixpointPipeline<'_>,
     options: &AnalysisOptions,
 ) -> TerminationReport {
     // The pipeline's SMT loops poll the same token as the synthesis, so a
@@ -338,13 +325,9 @@ pub fn prove_with_pipeline(
     pipeline.set_interrupt(termite_lp::Interrupt::new(move || cancel.is_cancelled()));
     let mut stats = SynthesisStats::default();
     let start = Instant::now();
-    // One Farkas memo for the whole analysis: refinement rounds rebuild the
-    // LP workspace (the invariants changed), but content-interned
-    // γ-coefficients of unchanged rows keep hitting across retries.
-    let mut farkas_memo = FarkasMemo::new();
     let verdict = loop {
         let invariants = pipeline.invariants().to_vec();
-        match attempt(ts, &invariants, options, &mut farkas_memo, &mut stats) {
+        match attempt(ts, &invariants, options, &mut stats) {
             Ok(proof) => {
                 break match (pipeline.precondition(), proof) {
                     (None, proof) => proof,
@@ -416,7 +399,7 @@ pub fn prove_transition_system(
 ) -> TerminationReport {
     let mut stats = SynthesisStats::default();
     let start = Instant::now();
-    let verdict = match attempt(ts, invariants, options, &mut FarkasMemo::new(), &mut stats) {
+    let verdict = match attempt(ts, invariants, options, &mut stats) {
         Ok(proof) => proof,
         Err((reason, _)) => Verdict::unknown(reason),
     };

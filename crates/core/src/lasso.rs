@@ -22,20 +22,18 @@
 //! All conditions are conjunctive linear implications over the path
 //! polyhedra of the DNF-expanded transition, so each depth is **one Farkas
 //! feasibility LP** — no counterexample iteration. The depths share one
-//! warm-started [`IncrementalLp`] in the style of
-//! [`SynthesisLpWorkspace`](crate::workspace::SynthesisLpWorkspace):
+//! warm-started [`IncrementalLp`]:
 //!
-//! 1. at depth `k`, add the phase-`k` template variables and the untagged
-//!    `C_k` rows, then *prime* with a zero-objective solve;
-//! 2. snapshot, add the retractable bound rows (`f_k ≥ 0`, tagged
-//!    `TAG_BOUND`), and solve;
-//! 3. on failure, restore the snapshot — dropping the bound rows *and*
-//!    their multipliers while reinstating the primed basis — and deepen.
+//! 1. at depth `k`, add the phase-`k` template variables and the `C_k`
+//!    rows, then *prime* with a zero-objective solve;
+//! 2. clone the primed session, add the bound rows (`f_k ≥ 0`), and solve;
+//! 3. on failure, assign the clone back — dropping the bound rows *and*
+//!    their multipliers while keeping the primed basis — and deepen.
 //!
 //! Equalities are emitted as `≥`/`≤` pairs so the incremental session keeps
 //! its warm basis (a true `=` row would reset it).
 //!
-//! The untagged prefix `C_1 ∧ … ∧ C_k` of any deeper system is exactly the
+//! The prefix `C_1 ∧ … ∧ C_k` of any deeper system is exactly the
 //! depth-`k` prefix, and the first `k` phases of any deeper nested ranking
 //! function satisfy it; hence an *infeasible priming solve* refutes nested
 //! ranking functions of **every** depth — reported as the definitive
@@ -62,16 +60,13 @@ use crate::engine::AnalysisOptions;
 use crate::report::{RankingFunction, SynthesisStats, UnknownReason, Verdict};
 use termite_ir::TransitionSystem;
 use termite_linalg::QVector;
-use termite_lp::{IncrementalLp, LpOutcome, RowTag, VarId};
+use termite_lp::{IncrementalLp, LpOutcome, VarId};
 use termite_num::Rational;
 use termite_polyhedra::Polyhedron;
 use termite_smt::TermVar;
 
 /// Maximum nesting depth tried before giving up with `ResourceBudget`.
 pub const MAX_PHASES: usize = 3;
-
-/// Row tag of the retractable `f_k ≥ 0` bound rows.
-const TAG_BOUND: RowTag = RowTag(1);
 
 /// One phase template `f(x) = coeffs·x + offset` as LP variables.
 struct PhaseVars {
@@ -81,10 +76,8 @@ struct PhaseVars {
 
 /// Adds the Farkas rows certifying `∀v ∈ P(path) : target(v) ≥ rhs` (see
 /// [`PathTransition::farkas_rows`]) with fresh multipliers named after
-/// `prefix`, tagging every row (and implicitly scoping the multiplier
-/// columns) with `tag`. Shared with the piecewise engine
-/// ([`crate::piecewise`]), which emits the same row shape per segment pair.
-#[allow(clippy::too_many_arguments)]
+/// `prefix`. Shared with the piecewise engine ([`crate::piecewise`]), which
+/// emits the same row shape per segment pair.
 pub(crate) fn farkas_rows(
     inc: &mut IncrementalLp,
     path: &PathTransition,
@@ -93,13 +86,12 @@ pub(crate) fn farkas_rows(
     target: impl Fn(TermVar) -> Vec<(VarId, Rational)>,
     rhs_terms: Vec<(VarId, Rational)>,
     rhs: Rational,
-    tag: RowTag,
 ) {
     let mu: Vec<VarId> = (0..path.atoms.len())
         .map(|r| inc.add_var(format!("{prefix}_mu_{r}")))
         .collect();
     path.farkas_rows(ts, &mu, target, rhs_terms, rhs)
-        .add_tagged(inc, tag);
+        .add_to_session(inc);
 }
 
 /// Runs the multiphase synthesis, deepening from 1 to `max_depth`:
@@ -130,128 +122,113 @@ pub fn prove(
     let mut inc = IncrementalLp::new();
     inc.set_interrupt(interrupt);
     let mut phases: Vec<PhaseVars> = Vec::new();
-    let verdict = 'depths: {
-        for depth in 1..=max_depth {
-            // Phase-`depth` template variables.
-            let phase = PhaseVars {
-                coeffs: (0..n)
-                    .map(|i| inc.add_free_var(format!("f{depth}_{i}")))
-                    .collect(),
-                offset: inc.add_free_var(format!("f{depth}_0")),
-            };
-            // Untagged C_depth rows per path:
-            //   (c_k + c_{k−1})·x − c_k·x' ≥ 1 − off_{k−1}.
-            for (j, path) in paths.iter().enumerate() {
-                let prev = phases.last();
-                farkas_rows(
-                    &mut inc,
-                    path,
-                    ts,
-                    &format!("c{depth}_{j}"),
-                    |v| {
-                        if v.0 < n {
-                            let mut t = vec![(phase.coeffs[v.0], Rational::one())];
-                            if let Some(p) = prev {
-                                t.push((p.coeffs[v.0], Rational::one()));
-                            }
-                            t
-                        } else if v.0 < 2 * n {
-                            vec![(phase.coeffs[v.0 - n], -Rational::one())]
-                        } else {
-                            Vec::new()
+    for depth in 1..=max_depth {
+        // Phase-`depth` template variables.
+        let phase = PhaseVars {
+            coeffs: (0..n)
+                .map(|i| inc.add_free_var(format!("f{depth}_{i}")))
+                .collect(),
+            offset: inc.add_free_var(format!("f{depth}_0")),
+        };
+        // C_depth rows per path:
+        //   (c_k + c_{k−1})·x − c_k·x' ≥ 1 − off_{k−1}.
+        for (j, path) in paths.iter().enumerate() {
+            let prev = phases.last();
+            farkas_rows(
+                &mut inc,
+                path,
+                ts,
+                &format!("c{depth}_{j}"),
+                |v| {
+                    if v.0 < n {
+                        let mut t = vec![(phase.coeffs[v.0], Rational::one())];
+                        if let Some(p) = prev {
+                            t.push((p.coeffs[v.0], Rational::one()));
                         }
-                    },
-                    match prev {
-                        Some(p) => vec![(p.offset, Rational::one())],
-                        None => Vec::new(),
-                    },
-                    Rational::one(),
-                    RowTag::UNTAGGED,
-                );
-            }
-            phases.push(phase);
-            // Priming solve over the pure C-prefix: its infeasibility
-            // refutes every depth at once (see module docs).
-            inc.maximize(Vec::new());
-            stats.iterations += 1;
-            let Some(primed) =
-                stats.solve_lp(inc.num_constraints(), inc.num_vars(), || inc.solve())
-            else {
-                break 'depths Verdict::unknown(UnknownReason::Cancelled);
-            };
-            match primed.outcome {
-                LpOutcome::Infeasible => {
-                    break 'depths Verdict::unknown(UnknownReason::NoRankingFunction);
-                }
-                LpOutcome::Optimal { .. } | LpOutcome::Unbounded { .. } => {}
-            }
-            // The last depth never deepens, so its bound rows need no
-            // retraction point.
-            let snapshot = (depth < max_depth).then(|| inc.snapshot());
-            // Retractable bound rows: f_depth(x) ≥ 0 on every path source.
-            let last = phases.last().expect("just pushed");
-            for (j, path) in paths.iter().enumerate() {
-                farkas_rows(
-                    &mut inc,
-                    path,
-                    ts,
-                    &format!("b{depth}_{j}"),
-                    |v| {
-                        if v.0 < n {
-                            vec![(last.coeffs[v.0], Rational::one())]
-                        } else {
-                            Vec::new()
-                        }
-                    },
-                    vec![(last.offset, Rational::one())],
-                    Rational::zero(),
-                    TAG_BOUND,
-                );
-            }
-            let Some(solution) =
-                stats.solve_lp(inc.num_constraints(), inc.num_vars(), || inc.solve())
-            else {
-                break 'depths Verdict::unknown(UnknownReason::Cancelled);
-            };
-            if let LpOutcome::Optimal { assignment, .. } = solution.outcome {
-                let components: Vec<Vec<(QVector, Rational)>> = phases
-                    .iter()
-                    .map(|p| {
-                        let coeffs: QVector =
-                            (0..n).map(|i| assignment[p.coeffs[i].0].clone()).collect();
-                        vec![(coeffs, assignment[p.offset.0].clone())]
-                    })
-                    .collect();
-                stats.dimension = depth;
-                break 'depths Verdict::Terminates(RankingFunction::new(
-                    n,
-                    ts.var_names().to_vec(),
-                    components,
-                ));
-            }
-            // Bound failed at this depth: retract it (restoring the primed
-            // basis) and deepen.
-            if let Some(snapshot) = snapshot {
-                if inc.restore(&snapshot) {
-                    stats.basis_reuses += 1;
-                }
-                debug_assert_eq!(
-                    inc.rows_tagged(TAG_BOUND),
-                    0,
-                    "bound rows must be retracted before deepening"
-                );
-            }
+                        t
+                    } else if v.0 < 2 * n {
+                        vec![(phase.coeffs[v.0 - n], -Rational::one())]
+                    } else {
+                        Vec::new()
+                    }
+                },
+                match prev {
+                    Some(p) => vec![(p.offset, Rational::one())],
+                    None => Vec::new(),
+                },
+                Rational::one(),
+            );
         }
-        // Depth 1 is complete for linear ranking functions (module docs);
-        // a deeper cap only bounds the search.
-        Verdict::unknown(if max_depth == 1 {
-            UnknownReason::NoRankingFunction
-        } else {
-            UnknownReason::ResourceBudget
-        })
-    };
-    stats.lp_warm_hits += inc.warm_solves();
-    verdict
+        phases.push(phase);
+        // Priming solve over the pure C-prefix: its infeasibility
+        // refutes every depth at once (see module docs).
+        inc.maximize(Vec::new());
+        stats.iterations += 1;
+        let Some(priming) = stats.solve_session(inc.num_constraints(), inc.num_vars(), &mut inc)
+        else {
+            return Verdict::unknown(UnknownReason::Cancelled);
+        };
+        match priming.outcome {
+            LpOutcome::Infeasible => {
+                return Verdict::unknown(UnknownReason::NoRankingFunction);
+            }
+            LpOutcome::Optimal { .. } | LpOutcome::Unbounded { .. } => {}
+        }
+        // The last depth never deepens, so its bound rows need no
+        // retraction point.
+        let primed = (depth < max_depth).then(|| inc.clone());
+        // Retractable bound rows: f_depth(x) ≥ 0 on every path source.
+        let last = phases.last().expect("just pushed");
+        for (j, path) in paths.iter().enumerate() {
+            farkas_rows(
+                &mut inc,
+                path,
+                ts,
+                &format!("b{depth}_{j}"),
+                |v| {
+                    if v.0 < n {
+                        vec![(last.coeffs[v.0], Rational::one())]
+                    } else {
+                        Vec::new()
+                    }
+                },
+                vec![(last.offset, Rational::one())],
+                Rational::zero(),
+            );
+        }
+        let Some(solution) = stats.solve_session(inc.num_constraints(), inc.num_vars(), &mut inc)
+        else {
+            return Verdict::unknown(UnknownReason::Cancelled);
+        };
+        if let LpOutcome::Optimal { assignment, .. } = solution.outcome {
+            let components: Vec<Vec<(QVector, Rational)>> = phases
+                .iter()
+                .map(|p| {
+                    let coeffs: QVector =
+                        (0..n).map(|i| assignment[p.coeffs[i].0].clone()).collect();
+                    vec![(coeffs, assignment[p.offset.0].clone())]
+                })
+                .collect();
+            stats.dimension = depth;
+            return Verdict::Terminates(RankingFunction::new(
+                n,
+                ts.var_names().to_vec(),
+                components,
+            ));
+        }
+        // Bound failed at this depth: retract it (back to the primed
+        // basis) and deepen.
+        if let Some(primed) = primed {
+            inc = primed;
+        }
+    }
+    // Depth 1 is complete for linear ranking functions (module docs);
+    // a deeper cap only bounds the search.
+    Verdict::unknown(if max_depth == 1 {
+        UnknownReason::NoRankingFunction
+    } else {
+        UnknownReason::ResourceBudget
+    })
 }
 
 #[cfg(test)]
@@ -298,10 +275,9 @@ mod tests {
             other => panic!("lasso must prove the two-phase drift, got {other:?}"),
         }
         assert_eq!(stats.dimension, 2);
-        assert!(
-            stats.basis_reuses >= 1,
-            "deepening must reuse the primed basis"
-        );
+        // Deepening keeps the primed basis: only the first priming solve is
+        // cold.
+        assert_eq!(stats.lp_warm_hits, stats.lp_instances - 1);
     }
 
     #[test]

@@ -94,4 +94,4 @@ pub use report::{
     Precondition, RankingFunction, StatField, StatKind, StatLine, StatMerge, StatValue,
     SynthesisStats, TerminationReport, UnknownReason, Verdict, STAT_FIELDS,
 };
-pub use workspace::{FarkasMemo, LpReuse, SynthesisLpWorkspace};
+pub use workspace::SynthesisLpWorkspace;

@@ -152,7 +152,7 @@ pub struct LpInstanceStats {
 }
 
 /// Result of solving `LP(C, Constraints(I))`.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct LpInstanceSolution {
     /// The synthesised quasi ranking function of maximal termination power.
     pub template: RankingTemplate,

@@ -342,10 +342,10 @@ pub fn monodim(
         witness = Some(seen_at);
 
         counterexamples.push(u.clone());
-        ws.push_counterexample(&u, stats);
+        ws.push_counterexample(&u);
         let mut ray_added = false;
         if let Some(r) = ray {
-            ws.push_counterexample(&r, stats);
+            ws.push_counterexample(&r);
             counterexamples.push(r);
             ray_added = true;
         }
@@ -431,7 +431,6 @@ fn zero_step_possible(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::workspace::{FarkasMemo, LpReuse};
     use termite_ir::parse_program;
     use termite_polyhedra::Constraint;
 
@@ -440,18 +439,9 @@ mod tests {
     }
 
     /// A workspace with one open level and no region strengthening.
-    fn open_workspace<'m>(
-        invariants: &[Polyhedron],
-        memo: &'m mut FarkasMemo,
-        stats: &mut SynthesisStats,
-    ) -> SynthesisLpWorkspace<'m> {
-        let mut ws = SynthesisLpWorkspace::new(
-            invariants,
-            termite_lp::Interrupt::never(),
-            LpReuse::CrossLevel,
-            memo,
-        );
-        ws.begin_level(&vec![None; invariants.len()], stats);
+    fn open_workspace(invariants: &[Polyhedron]) -> SynthesisLpWorkspace {
+        let mut ws = SynthesisLpWorkspace::new(invariants, termite_lp::Interrupt::never());
+        ws.begin_level(&vec![None; invariants.len()]);
         ws
     }
 
@@ -490,8 +480,7 @@ mod tests {
         let ts = example1_system();
         let invariants = vec![example1_invariant()];
         let mut stats = SynthesisStats::default();
-        let mut memo = FarkasMemo::new();
-        let mut ws = open_workspace(&invariants, &mut memo, &mut stats);
+        let mut ws = open_workspace(&invariants);
         let result = monodim(
             &MonodimInput {
                 ts: &ts,
@@ -548,8 +537,7 @@ mod tests {
             vec![Constraint::ge(QVector::from_i64(&[1, 0, 0]), q(0))],
         )];
         let mut stats = SynthesisStats::default();
-        let mut memo = FarkasMemo::new();
-        let mut ws = open_workspace(&invariants, &mut memo, &mut stats);
+        let mut ws = open_workspace(&invariants);
         let result = monodim(
             &MonodimInput {
                 ts: &ts,
@@ -581,8 +569,7 @@ mod tests {
             .transition_system();
         let invariants = vec![Polyhedron::universe(1)];
         let mut stats = SynthesisStats::default();
-        let mut memo = FarkasMemo::new();
-        let mut ws = open_workspace(&invariants, &mut memo, &mut stats);
+        let mut ws = open_workspace(&invariants);
         let result = monodim(
             &MonodimInput {
                 ts: &ts,
@@ -607,8 +594,7 @@ mod tests {
             vec![Constraint::ge(QVector::from_i64(&[1]), q(0))],
         )];
         let mut stats = SynthesisStats::default();
-        let mut memo = FarkasMemo::new();
-        let mut ws = open_workspace(&invariants, &mut memo, &mut stats);
+        let mut ws = open_workspace(&invariants);
         let result = monodim(
             &MonodimInput {
                 ts: &ts,

@@ -1,12 +1,14 @@
 //! Algorithm 2: lexicographic (multidimensional) synthesis, with per-level
-//! enabled-region strengthening (see `crate::regions` and DESIGN.md).
+//! enabled-region strengthening (see `crate::regions` and DESIGN.md). Each
+//! level solves its `LP(C, Constraints(I))` on a fresh primed session of
+//! the run's [`SynthesisLpWorkspace`].
 
 use crate::cancel::CancelToken;
 use crate::lp_instance::RankingTemplate;
 use crate::monodim::{counted_query, invariant_formula, monodim, previous_constant, MonodimInput};
 use crate::regions::{active_source_regions, strengthen_with_regions};
 use crate::report::SynthesisStats;
-use crate::workspace::{FarkasMemo, LpReuse, SynthesisLpWorkspace};
+use crate::workspace::SynthesisLpWorkspace;
 use termite_ir::TransitionSystem;
 use termite_linalg::{QVector, Subspace};
 use termite_polyhedra::Polyhedron;
@@ -59,19 +61,12 @@ impl LexOutcome {
 /// counterexample-guided iterations; once the token fires the outcome has
 /// `cancelled: true` (cancellation is never mistaken for a proof).
 ///
-/// All levels share one [`SynthesisLpWorkspace`]: the invariant-derived
-/// Farkas structure is built once and survives level transitions (`reuse`
-/// picks between restoring the γ-basis snapshot and the byte-identical
-/// rebuild-per-level reference mode). `memo` is the caller's
-/// [`FarkasMemo`]: the engine keeps one per analysis so γ-coefficients
-/// computed here are still hits when a refinement round re-runs the whole
-/// synthesis.
+/// The levels share one [`SynthesisLpWorkspace`], which opens a fresh
+/// primed LP session at every level.
 pub fn synthesize_lexicographic(
     ts: &TransitionSystem,
     invariants: &[Polyhedron],
     max_iterations_per_dim: usize,
-    reuse: LpReuse,
-    memo: &mut FarkasMemo,
     cancel: &CancelToken,
     stats: &mut SynthesisStats,
 ) -> LexOutcome {
@@ -88,8 +83,6 @@ pub fn synthesize_lexicographic(
     let mut ws = SynthesisLpWorkspace::new(
         invariants,
         termite_lp::Interrupt::new(move || cancel_in_lp.is_cancelled()),
-        reuse,
-        memo,
     );
     let mut witness: Option<(usize, QVector)> = None;
 
@@ -147,7 +140,7 @@ pub fn synthesize_lexicographic(
         // (level-specific γ multipliers on top of the per-run base).
         let regions = active_source_regions(ts, &active);
         let level_invariants = strengthen_with_regions(invariants, &regions);
-        ws.begin_level(&regions, stats);
+        ws.begin_level(&regions);
         let result = monodim(
             &MonodimInput {
                 ts,
@@ -240,15 +233,8 @@ mod tests {
             ],
         )];
         let mut stats = SynthesisStats::default();
-        let result = synthesize_lexicographic(
-            &ts,
-            &invariants,
-            60,
-            LpReuse::default(),
-            &mut FarkasMemo::new(),
-            &CancelToken::new(),
-            &mut stats,
-        );
+        let result =
+            synthesize_lexicographic(&ts, &invariants, 60, &CancelToken::new(), &mut stats);
         let components = result
             .components
             .expect("a lexicographic ranking function exists");
@@ -281,15 +267,8 @@ mod tests {
         let ts = program.transition_system();
         let invariants = location_invariants(&program, &InvariantOptions::default());
         let mut stats = SynthesisStats::default();
-        let result = synthesize_lexicographic(
-            &ts,
-            &invariants,
-            80,
-            LpReuse::default(),
-            &mut FarkasMemo::new(),
-            &CancelToken::new(),
-            &mut stats,
-        );
+        let result =
+            synthesize_lexicographic(&ts, &invariants, 80, &CancelToken::new(), &mut stats);
         // The synthesis must terminate and stay sound. With the current
         // stacked-vector encoding (no homogeneous constant coordinate),
         // decreases across different cut points that rely on constant offsets
@@ -311,15 +290,8 @@ mod tests {
             vec![Constraint::ge(QVector::from_i64(&[1]), q(0))],
         )];
         let mut stats = SynthesisStats::default();
-        let result = synthesize_lexicographic(
-            &ts,
-            &invariants,
-            40,
-            LpReuse::default(),
-            &mut FarkasMemo::new(),
-            &CancelToken::new(),
-            &mut stats,
-        );
+        let result =
+            synthesize_lexicographic(&ts, &invariants, 40, &CancelToken::new(), &mut stats);
         assert!(result.components.is_none());
         assert!(!result.cancelled);
     }

@@ -39,12 +39,9 @@
 //! segmentation is **one Farkas feasibility LP** — the same row shape as
 //! [`lasso`](crate::lasso), whose `farkas_rows` helper (over the shared
 //! `PathTransition::farkas_rows` builder) this engine uses too.
-//! The rounds share one warm [`IncrementalLp`] in the style of
-//! [`SynthesisLpWorkspace`](crate::workspace::SynthesisLpWorkspace): every
-//! per-segment row (and, implicitly, every template and multiplier column)
-//! is tagged `TAG_SEGMENT` behind a snapshot, and a failed round rolls
-//! the session back via the existing `RowTag`/snapshot machinery before
-//! the lattice is refined.
+//! Every round starts from a clone of one primed, row-free
+//! [`IncrementalLp`], so its solve is warm; a failed round drops its
+//! session whole before the lattice is refined.
 //!
 //! # The verdict
 //!
@@ -63,17 +60,13 @@ use crate::lasso::farkas_rows;
 use crate::report::{Precondition, RankingFunction, SynthesisStats, UnknownReason, Verdict};
 use termite_ir::TransitionSystem;
 use termite_linalg::QVector;
-use termite_lp::{IncrementalLp, LpOutcome, RowTag, VarId};
+use termite_lp::{IncrementalLp, LpOutcome, VarId};
 use termite_num::{Int, Rational};
 use termite_polyhedra::{Constraint, Polyhedron};
 use termite_smt::{Atom, TermVar};
 
 /// Maximum number of segment-lattice cells before giving up.
 pub const MAX_SEGMENTS: usize = 8;
-
-/// Row tag of the retractable per-segmentation rows (templates, bounds and
-/// decrease conditions alike — a failed round retracts the whole layer).
-const TAG_SEGMENT: RowTag = RowTag(1);
 
 /// The integer-tightened negation of a pre-state atom: `¬(a·x ≥ b)` is
 /// `−a·x ≥ 1 − b`.
@@ -168,14 +161,13 @@ pub fn prove(
     }
 
     let pool = predicate_pool(&paths, n);
-    let mut inc = IncrementalLp::new();
-    inc.set_interrupt(interrupt);
-    // Prime the session so every round's snapshot carries a live basis:
-    // a failed round then restores warm instead of restarting cold.
-    inc.maximize(Vec::new());
+    let mut primed = IncrementalLp::new();
+    primed.set_interrupt(interrupt);
+    // Prime the session every round clones, so each round's solve is warm.
+    primed.maximize(Vec::new());
     // The program has no rows or columns yet: a zero-pivot solve that is
     // not one of the engine's LP instances.
-    if inc.solve().is_none() {
+    if primed.solve().is_none() {
         return Verdict::unknown(UnknownReason::Cancelled);
     }
     let mut segments: Vec<Segment> = vec![Vec::new()];
@@ -184,7 +176,7 @@ pub fn prove(
         if options.cancel.is_cancelled() {
             return Verdict::unknown(UnknownReason::Cancelled);
         }
-        let snapshot = inc.snapshot();
+        let mut inc = primed.clone();
         let templates: Vec<SegmentVars> = (0..segments.len())
             .map(|i| SegmentVars {
                 coeffs: (0..n)
@@ -219,7 +211,6 @@ pub fn prove(
                     },
                     vec![(rho_i.offset, Rational::one())],
                     Rational::zero(),
-                    TAG_SEGMENT,
                 );
                 // Decrease into every possible target segment:
                 // ρ_i(x) − ρ_j(x′) ≥ 1 on S_i(x) ∧ τ ∧ S_j(x′).
@@ -251,17 +242,15 @@ pub fn prove(
                             ]
                         },
                         Rational::one(),
-                        TAG_SEGMENT,
                     );
                 }
             }
         }
         stats.iterations += 1;
-        let Some(solution) = stats.solve_lp(inc.num_constraints(), inc.num_vars(), || inc.solve())
+        let Some(solution) = stats.solve_session(inc.num_constraints(), inc.num_vars(), &mut inc)
         else {
             return Verdict::unknown(UnknownReason::Cancelled);
         };
-        stats.lp_warm_hits = inc.warm_solves();
         if let LpOutcome::Optimal { assignment, .. } = solution.outcome {
             stats.dimension = 1;
             let mut disjuncts: Vec<Precondition> = Vec::new();
@@ -298,10 +287,7 @@ pub fn prove(
             };
         }
         // Infeasible (or unbounded — impossible for a feasibility system):
-        // roll the whole segment layer back and refine the lattice.
-        if inc.restore(&snapshot) {
-            stats.basis_reuses += 1;
-        }
+        // drop the round's session and refine the lattice.
         if next_predicate >= pool.len() || segments.len() * 2 > MAX_SEGMENTS {
             return Verdict::unknown(UnknownReason::ResourceBudget);
         }
@@ -379,7 +365,10 @@ mod tests {
             }
             other => panic!("expected a piecewise certificate, got {other:?}"),
         }
-        assert!(stats.basis_reuses >= 1, "refinement must roll the LP back");
+        assert_eq!(
+            stats.lp_warm_hits, stats.lp_instances,
+            "every round starts from the primed session"
+        );
         assert!(
             stats.iterations >= 2,
             "the universe segment must fail first"

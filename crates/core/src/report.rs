@@ -2,7 +2,7 @@
 
 use std::fmt;
 use termite_linalg::QVector;
-use termite_lp::LpSolution;
+use termite_lp::{IncrementalLp, LpSolution};
 use termite_num::Rational;
 use termite_polyhedra::Polyhedron;
 
@@ -268,12 +268,6 @@ pub struct SynthesisStats {
     /// plus primal re-optimization) instead of a from-scratch two-phase
     /// solve.
     pub lp_warm_hits: usize,
-    /// Lexicographic level transitions that reinstated the workspace's saved
-    /// γ-basis snapshot instead of rebuilding the LP session from scratch.
-    pub basis_reuses: usize,
-    /// Farkas row × counterexample dot products answered by the workspace
-    /// memo instead of being recomputed.
-    pub farkas_cache_hits: usize,
     /// Average number of rows (`l`) of the LP instances.
     pub lp_rows_avg: f64,
     /// Average number of columns (`c`) of the LP instances.
@@ -365,6 +359,24 @@ impl SynthesisStats {
         if let Some(solution) = &solution {
             span.arg("pivots", solution.pivots);
             self.lp_pivots += solution.pivots;
+        }
+        solution
+    }
+
+    /// [`Self::solve_lp`] on an incremental session, adding one
+    /// `lp_warm_hits` when the solve took the warm path. Warm hits are
+    /// counted per solve because a session rolled back to a clone rolls its
+    /// own counters back too.
+    pub fn solve_session(
+        &mut self,
+        rows: usize,
+        cols: usize,
+        inc: &mut IncrementalLp,
+    ) -> Option<LpSolution> {
+        let warm_before = inc.warm_solves();
+        let solution = self.solve_lp(rows, cols, || inc.solve());
+        if inc.warm_solves() > warm_before {
+            self.lp_warm_hits += 1;
         }
         solution
     }
@@ -536,8 +548,6 @@ pub static STAT_FIELDS: &[StatField] = &[
     stat!("lp_pivots",         Counter, Sum,    optional, Lp("pivots"),            lp_pivots),
     stat!("lp_instances",      Counter, Sum,    required, Lp("instances"),         lp_instances),
     stat!("lp_warm_hits",      Counter, Sum,    optional, Lp("warm"),              lp_warm_hits),
-    stat!("basis_reuses",      Counter, Sum,    optional, Lp("basis reuses"),      basis_reuses),
-    stat!("farkas_cache_hits", Counter, Sum,    optional, Lp("farkas memo hits"),  farkas_cache_hits),
     stat!("smt_queries",       Counter, Sum,    required, Hidden,                  smt_queries),
     stat!("smt_lp_solves",     Counter, Sum,    optional, Hidden,                  smt_lp_solves),
     stat!("smt_warm_checks",   Counter, Sum,    optional, Hidden,                  smt_warm_checks),
@@ -565,9 +575,8 @@ pub static STAT_FIELDS: &[StatField] = &[
 #[rustfmt::skip]
 const _: fn(SynthesisStats) = |stats| {
     let SynthesisStats {
-        iterations: _, lp_instances: _, lp_pivots: _, lp_warm_hits: _, basis_reuses: _,
-        farkas_cache_hits: _, lp_rows_avg: _, lp_cols_avg: _, lp_max: _, smt_queries: _,
-        smt_lp_solves: _, smt_warm_checks: _,
+        iterations: _, lp_instances: _, lp_pivots: _, lp_warm_hits: _, lp_rows_avg: _,
+        lp_cols_avg: _, lp_max: _, smt_queries: _, smt_lp_solves: _, smt_warm_checks: _,
         counterexamples: _, dimension: _, refinements: _, synthesis_millis: _, smt_millis: _,
         lp_millis: _, invariant_millis: _, ir_nodes_before: _, ir_nodes_after: _,
         ir_vars_before: _, ir_vars_after: _, engine_won: _,

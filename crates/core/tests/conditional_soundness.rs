@@ -12,8 +12,7 @@
 use proptest::prelude::*;
 use termite_core::{
     monodim, prove_termination, prove_transition_system, AnalysisOptions, CancelToken, Engine,
-    FarkasMemo, LpReuse, MonodimInput, SynthesisLpWorkspace, SynthesisStats, UnknownReason,
-    Verdict,
+    MonodimInput, SynthesisLpWorkspace, SynthesisStats, UnknownReason, Verdict,
 };
 use termite_invariants::{analyze_cfg, entry_precondition, InvariantOptions};
 use termite_ir::{parse_program, Cfg, CfgOp};
@@ -226,14 +225,8 @@ fn oracle_agrees(src: &str) -> OracleOutcome {
         return OracleOutcome::NotRefuted;
     }
     let mut mono_stats = SynthesisStats::default();
-    let mut memo = FarkasMemo::new();
-    let mut ws = SynthesisLpWorkspace::new(
-        &invariants,
-        termite_lp::Interrupt::never(),
-        LpReuse::CrossLevel,
-        &mut memo,
-    );
-    ws.begin_level(&vec![None; invariants.len()], &mut mono_stats);
+    let mut ws = SynthesisLpWorkspace::new(&invariants, termite_lp::Interrupt::never());
+    ws.begin_level(&vec![None; invariants.len()]);
     let result = monodim(
         &MonodimInput {
             ts: &ts,

@@ -1760,9 +1760,7 @@ mod tests {
         assert_eq!(
             keys,
             [
-                "basis_reuses",
                 "counterexamples",
-                "farkas_cache_hits",
                 "invariant_millis",
                 "iterations",
                 "lp_instances",

@@ -4,7 +4,7 @@
 //! with no interrupt installed, so a `{"cancel": id}` arriving while a job
 //! was inside a refinement round could only land once the whole round
 //! finished (seconds later). With the engine's token threaded through
-//! `InvariantPipeline::set_interrupt`, the cancel must land within one SMT
+//! `FixpointPipeline::set_interrupt`, the cancel must land within one SMT
 //! query.
 //!
 //! The test calibrates itself against the machine: it first measures the

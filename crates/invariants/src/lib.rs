@@ -47,7 +47,7 @@ mod pipeline;
 
 pub use backward::{entry_precondition, entry_precondition_dnf, MAX_WP_DISJUNCTS};
 pub use houdini::{guard_candidates, strengthen_inductive};
-pub use pipeline::{FixpointPipeline, InvariantPipeline, InvariantSnapshot, RefinementWitness};
+pub use pipeline::{FixpointPipeline, InvariantSnapshot, RefinementWitness};
 
 /// Options controlling the fixpoint iteration.
 #[derive(Clone, Debug, PartialEq, Eq)]

@@ -1,12 +1,12 @@
 //! The invariant pipeline: forward analysis, inductive strengthening, and
-//! counterexample-guided precondition refinement behind one interface.
+//! counterexample-guided precondition refinement.
 //!
 //! PR 3 turns the analysis from a closed-world prover (one-shot
 //! `InvariantMap` consumed by the synthesis) into a refinement pipeline: the
-//! synthesis engines hold an [`InvariantPipeline`] and, when a run fails on a
+//! synthesis engines hold a [`FixpointPipeline`] and, when a run fails on a
 //! spurious extremal counterexample, hand the witness state back via
-//! [`InvariantPipeline::refine`] instead of giving up. The default
-//! [`FixpointPipeline`] reacts by inferring a candidate *precondition*: a
+//! [`FixpointPipeline::refine`] instead of giving up. The pipeline reacts
+//! by inferring a candidate *precondition*: a
 //! half-space excluding the witness is propagated backward to the program
 //! entry ([`crate::entry_precondition`]), the forward analysis is re-run
 //! seeded with it, and the synthesis retries with the stronger invariants.
@@ -40,32 +40,6 @@ pub struct RefinementWitness {
     pub location: usize,
     /// Pre-state values of the program variables.
     pub state: QVector,
-}
-
-/// The interface the synthesis engines program against: current invariants,
-/// the precondition in effect, and a refinement request.
-pub trait InvariantPipeline {
-    /// Invariant of each cut point, indexed like the transition-system
-    /// locations.
-    fn invariants(&self) -> &[Polyhedron];
-
-    /// The entry precondition in effect, if the pipeline has narrowed the
-    /// initial states (`None` means the unrestricted `⊤`).
-    fn precondition(&self) -> Option<&Polyhedron>;
-
-    /// Reacts to a failed synthesis run with a concrete witness; returns
-    /// `true` when the invariants changed (the caller should retry) and
-    /// `false` when the pipeline is out of ideas.
-    fn refine(&mut self, witness: &RefinementWitness) -> bool;
-
-    /// Installs the caller's interruption source. The engines wrap their
-    /// cancellation token here so a `{"cancel": id}` or deadline arriving
-    /// *during* invariant refinement lands inside the pipeline's SMT loops
-    /// (Houdini strengthening, feasibility probes) instead of waiting for
-    /// the whole refinement round to finish. The default implementation
-    /// ignores the source (a pipeline without internal solvers has nothing
-    /// to interrupt).
-    fn set_interrupt(&mut self, _interrupt: Interrupt) {}
 }
 
 /// The initial stages of the invariant pipeline for one program, computed
@@ -169,11 +143,11 @@ impl InvariantSnapshot {
     }
 }
 
-/// The default pipeline: Cousot–Halbwachs forward fixpoint, Houdini-style
+/// The invariant pipeline: Cousot–Halbwachs forward fixpoint, Houdini-style
 /// SMT-inductive strengthening, and backward precondition inference.
 ///
 /// Its initial stages live in a shared [`InvariantSnapshot`]: until the
-/// first adopted refinement, [`InvariantPipeline::invariants`] borrows them
+/// first adopted refinement, [`FixpointPipeline::invariants`] borrows them
 /// from the snapshot; a refinement computes new invariants, which the
 /// pipeline owns from then on (copy-on-refine).
 pub struct FixpointPipeline<'ts> {
@@ -321,24 +295,34 @@ impl<'ts> FixpointPipeline<'ts> {
         }
         out
     }
-}
 
-impl InvariantPipeline for FixpointPipeline<'_> {
-    fn invariants(&self) -> &[Polyhedron] {
+    /// Invariant of each cut point, indexed like the transition-system
+    /// locations.
+    pub fn invariants(&self) -> &[Polyhedron] {
         self.owned
             .as_deref()
             .unwrap_or_else(|| self.snapshot.invariants())
     }
 
-    fn precondition(&self) -> Option<&Polyhedron> {
+    /// The entry precondition in effect, if the pipeline has narrowed the
+    /// initial states (`None` means the unrestricted `⊤`).
+    pub fn precondition(&self) -> Option<&Polyhedron> {
         self.precondition.as_ref()
     }
 
-    fn set_interrupt(&mut self, interrupt: Interrupt) {
+    /// Installs the caller's interruption source. The engines wrap their
+    /// cancellation token here so a `{"cancel": id}` or deadline arriving
+    /// *during* invariant refinement lands inside the pipeline's SMT loops
+    /// (Houdini strengthening, feasibility probes) instead of waiting for
+    /// the whole refinement round to finish.
+    pub fn set_interrupt(&mut self, interrupt: Interrupt) {
         self.interrupt = interrupt;
     }
 
-    fn refine(&mut self, witness: &RefinementWitness) -> bool {
+    /// Reacts to a failed synthesis run with a concrete witness; returns
+    /// `true` when the invariants changed (the caller should retry) and
+    /// `false` when the pipeline is out of ideas.
+    pub fn refine(&mut self, witness: &RefinementWitness) -> bool {
         let headers = self.snapshot.cfg.loop_headers();
         if self.refinements_left == 0 || witness.location >= headers.len() {
             return false;

@@ -457,7 +457,7 @@ impl DenseTableau {
 
 /// The dense mirror of [`IncrementalLp`]: the same program, cold solves on
 /// a [`DenseTableau`], and the warm path with dense column growth and a
-/// full-basis elimination of every new row. A snapshot is a clone.
+/// full-basis elimination of every new row. A retraction point is a clone.
 #[derive(Clone)]
 struct DenseSession {
     lp: LinearProgram,
@@ -683,7 +683,8 @@ fn prop_cold_solves_match_the_dense_tableau() {
 /// One step of a random incremental session: `((op, coefficients),
 /// (relation code, rhs, flag))`. Ops: 0 adds a variable (free when `flag`), 1–3 add a
 /// `Le`, `Ge` or coded-relation row, 4 sets the objective (maximise when
-/// `flag`) and solves, 5 snapshots, 6 restores the last snapshot.
+/// `flag`) and solves, 5 clones the session (a retraction point), 6 assigns
+/// the last clone back and solves.
 type SessionStep = ((u8, Vec<i64>), (u8, i64, bool));
 
 fn random_session() -> impl Strategy<Value = Vec<SessionStep>> {
@@ -697,7 +698,8 @@ fn random_session() -> impl Strategy<Value = Vec<SessionStep>> {
 }
 
 /// Runs one session through [`IncrementalLp`] and the dense mirror,
-/// comparing every solve; returns the number of warm solves.
+/// comparing every solve; returns the number of warm solves. They are
+/// counted solve by solve: assigning a clone back rolls back its counters.
 fn run_session(steps: &[SessionStep]) -> usize {
     let mut inc = IncrementalLp::new();
     let mut dense = DenseSession::new();
@@ -705,9 +707,12 @@ fn run_session(steps: &[SessionStep]) -> usize {
         inc.add_var("x");
         dense.lp.add_var("x");
     }
-    let mut snapshots = None;
-    let solve = |inc: &mut IncrementalLp, dense: &mut DenseSession| {
+    let mut retraction = None;
+    let mut warm = 0;
+    let mut solve = |inc: &mut IncrementalLp, dense: &mut DenseSession| {
+        let warm_before = inc.warm_solves();
         let sparse = inc.solve().expect("never interrupted");
+        warm += inc.warm_solves() - warm_before;
         assert_eq!(sparse, dense.solve(), "on\n{}", dense.lp);
     };
     for ((op, coeffs), (rel, rhs, flag)) in steps {
@@ -742,22 +747,22 @@ fn run_session(steps: &[SessionStep]) -> usize {
                 }
                 solve(&mut inc, &mut dense);
             }
-            5 => snapshots = Some((inc.snapshot(), dense.clone())),
+            5 => retraction = Some((inc.clone(), dense.clone())),
             _ => {
-                if let Some((snapshot, dense_snapshot)) = &snapshots {
-                    inc.restore(snapshot);
-                    dense = dense_snapshot.clone();
+                if let Some((inc_clone, dense_clone)) = &retraction {
+                    inc = inc_clone.clone();
+                    dense = dense_clone.clone();
                     solve(&mut inc, &mut dense);
                 }
             }
         }
     }
     solve(&mut inc, &mut dense);
-    inc.warm_solves()
+    warm
 }
 
-/// Incremental sessions: adding variables and rows, solving, snapshotting
-/// and restoring give, solve for solve, the dense mirror's whole
+/// Incremental sessions: adding variables and rows, solving, cloning and
+/// assigning a clone back give, solve for solve, the dense mirror's whole
 /// [`LpSolution`]. Most solves must be warm, or the test would not reach
 /// the sparse warm path.
 #[test]

@@ -29,8 +29,8 @@
 //! `farkas: None`. Its callers want the verdict, not a conflict core.
 
 use crate::simplex::{
-    user_terms, ColKind, Constraint, Direction, FeasibilityOutcome, Interrupt, Interrupted,
-    LinearProgram, LpSolution, Relation, SparseRow, Tableau, VarId, VarKind,
+    user_terms, ColKind, Constraint, FeasibilityOutcome, Interrupt, Interrupted, LinearProgram,
+    LpSolution, Relation, SparseRow, Tableau, VarId, VarKind,
 };
 use termite_num::Rational;
 
@@ -66,83 +66,26 @@ const DUAL_PIVOT_BUDGET: usize = 100_000;
 /// let second = lp.solve().unwrap();
 /// assert_eq!(second.objective(), Some(&Rational::from(4)));
 /// ```
-#[derive(Debug)]
+///
+/// A clone is a retraction point: assigning it back drops every variable
+/// and row added since and reinstates its basis, so the next solve is warm
+/// from there. It rolls back the [`warm_solves`](Self::warm_solves) and
+/// [`cold_solves`](Self::cold_solves) counters too, so a caller that
+/// retracts counts its solves one by one.
+#[derive(Clone, Debug)]
 pub struct IncrementalLp {
     lp: LinearProgram,
     interrupt: Interrupt,
     warm: Option<Warm>,
-    /// Caller-assigned tag of each mirrored constraint (parallel to
-    /// `lp.constraints`).
-    tags: Vec<RowTag>,
     /// Solves served by the warm path (dual restoration from a live basis).
     warm_solves: usize,
     /// Solves that rebuilt the tableau from scratch.
     cold_solves: usize,
-    /// Process-unique session identity, stamped into snapshots so a
-    /// [`restore`](Self::restore) can reject a snapshot of *another*
-    /// session whose row/variable counts happen to line up.
-    session: u64,
 }
 
 impl Default for IncrementalLp {
     fn default() -> Self {
         IncrementalLp::new()
-    }
-}
-
-/// Source of the process-unique [`IncrementalLp::session`] identities.
-static NEXT_SESSION: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-
-/// A caller-assigned grouping label for constraint rows.
-///
-/// Tags let a session distinguish structurally different row populations —
-/// e.g. rows shared by every lexicographic synthesis level versus rows
-/// specific to one level — so a [`snapshot`](IncrementalLp::snapshot) /
-/// [`restore`](IncrementalLp::restore) cycle can assert that only the
-/// intended group was rolled back, and counters can report per-group sizes.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub struct RowTag(pub u32);
-
-impl RowTag {
-    /// The default tag of rows added through [`IncrementalLp::add_constraint`].
-    pub const UNTAGGED: RowTag = RowTag(0);
-}
-
-/// A saved session state: the mirrored program boundary plus a copy of the
-/// live tableau's sparse rows (when one existed), O(non-zeros) to take.
-/// Produced by [`IncrementalLp::snapshot`], consumed by
-/// [`IncrementalLp::restore`].
-///
-/// Restoring rolls the session back to exactly the captured state — rows and
-/// variables added after the snapshot are dropped, and the captured basis
-/// (with all its pivots) is reinstated, so the next solve warm-starts from
-/// the snapshot's basis instead of an empty tableau.
-#[derive(Debug)]
-pub struct LpSnapshot {
-    /// Identity of the session the snapshot was taken from.
-    session: u64,
-    num_vars: usize,
-    num_constraints: usize,
-    objective: Vec<(VarId, Rational)>,
-    direction: Direction,
-    warm: Option<Warm>,
-}
-
-impl LpSnapshot {
-    /// Number of declared variables at capture time.
-    pub fn num_vars(&self) -> usize {
-        self.num_vars
-    }
-
-    /// Number of constraints at capture time.
-    pub fn num_constraints(&self) -> usize {
-        self.num_constraints
-    }
-
-    /// `true` when the snapshot carries a live basis (the session had solved
-    /// at least once, and the program was not infeasible).
-    pub fn has_basis(&self) -> bool {
-        self.warm.is_some()
     }
 }
 
@@ -175,10 +118,8 @@ impl IncrementalLp {
             lp: LinearProgram::new(),
             interrupt: Interrupt::never(),
             warm: None,
-            tags: Vec::new(),
             warm_solves: 0,
             cold_solves: 0,
-            session: NEXT_SESSION.fetch_add(1, std::sync::atomic::Ordering::Relaxed),
         }
     }
 
@@ -212,21 +153,10 @@ impl IncrementalLp {
     /// `Le`/`Ge` rows take the warm path; an `Eq` row forces the next solve
     /// to rebuild from scratch (equalities need an artificial variable).
     pub fn add_constraint(&mut self, c: Constraint) {
-        self.add_constraint_tagged(c, RowTag::UNTAGGED);
-    }
-
-    /// Adds a constraint carrying a caller-assigned [`RowTag`].
-    pub fn add_constraint_tagged(&mut self, c: Constraint, tag: RowTag) {
         if c.relation == Relation::Eq {
             self.warm = None;
         }
-        self.tags.push(tag);
         self.lp.add_constraint(c);
-    }
-
-    /// Number of constraints carrying the given tag.
-    pub fn rows_tagged(&self, tag: RowTag) -> usize {
-        self.tags.iter().filter(|t| **t == tag).count()
     }
 
     /// Solves served warm (dual restoration from a live basis) so far.
@@ -237,63 +167,6 @@ impl IncrementalLp {
     /// Solves that rebuilt the tableau from scratch so far.
     pub fn cold_solves(&self) -> usize {
         self.cold_solves
-    }
-
-    /// Captures the current session state: program boundary, objective, and
-    /// a copy of the live basis and its sparse rows (when one exists).
-    /// [`restore`] rolls back to it.
-    ///
-    /// [`restore`]: Self::restore
-    pub fn snapshot(&self) -> LpSnapshot {
-        LpSnapshot {
-            session: self.session,
-            num_vars: self.lp.num_vars(),
-            num_constraints: self.lp.num_constraints(),
-            objective: self.lp.objective.clone(),
-            direction: self.lp.direction,
-            warm: self.warm.clone(),
-        }
-    }
-
-    /// Rolls the session back to a state captured by [`snapshot`]: variables
-    /// and constraints added since are dropped (tags included) and the
-    /// captured basis is reinstated, so the next solve warm-starts from the
-    /// snapshot's pivots. Returns `true` when a live basis was reinstated.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the snapshot was taken from another session (identities
-    /// are stamped at capture time, so a foreign snapshot is rejected even
-    /// when its row/variable counts happen to line up with this program),
-    /// or if it does not describe a prefix of the current program
-    /// (variables/constraints were rolled back below its boundary already).
-    ///
-    /// [`snapshot`]: Self::snapshot
-    pub fn restore(&mut self, snapshot: &LpSnapshot) -> bool {
-        assert!(
-            snapshot.session == self.session,
-            "LpSnapshot of session {} does not describe a prefix of session {}",
-            snapshot.session,
-            self.session,
-        );
-        assert!(
-            snapshot.num_vars <= self.lp.num_vars()
-                && snapshot.num_constraints <= self.lp.num_constraints(),
-            "LpSnapshot does not describe a prefix of this session \
-             ({} vars / {} rows captured, {} / {} present)",
-            snapshot.num_vars,
-            snapshot.num_constraints,
-            self.lp.num_vars(),
-            self.lp.num_constraints(),
-        );
-        self.lp.names.truncate(snapshot.num_vars);
-        self.lp.kinds.truncate(snapshot.num_vars);
-        self.lp.constraints.truncate(snapshot.num_constraints);
-        self.tags.truncate(snapshot.num_constraints);
-        self.lp.objective = snapshot.objective.clone();
-        self.lp.direction = snapshot.direction;
-        self.warm = snapshot.warm.clone();
-        self.warm.is_some()
     }
 
     /// Sets the objective to maximize (may extend over newly added
@@ -582,100 +455,39 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_restore_rolls_back_rows_vars_and_basis() {
-        let shared = RowTag(1);
-        let level = RowTag(2);
+    fn a_clone_is_a_retraction_point() {
         let mut inc = IncrementalLp::new();
         let x = inc.add_var("x");
-        inc.add_constraint_tagged(Constraint::new(vec![(x, q(1))], Relation::Le, q(9)), shared);
         inc.maximize(vec![(x, q(1))]);
-        assert_eq!(inc.solve().unwrap().objective(), Some(&q(9)));
-        let snap = inc.snapshot();
-        assert!(snap.has_basis());
-        assert_eq!((snap.num_vars(), snap.num_constraints()), (1, 1));
-
-        // A "level": one extra variable and two extra rows, then roll back.
-        let y = inc.add_var("y");
-        inc.add_constraint_tagged(Constraint::new(vec![(y, q(1))], Relation::Le, q(3)), level);
-        inc.add_constraint_tagged(
-            Constraint::new(vec![(x, q(1)), (y, q(1))], Relation::Le, q(7)),
-            level,
+        // Priming solve on the row-free program: cold, zero pivots,
+        // unbounded. An unbounded solve keeps its basis.
+        let primed = inc.solve().unwrap();
+        assert!(matches!(primed.outcome, LpOutcome::Unbounded { .. }));
+        assert_eq!(
+            (primed.pivots, inc.cold_solves(), inc.warm_solves()),
+            (0, 1, 0)
         );
+        let retraction = inc.clone();
+
+        // A level: one extra variable and two extra rows, then roll back.
+        let y = inc.add_var("y");
+        inc.add_constraint(Constraint::new(vec![(y, q(1))], Relation::Le, q(3)));
+        inc.add_constraint(Constraint::new(
+            vec![(x, q(1)), (y, q(1))],
+            Relation::Le,
+            q(7),
+        ));
         inc.maximize(vec![(x, q(1)), (y, q(1))]);
         assert_eq!(inc.solve().unwrap().objective(), Some(&q(7)));
-        assert_eq!(inc.rows_tagged(level), 2);
 
-        assert!(inc.restore(&snap), "the snapshot carried a live basis");
-        assert_eq!(inc.num_vars(), 1);
-        assert_eq!(inc.num_constraints(), 1);
-        assert_eq!(inc.rows_tagged(level), 0);
-        assert_eq!(inc.rows_tagged(shared), 1);
-        // The restored objective is the snapshot's; the solve is warm.
-        let warm_before = inc.warm_solves();
-        assert_eq!(inc.solve().unwrap().objective(), Some(&q(9)));
-        assert_eq!(inc.warm_solves(), warm_before + 1);
-
-        // A different second level on the same restored base.
-        let z = inc.add_var("z");
-        inc.add_constraint_tagged(Constraint::new(vec![(z, q(1))], Relation::Le, q(5)), level);
-        inc.maximize(vec![(x, q(1)), (z, q(1))]);
+        inc = retraction;
+        assert_eq!((inc.num_vars(), inc.num_constraints()), (1, 0));
+        inc.add_constraint(Constraint::new(vec![(x, q(1))], Relation::Le, q(4)));
         let warm = inc.solve().unwrap();
-        assert_eq!(warm.objective(), Some(&q(14)));
-        assert_eq!(warm.objective(), inc.program().solve().objective());
-    }
-
-    #[test]
-    fn restore_is_reusable_and_counts_solve_kinds() {
-        let mut inc = IncrementalLp::new();
-        let x = inc.add_var("x");
-        inc.maximize(vec![(x, q(1))]);
-        // Priming solve on the constraint-free program: cold, zero pivots,
-        // unbounded (no rows bound x). An unbounded solve keeps its basis.
-        assert!(matches!(
-            inc.solve().unwrap().outcome,
-            LpOutcome::Unbounded { .. }
-        ));
-        assert_eq!((inc.cold_solves(), inc.warm_solves()), (1, 0));
-        let baseline = inc.snapshot();
-
-        for bound in [4i64, 6, 2] {
-            assert!(inc.restore(&baseline));
-            inc.add_constraint(Constraint::new(vec![(x, q(1))], Relation::Le, q(bound)));
-            assert_eq!(inc.solve().unwrap().objective(), Some(&q(bound)));
-        }
-        assert_eq!(inc.cold_solves(), 1, "every restored solve stayed warm");
-        assert_eq!(inc.warm_solves(), 3);
-    }
-
-    #[test]
-    #[should_panic(expected = "does not describe a prefix")]
-    fn restore_of_a_foreign_snapshot_panics() {
-        let mut big = IncrementalLp::new();
-        let x = big.add_var("x");
-        big.add_constraint(Constraint::new(vec![(x, q(1))], Relation::Le, q(1)));
-        let snap = big.snapshot();
-        let mut small = IncrementalLp::new();
-        small.restore(&snap);
-    }
-
-    #[test]
-    #[should_panic(expected = "does not describe a prefix")]
-    fn restore_rejects_a_foreign_snapshot_of_identical_shape() {
-        // Same variable and row counts, different session: the size check
-        // alone would accept this and silently install the wrong tableau.
-        let mut a = IncrementalLp::new();
-        let xa = a.add_var("x");
-        a.add_constraint(Constraint::new(vec![(xa, q(1))], Relation::Le, q(1)));
-        a.maximize(vec![(xa, q(1))]);
-        a.solve().unwrap();
-        let snap = a.snapshot();
-
-        let mut b = IncrementalLp::new();
-        let xb = b.add_var("x");
-        b.add_constraint(Constraint::new(vec![(xb, q(1))], Relation::Le, q(100)));
-        b.maximize(vec![(xb, q(1))]);
-        b.solve().unwrap();
-        b.restore(&snap);
+        assert_eq!(inc.warm_solves(), 1, "the retracted session solves warm");
+        assert_eq!(inc.cold_solves(), 1);
+        assert_eq!(warm, inc.program().solve());
+        assert_eq!(warm.objective(), Some(&q(4)));
     }
 
     proptest! {

@@ -12,7 +12,9 @@
 //! Both simplex codes here work over [`termite_num::Rational`] with Bland's
 //! anti-cycling rule on sparse rows. [`LinearProgram`] and [`IncrementalLp`]
 //! optimize by two-phase primal simplex (free variables split in two,
-//! artificial columns in the first phase). [`BoundedTableau`] decides
+//! artificial columns in the first phase); an [`IncrementalLp`] keeps its
+//! tableau warm between solves, and a clone of one is a retraction point
+//! (assign it back to drop everything added since). [`BoundedTableau`] decides
 //! feasibility warm, under bounds asserted and retracted on its variables,
 //! and minimizes one of its variables from the feasible point a check
 //! leaves: it answers the SMT theory checks and every polyhedron question
@@ -55,7 +57,7 @@ mod incremental;
 mod simplex;
 
 pub use bounded::{Bound, BoundedTableau};
-pub use incremental::{IncrementalLp, LpSnapshot, RowTag};
+pub use incremental::IncrementalLp;
 pub use simplex::{
     Constraint, Interrupt, Interrupted, LinearProgram, LpOutcome, LpSolution, Relation, VarId,
 };

@@ -451,9 +451,9 @@ fn sub_scaled_dense(z: &mut QVector, row: &SparseRow, factor: &Rational) {
 /// The simplex tableau in canonical form: every basic column is a unit
 /// column. Rows are [`SparseRow`]s holding only the coefficient part; the
 /// right-hand sides live in a parallel vector. Appending a column
-/// (incremental variable growth) touches no row, and `Clone` — a basis
-/// snapshot — copies the stored non-zeros, never replays the pivots that
-/// produced them.
+/// (incremental variable growth) touches no row, and `Clone` — a
+/// retraction point of an incremental session — copies the stored
+/// non-zeros, never replays the pivots that produced them.
 #[derive(Clone)]
 pub(crate) struct Tableau {
     /// Coefficient rows over `ncols` columns, stored sparse.
