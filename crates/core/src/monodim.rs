@@ -10,7 +10,9 @@ use termite_ir::TransitionSystem;
 use termite_linalg::{QVector, Subspace};
 use termite_num::Rational;
 use termite_polyhedra::Polyhedron;
-use termite_smt::{Formula, LinExpr, Model, OptOutcome, OptResult, SmtContext, TermVar};
+use termite_smt::{
+    Formula, LinExpr, Model, OptOutcome, OptResult, Prepared, SmtContext, SolverStats, TermVar,
+};
 
 /// Inputs of the monodimensional procedure.
 pub struct MonodimInput<'a> {
@@ -50,14 +52,43 @@ pub struct MonodimResult {
     /// counterexample, for the precondition-refinement pipeline: when the
     /// synthesis fails, this is the state it failed on.
     pub witness: Option<(usize, QVector)>,
+    /// The work of the level's SMT context.
+    pub smt: SolverStats,
 }
 
-/// A preprocessed block transition: source/target locations and the formula
-/// `I_k(x) ∧ τ_t(x, x', aux) ∧ ⋀_{d'} λ_{d'}·u = 0`.
+/// A preprocessed block transition: source/target locations, the formula
+/// `I_k(x) ∧ τ_t(x, x', aux) ∧ ⋀_{d'} λ_{d'}·u = 0` prepared on the level's
+/// context, and its extension by `AvoidSpace(u, B)` for the dimension of
+/// `B` it was built at.
 struct PreparedTransition {
     from: usize,
     to: usize,
-    formula: Formula,
+    formula: Prepared,
+    avoiding: Option<(usize, Prepared)>,
+}
+
+impl PreparedTransition {
+    /// The transition's formula conjoined with `AvoidSpace(u, basis)`,
+    /// rebuilt (and the superseded one released) only when `basis` has
+    /// grown since the last call.
+    fn avoiding(
+        &mut self,
+        ctx: &mut SmtContext,
+        ts: &TransitionSystem,
+        num_locations: usize,
+        basis: &Subspace,
+    ) -> &Prepared {
+        let current = matches!(&self.avoiding, Some((dim, _)) if *dim == basis.dim());
+        if !current {
+            if let Some((_, old)) = self.avoiding.take() {
+                ctx.release(old);
+            }
+            let u_sym = symbolic_u(ts, num_locations, self.from, self.to);
+            let extended = ctx.extend(&self.formula, avoid_space(&u_sym, basis));
+            self.avoiding = Some((basis.dim(), extended));
+        }
+        &self.avoiding.as_ref().expect("set above").1
+    }
 }
 
 /// Converts a polyhedral invariant over the program variables into a formula
@@ -220,8 +251,14 @@ pub fn monodim(
     let n = ts.num_vars();
     let stacked_dim = num_locations * (n + 1);
 
-    // Prepare the per-transition formulas (invariant ∧ relation ∧ restriction).
-    let prepared: Vec<PreparedTransition> = ts
+    let mut ctx = SmtContext::new();
+    let cancel_in_smt = input.cancel.clone();
+    ctx.set_interrupt(termite_lp::Interrupt::new(move || {
+        cancel_in_smt.is_cancelled()
+    }));
+    // Prepare the per-transition formulas (invariant ∧ relation ∧
+    // restriction) once for the level; each is encoded on its first query.
+    let mut prepared: Vec<PreparedTransition> = ts
         .transitions()
         .iter()
         .filter_map(|t| {
@@ -238,16 +275,11 @@ pub fn monodim(
             Some(PreparedTransition {
                 from: t.from,
                 to: t.to,
-                formula,
+                formula: ctx.prepare(formula),
+                avoiding: None,
             })
         })
         .collect();
-
-    let mut ctx = SmtContext::new();
-    let cancel_in_smt = input.cancel.clone();
-    ctx.set_interrupt(termite_lp::Interrupt::new(move || {
-        cancel_in_smt.is_cancelled()
-    }));
     let mut counterexamples: Vec<QVector> = Vec::new();
     let mut basis = Subspace::new(stacked_dim);
     let mut template = RankingTemplate::zero(num_locations, n);
@@ -265,6 +297,7 @@ pub fn monodim(
                 cancelled: true,
                 exhausted: false,
                 witness,
+                smt: ctx.stats().clone(),
             };
         }
         iterations += 1;
@@ -279,17 +312,13 @@ pub fn monodim(
         // model minimising λ·u among those with λ·u ≤ 0 (or an unbounded ray).
         type BestCex = (Option<Rational>, QVector, Option<QVector>, (usize, QVector));
         let mut best: Option<BestCex> = None;
-        for t in &prepared {
+        for t in &mut prepared {
             let objective = objective_for(ts, &template, t.from, t.to);
-            let u_sym = symbolic_u(ts, num_locations, t.from, t.to);
-            let query = Formula::and(vec![
-                t.formula.clone(),
-                avoid_space(&u_sym, &basis),
-                Formula::le(objective.clone(), LinExpr::constant(0)),
-            ]);
+            let improving = [Formula::le(objective.clone(), LinExpr::constant(0))];
             let outcome = counted_query(&mut ctx, stats, |ctx| {
                 let _span = termite_obs::span!("smt_minimize", from = t.from, to = t.to);
-                ctx.minimize(&query, &objective)
+                let query = t.avoiding(ctx, ts, num_locations, &basis);
+                ctx.minimize_with(query, &improving, &objective)
             });
             match outcome {
                 OptResult::Unsat => continue,
@@ -301,6 +330,7 @@ pub fn monodim(
                         cancelled: true,
                         exhausted: false,
                         witness,
+                        smt: ctx.stats().clone(),
                     };
                 }
                 OptResult::Sat { model, outcome } => {
@@ -360,6 +390,7 @@ pub fn monodim(
                 cancelled: true,
                 exhausted: false,
                 witness,
+                smt: ctx.stats().clone(),
             };
         };
         all_delta_one = solution.delta.iter().all(|d| *d == Rational::one());
@@ -394,6 +425,7 @@ pub fn monodim(
         cancelled: false,
         exhausted,
         witness,
+        smt: ctx.stats().clone(),
     }
 }
 
@@ -413,10 +445,9 @@ fn zero_step_possible(
                 .map(|e| Formula::eq_expr(e, LinExpr::constant(0)))
                 .collect(),
         );
-        let query = Formula::and(vec![t.formula.clone(), all_zero]);
         let result = counted_query(ctx, stats, |ctx| {
             let _span = termite_obs::span!("smt_check", from = t.from, to = t.to);
-            ctx.solve(&query)
+            ctx.solve_with(&t.formula, &[all_zero])
         });
         // Only a completed `Unsat` rules the null step out; an interrupted
         // query conservatively counts as "possible" (so the result is never

@@ -12,7 +12,7 @@ use crate::workspace::SynthesisLpWorkspace;
 use termite_ir::TransitionSystem;
 use termite_linalg::{QVector, Subspace};
 use termite_polyhedra::Polyhedron;
-use termite_smt::{Formula, SmtContext};
+use termite_smt::{Formula, SmtContext, SolverStats};
 
 /// Outcome of the lexicographic synthesis.
 #[derive(Clone, Debug)]
@@ -30,17 +30,33 @@ pub struct LexOutcome {
     /// `true` when a level exhausted its counterexample-iteration budget, so
     /// the search was abandoned without an exhaustiveness guarantee.
     pub exhausted: bool,
+    /// The work of the run's SMT contexts: the liveness checks' and every
+    /// level's.
+    pub smt: SolverStats,
 }
 
 impl LexOutcome {
-    fn failure(witness: Option<(usize, QVector)>, cancelled: bool, exhausted: bool) -> Self {
+    fn failure(
+        witness: Option<(usize, QVector)>,
+        cancelled: bool,
+        exhausted: bool,
+        smt: SolverStats,
+    ) -> Self {
         LexOutcome {
             components: None,
             witness,
             cancelled,
             exhausted,
+            smt,
         }
     }
+}
+
+/// The SMT work of a run: its finished levels' and the liveness context's.
+fn smt_total(levels: &SolverStats, liveness: &SmtContext) -> SolverStats {
+    let mut total = levels.clone();
+    total.add(liveness.stats());
+    total
 }
 
 /// Synthesises a lexicographic linear ranking function by iterating the
@@ -85,13 +101,14 @@ pub fn synthesize_lexicographic(
         termite_lp::Interrupt::new(move || cancel_in_lp.is_cancelled()),
     );
     let mut witness: Option<(usize, QVector)> = None;
+    let mut levels_smt = SolverStats::default();
 
     // At most |W|·(n+1) dimensions (Corollary 1: the stacked λ's are
     // linearly independent).
     for _dim in 0..=stacked_dim {
         if cancel.is_cancelled() {
             stats.dimension = 0;
-            return LexOutcome::failure(witness, true, false);
+            return LexOutcome::failure(witness, true, false, smt_total(&levels_smt, &ctx));
         }
         // Which transitions are still active: the restricted relation
         // (invariant ∧ transition ∧ previous components constant) must be
@@ -118,7 +135,7 @@ pub fn synthesize_lexicographic(
                 // "dead": that path concludes a proof.
                 termite_smt::SmtResult::Interrupted => {
                     stats.dimension = 0;
-                    return LexOutcome::failure(witness, true, false);
+                    return LexOutcome::failure(witness, true, false, smt_total(&levels_smt, &ctx));
                 }
             }
         }
@@ -132,6 +149,7 @@ pub fn synthesize_lexicographic(
                 witness: None,
                 cancelled: false,
                 exhausted: false,
+                smt: smt_total(&levels_smt, &ctx),
             };
         }
         // The level's enabled regions feed both sides of the synthesis: the
@@ -152,19 +170,20 @@ pub fn synthesize_lexicographic(
             &mut ws,
             stats,
         );
+        levels_smt.add(&result.smt);
         if result.witness.is_some() {
             witness = result.witness.clone();
         }
         if result.cancelled {
             stats.dimension = 0;
-            return LexOutcome::failure(witness, true, false);
+            return LexOutcome::failure(witness, true, false, smt_total(&levels_smt, &ctx));
         }
         if result.exhausted {
             // The level has no maximal-power guarantee: building further
             // levels on it would be unsound, and so would "no ranking
             // function exists".
             stats.dimension = 0;
-            return LexOutcome::failure(witness, false, true);
+            return LexOutcome::failure(witness, false, true, smt_total(&levels_smt, &ctx));
         }
         if result.strict {
             components.push(result.template);
@@ -174,6 +193,7 @@ pub fn synthesize_lexicographic(
                 witness: None,
                 cancelled: false,
                 exhausted: false,
+                smt: smt_total(&levels_smt, &ctx),
             };
         }
         // Not strict: the new component must bring a new direction, otherwise
@@ -181,12 +201,12 @@ pub fn synthesize_lexicographic(
         let stacked = result.template.stacked();
         if stacked.is_zero() || !span.insert(stacked) {
             stats.dimension = 0;
-            return LexOutcome::failure(witness, false, false);
+            return LexOutcome::failure(witness, false, false, smt_total(&levels_smt, &ctx));
         }
         components.push(result.template);
     }
     stats.dimension = 0;
-    LexOutcome::failure(witness, false, false)
+    LexOutcome::failure(witness, false, false, smt_total(&levels_smt, &ctx))
 }
 
 #[cfg(test)]

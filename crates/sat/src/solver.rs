@@ -90,7 +90,7 @@ impl SatResult {
     }
 }
 
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 struct Clause {
     lits: Vec<Lit>,
 }
@@ -99,8 +99,12 @@ const UNASSIGNED: i8 = 0;
 
 /// A CDCL SAT solver with incremental clause addition.
 ///
+/// A clone continues from the same state: two clones given the same
+/// clauses find the same models. Two solvers are equal when they hold the
+/// same variables, clauses, assignment and search state.
+///
 /// See the crate documentation for an example.
-#[derive(Debug, Default)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Solver {
     clauses: Vec<Clause>,
     /// For each literal code, the clauses in which that literal is watched.
@@ -132,13 +136,31 @@ pub struct Solver {
     propagations: u64,
 }
 
+impl Default for Solver {
+    fn default() -> Self {
+        Solver::new()
+    }
+}
+
 impl Solver {
     /// Creates a solver with no variables and no clauses.
     pub fn new() -> Self {
         Solver {
-            ok: true,
+            clauses: Vec::new(),
+            watches: Vec::new(),
+            assign: Vec::new(),
+            level: Vec::new(),
+            reason: Vec::new(),
+            phase: Vec::new(),
+            trail: Vec::new(),
+            trail_lim: Vec::new(),
+            qhead: 0,
+            activity: Vec::new(),
             var_inc: 1.0,
-            ..Default::default()
+            ok: true,
+            conflicts: 0,
+            decisions: 0,
+            propagations: 0,
         }
     }
 

@@ -240,6 +240,60 @@ impl Atom {
     ///
     /// Returns `Ok(atom)` or, when the atom is variable-free, `Err(truth)`.
     pub fn from_ge(lhs: &LinExpr, rhs: &LinExpr) -> Result<Atom, bool> {
+        let integral = |e: &LinExpr| e.coeffs.values().all(Rational::is_integer);
+        if integral(lhs) && integral(rhs) {
+            Self::from_integral_ge(lhs, rhs)
+        } else {
+            Self::from_rational_ge(lhs, rhs)
+        }
+    }
+
+    /// [`from_ge`](Self::from_ge) when both sides have integer coefficients:
+    /// the difference's coefficients are the atom's, so one merge of the
+    /// two sides builds it, with no clone, subtraction or rescaling of a
+    /// [`LinExpr`].
+    fn from_integral_ge(lhs: &LinExpr, rhs: &LinExpr) -> Result<Atom, bool> {
+        let mut coeffs: BTreeMap<TermVar, Int> = BTreeMap::new();
+        let (mut l, mut r) = (lhs.coeffs.iter().peekable(), rhs.coeffs.iter().peekable());
+        loop {
+            let (v, c) = match (l.peek(), r.peek()) {
+                (None, None) => break,
+                (Some((lv, a)), Some((rv, b))) if lv == rv => {
+                    let term = (**lv, a.numer() - b.numer());
+                    l.next();
+                    r.next();
+                    term
+                }
+                (Some((lv, a)), Some((rv, _))) if lv < rv => {
+                    let term = (**lv, a.numer().clone());
+                    l.next();
+                    term
+                }
+                (Some((lv, a)), None) => {
+                    let term = (**lv, a.numer().clone());
+                    l.next();
+                    term
+                }
+                (_, Some((rv, b))) => {
+                    let term = (**rv, -b.numer());
+                    r.next();
+                    term
+                }
+            };
+            if !c.is_zero() {
+                coeffs.insert(v, c);
+            }
+        }
+        if coeffs.is_empty() {
+            return Err(lhs.constant >= rhs.constant);
+        }
+        // Σ c_i x_i + (l₀ − r₀) ≥ 0  ⟺  Σ c_i x_i ≥ ⌈r₀ − l₀⌉
+        let bound = (&rhs.constant - &lhs.constant).ceil();
+        Ok(Atom { coeffs, rhs: bound })
+    }
+
+    /// [`from_ge`](Self::from_ge) for any rational coefficients.
+    fn from_rational_ge(lhs: &LinExpr, rhs: &LinExpr) -> Result<Atom, bool> {
         // lhs - rhs >= 0, i.e. Σ c_i x_i >= -constant.
         let diff = lhs.clone() - rhs.clone();
         if diff.is_constant() {
@@ -271,6 +325,14 @@ impl Atom {
             coeffs: self.coeffs.iter().map(|(v, c)| (*v, -c)).collect(),
             rhs: &Int::one() - &self.rhs,
         }
+    }
+
+    /// [`negate`](Self::negate) in place, reusing the atom's storage.
+    pub(crate) fn negate_in_place(&mut self) {
+        for c in self.coeffs.values_mut() {
+            *c = -&*c;
+        }
+        self.rhs = &Int::one() - &self.rhs;
     }
 
     /// Evaluates the atom under an integer assignment.
@@ -308,6 +370,7 @@ impl fmt::Display for Atom {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn q(n: i64) -> Rational {
         Rational::from(n)
@@ -398,5 +461,33 @@ mod tests {
         assert_eq!(e.to_string(), "1·v0 - 2·v1 + 5");
         let a = Atom::from_ge(&e, &LinExpr::constant(0)).unwrap();
         assert_eq!(a.to_string(), "1·v0 - 2·v1 >= -5");
+    }
+
+    proptest! {
+        /// The one-pass path for integer coefficients builds the atom (or
+        /// the truth value) the rescaling path builds.
+        #[test]
+        fn prop_integral_atoms_match_the_rescaling_path(
+            l in prop::collection::vec(-3i64..=3, 3),
+            r in prop::collection::vec(-3i64..=3, 3),
+            ln in -9i64..=9, ld in 1i64..=4,
+            rn in -9i64..=9, rd in 1i64..=4,
+        ) {
+            let side = |c: &[i64], constant: Rational| {
+                let terms = c.iter().enumerate().map(|(i, &k)| (TermVar(i), Rational::from(k)));
+                LinExpr::from_terms(terms, constant)
+            };
+            let lhs = side(&l, Rational::from_ints(ln, ld));
+            let rhs = side(&r, Rational::from_ints(rn, rd));
+            prop_assert_eq!(
+                Atom::from_integral_ge(&lhs, &rhs),
+                Atom::from_rational_ge(&lhs, &rhs)
+            );
+            let mut negated = Atom::from_ge(&lhs, &rhs);
+            if let Ok(atom) = &mut negated {
+                atom.negate_in_place();
+            }
+            prop_assert_eq!(negated, Atom::from_ge(&lhs, &rhs).map(|a| a.negate()));
+        }
     }
 }

@@ -21,13 +21,18 @@
 //! 2. every propositional model is checked for theory consistency on a warm
 //!    [`termite_lp::BoundedTableau`] (the simplex that also decides
 //!    polyhedron emptiness) that persists across all the queries of one
-//!    [`SmtContext`]: each atom is interned once as a slack row, and the
-//!    model's literals are bounds on those rows. An infeasible check yields
-//!    a conflict, shrunk by deletion to the core plain deletion finds (see
-//!    the `theory` module), which goes back to the SAT core as a blocking
-//!    clause. A consistent `solve` check answers with the tableau's point
-//!    when it is integral, and otherwise takes its model from an exact
-//!    from-scratch simplex followed by branch-and-bound for integrality;
+//!    [`SmtContext`]: each atom is numbered once per context and put on the
+//!    tableau as a slack row, and the model's literals are bounds on those
+//!    rows. An infeasible check yields a conflict, shrunk by deletion to
+//!    the core plain deletion finds (see the `theory` module), which goes
+//!    back to the SAT core as a blocking clause; the context keeps every
+//!    core and blocks a later model that contains one with no theory check.
+//!    A consistent `solve` check answers with the tableau's point when it
+//!    is integral, and otherwise takes its model from an exact from-scratch
+//!    simplex followed by branch-and-bound for integrality. A conjunction
+//!    that many queries extend can be prepared once
+//!    ([`SmtContext::prepare`]), so each query encodes only its own
+//!    conjuncts;
 //! 3. on a theory-consistent model the objective can be **minimised** over the
 //!    model's polyhedron (optimization modulo theory, per the paper's
 //!    "extremal counterexample" requirement) by the same exact simplex, so
@@ -75,5 +80,5 @@ mod theory;
 
 pub use expr::{Atom, LinExpr, TermVar};
 pub use formula::Formula;
-pub use solver::{Model, OptOutcome, OptResult, SmtContext, SmtResult, SolverStats};
+pub use solver::{Model, OptOutcome, OptResult, Prepared, SmtContext, SmtResult, SolverStats};
 pub use theory::{TheoryOutcome, TheorySolver};

@@ -1,14 +1,31 @@
 //! The lazy DPLL(T) driver with optimization modulo theory.
 //!
-//! An [`SmtContext`] owns one [`TheorySolver`] for its lifetime. Each query
-//! Tseitin-encodes its formula afresh, interns the encoding's atoms on the
-//! theory solver once, and then hands it one literal set per SAT model: a
-//! conflict becomes a blocking clause, a consistent set ends the search.
-//! `solve` accepts the theory solver's warm integral point as the model;
-//! `minimize` returns the cold minimiser (see the `theory` module for which
-//! models run cold, and why).
+//! An [`SmtContext`] owns one [`TheorySolver`] for its lifetime, whose
+//! table numbers every atom the context meets once. Each query
+//! Tseitin-encodes its formula into a fresh SAT solver, puts the
+//! encoding's atoms on the theory solver's tableau once, and then hands it
+//! one literal set per SAT model: a conflict becomes a blocking clause, a
+//! consistent set ends the search. `solve` accepts the theory solver's warm
+//! integral point as the model; `minimize` returns the cold minimiser (see
+//! the `theory` module for which models run cold, and why).
+//!
+//! Two things carry over from one query to the next:
+//!
+//! * **Prepared conjunctions.** A conjunction that many queries extend
+//!   ([`SmtContext::prepare`], [`SmtContext::extend`]) is encoded once, on
+//!   first use, into a template SAT solver that is never solved. A query on
+//!   it ([`SmtContext::minimize_with`], [`SmtContext::solve_with`]) clones
+//!   the template and encodes only its own extra conjuncts, then the root
+//!   `And`: the same `new_var`/`add_clause` sequence, so the same CNF,
+//!   clause for clause, as encoding the whole conjunction from scratch.
+//! * **Kept cores.** Every conflict core is kept as `(atom id, polarity)`
+//!   pairs. A SAT model that asserts every literal of a kept core is
+//!   blocked with it, with no theory check and no deletion. Cores are valid
+//!   in linear integer arithmetic, so this is sound; a kept core may differ
+//!   from the one deletion would find on the new model, so identity with a
+//!   fresh context's search is tested, not built in (DESIGN.md §16).
 
-use crate::theory::{MinimizeOutcome, ModelSource, TheoryLit};
+use crate::theory::{AtomTable, MinimizeOutcome, ModelSource, TheoryLit};
 use crate::{Atom, Formula, LinExpr, TermVar, TheoryOutcome, TheorySolver};
 use std::collections::HashMap;
 use std::fmt;
@@ -137,10 +154,14 @@ impl OptResult {
 pub struct SolverStats {
     /// Number of satisfiability / optimization queries.
     pub queries: usize,
-    /// Number of theory consistency checks (DPLL(T) iterations).
+    /// Number of SAT models checked against the theory (DPLL(T)
+    /// iterations), by a warm check or by a kept core.
     pub theory_checks: usize,
     /// Number of blocking clauses added.
     pub blocking_clauses: usize,
+    /// Number of blocking clauses that are conflict cores the context kept
+    /// from an earlier query: their models took no theory work.
+    pub reused_cores: usize,
     /// Number of answered models whose integrality could not be established
     /// within the branch-and-bound budget: a `solve` model, a minimiser, or
     /// the model reported with an unbounded objective's ray.
@@ -157,15 +178,64 @@ pub struct SolverStats {
     pub theory_warm_checks: usize,
 }
 
+impl SolverStats {
+    /// Adds `other`'s counts to these.
+    pub fn add(&mut self, other: &SolverStats) {
+        self.queries += other.queries;
+        self.theory_checks += other.theory_checks;
+        self.blocking_clauses += other.blocking_clauses;
+        self.reused_cores += other.reused_cores;
+        self.non_integral_models += other.non_integral_models;
+        self.theory_lp_solves += other.theory_lp_solves;
+        self.theory_warm_checks += other.theory_warm_checks;
+    }
+}
+
+/// A conjunction prepared on an [`SmtContext`] for many queries that extend
+/// it (see [`SmtContext::prepare`]). A handle is only meaningful to the
+/// context that made it.
+#[derive(Debug)]
+pub struct Prepared(pub(crate) usize);
+
+/// One prepared conjunction: its own conjuncts on top of its base's, and the
+/// template that encodes the whole chain. Both are built on first use, so
+/// their cost falls inside the first query.
+#[derive(Debug)]
+struct Conjunction {
+    /// The conjunction this one extends.
+    base: Option<usize>,
+    /// The formula as prepared, until the first query flattens it.
+    formula: Option<Formula>,
+    /// This conjunction's own top-level conjuncts, in negation normal form
+    /// and flattened (kept after encoding only while the chain has fewer
+    /// than two, the one shape queries may still need them for).
+    conjuncts: Vec<Formula>,
+    /// Number of flattened conjuncts of the whole chain.
+    len: usize,
+    /// Whether a conjunct of the chain is `false`.
+    falsified: bool,
+    /// The chain's conjuncts encoded into a SAT solver that is never solved.
+    template: Option<Encoding>,
+}
+
 /// An SMT solving context: declares integer variables and answers
 /// (optimizing) satisfiability queries.
 ///
-/// One [`TheorySolver`] serves every query of a context: its tableau keeps
-/// the row of each atom the context has seen, and each query only moves
-/// bounds on it (see the `theory` module). Answers do not depend on that
-/// history: conflict cores are plain deletion's, and `minimize` models are
-/// what a fresh context returns. `solve` models are integral and satisfy
-/// the formula, but may be the warm tableau's point.
+/// One [`TheorySolver`] serves every query of a context: its table numbers
+/// each atom once, its tableau keeps the row of each atom the recent
+/// queries have seen, and each query only moves bounds on it (see the
+/// `theory` module). The context keeps every conflict core it finds; a SAT
+/// model that contains one is blocked by it with no theory work. A core is
+/// valid in linear integer arithmetic whatever formula it came from, so
+/// this is sound; but a kept core may differ from the one deletion would
+/// find on the new model, so the search after it is not the fresh one *by
+/// construction*. `minimize` models are what the search's first consistent
+/// model gives a fresh solver; `solve` models are integral and satisfy the
+/// formula, but may be the warm tableau's point.
+///
+/// A conjunction that many queries extend can be [`prepare`](Self::prepare)d:
+/// its encoding is built once, and each query encodes only its own extra
+/// conjuncts (see [`minimize_with`](Self::minimize_with)).
 ///
 /// See the crate-level documentation for an example.
 #[derive(Debug, Default)]
@@ -173,6 +243,13 @@ pub struct SmtContext {
     var_names: Vec<String>,
     stats: SolverStats,
     theory: TheorySolver,
+    /// The prepared conjunctions, by handle (`None` once released).
+    conjunctions: Vec<Option<Conjunction>>,
+    /// Every conflict core found so far, as literals sorted by atom id.
+    cores: Vec<Vec<TheoryLit>>,
+    /// Scratch, by atom id: one plus the atom's index in the encoding at
+    /// hand, or 0 when it has none. All zero between uses.
+    slots: Vec<usize>,
 }
 
 impl SmtContext {
@@ -207,11 +284,8 @@ impl SmtContext {
     /// Decides satisfiability of `formula`.
     pub fn solve(&mut self, formula: &Formula) -> SmtResult {
         self.stats.queries += 1;
-        match self.run(formula, None) {
-            RunResult::Unsat => SmtResult::Unsat,
-            RunResult::Sat { model, .. } => SmtResult::Sat(model),
-            RunResult::Interrupted => SmtResult::Interrupted,
-        }
+        let encoding = self.encode(formula);
+        self.run(encoding, None).into_smt()
     }
 
     /// Decides satisfiability of `formula` and, if satisfiable, minimises
@@ -219,37 +293,205 @@ impl SmtContext {
     /// of the model found (an *extremal* model in the sense of the paper).
     pub fn minimize(&mut self, formula: &Formula, objective: &LinExpr) -> OptResult {
         self.stats.queries += 1;
-        match self.run(formula, Some(objective)) {
-            RunResult::Unsat => OptResult::Unsat,
-            RunResult::Sat { model, outcome } => OptResult::Sat {
-                model,
-                outcome: outcome.expect("optimization run always produces an outcome"),
-            },
-            RunResult::Interrupted => OptResult::Interrupted,
+        let encoding = self.encode(formula);
+        self.run(encoding, Some(objective)).into_opt()
+    }
+
+    /// Prepares `formula` as the common part of later queries. Nothing is
+    /// normalised or encoded until the first query that uses it.
+    pub fn prepare(&mut self, formula: Formula) -> Prepared {
+        self.add_conjunction(None, formula)
+    }
+
+    /// Prepares `base ∧ formula`: queries on the result reuse `base`'s
+    /// encoding and add `formula`'s once. `base` must not be released before
+    /// the result has answered a query.
+    pub fn extend(&mut self, base: &Prepared, formula: Formula) -> Prepared {
+        self.add_conjunction(Some(base.0), formula)
+    }
+
+    /// Drops a prepared conjunction and its encoding.
+    pub fn release(&mut self, prepared: Prepared) {
+        self.conjunctions[prepared.0] = None;
+    }
+
+    /// [`solve`](Self::solve) of `prepared ∧ extras…`: the same answer and
+    /// search, with only `extras` encoded by this query.
+    pub fn solve_with(&mut self, prepared: &Prepared, extras: &[Formula]) -> SmtResult {
+        self.stats.queries += 1;
+        let encoding = self.encode_prepared(prepared.0, extras);
+        self.run(encoding, None).into_smt()
+    }
+
+    /// [`minimize`](Self::minimize) of `prepared ∧ extras…`: the same answer
+    /// and search, with only `extras` encoded by this query.
+    ///
+    /// The query's CNF is, clause for clause, what encoding
+    /// `Formula::and([prepared, extras…])` from scratch gives: the template
+    /// holds the chain's flattened conjuncts encoded in order, and the query
+    /// encodes its own after them, then adds the root `And` and its unit
+    /// clause. Where that formula has no root `And` (a `false` conjunct, or
+    /// fewer than two conjuncts) the query is encoded from scratch.
+    pub fn minimize_with(
+        &mut self,
+        prepared: &Prepared,
+        extras: &[Formula],
+        objective: &LinExpr,
+    ) -> OptResult {
+        self.stats.queries += 1;
+        let encoding = self.encode_prepared(prepared.0, extras);
+        self.run(encoding, Some(objective)).into_opt()
+    }
+
+    fn add_conjunction(&mut self, base: Option<usize>, formula: Formula) -> Prepared {
+        self.conjunctions.push(Some(Conjunction {
+            base,
+            formula: Some(formula),
+            conjuncts: Vec::new(),
+            len: 0,
+            falsified: false,
+            template: None,
+        }));
+        Prepared(self.conjunctions.len() - 1)
+    }
+
+    fn conjunction(&self, id: usize) -> &Conjunction {
+        self.conjunctions[id]
+            .as_ref()
+            .expect("a prepared conjunction is used after its release")
+    }
+
+    /// Flattens conjunction `id`'s formula (and its base chain's) on first
+    /// use, and returns the chain's conjunct count and whether one of them
+    /// is `false`.
+    fn flatten(&mut self, id: usize) -> (usize, bool) {
+        let base = self.conjunction(id).base;
+        let (len, falsified) = base.map_or((0, false), |b| self.flatten(b));
+        let conjunction = self.conjunctions[id].as_mut().expect("checked above");
+        if let Some(formula) = conjunction.formula.take() {
+            let conjuncts = flat_conjuncts(&formula);
+            conjunction.len = len + conjuncts.as_ref().map_or(0, Vec::len);
+            conjunction.falsified = falsified || conjuncts.is_none();
+            conjunction.conjuncts = conjuncts.unwrap_or_default();
         }
+        (conjunction.len, conjunction.falsified)
+    }
+
+    /// The template of conjunction `id`, encoded on first use: its base's
+    /// template, then its own conjuncts.
+    fn template(&mut self, id: usize) -> &Encoding {
+        if self.conjunction(id).template.is_none() {
+            let mut encoding = match self.conjunction(id).base {
+                Some(base) => self.template(base).clone(),
+                None => Encoding::default(),
+            };
+            let conjunction = self.conjunctions[id].as_mut().expect("checked above");
+            let mut encoder = Encoder::new(&mut encoding, self.theory.atoms(), &mut self.slots);
+            for c in &conjunction.conjuncts {
+                let root = encoder.encode(c);
+                encoder.encoding.roots.push(root);
+            }
+            drop(encoder);
+            if conjunction.len >= 2 {
+                conjunction.conjuncts = Vec::new();
+            }
+            conjunction.template = Some(encoding);
+        }
+        self.conjunction(id)
+            .template
+            .as_ref()
+            .expect("encoded above")
+    }
+
+    /// The flattened conjuncts of the chain ending at `id`, base first.
+    fn chain_conjuncts(&self, id: usize) -> Vec<Formula> {
+        let conjunction = self.conjunction(id);
+        let mut out = conjunction
+            .base
+            .map_or_else(Vec::new, |b| self.chain_conjuncts(b));
+        out.extend(conjunction.conjuncts.iter().cloned());
+        out
+    }
+
+    /// Encodes `formula` from scratch.
+    pub(crate) fn encode(&mut self, formula: &Formula) -> Encoding {
+        let nnf = formula.to_nnf();
+        let mut encoding = Encoding::default();
+        let root = Encoder::new(&mut encoding, self.theory.atoms(), &mut self.slots).encode(&nnf);
+        encoding.sat.add_clause(&[root]);
+        encoding
+    }
+
+    /// Encodes conjunction `id` and `extras` as [`encode`](Self::encode)
+    /// encodes their conjunction (see [`minimize_with`](Self::minimize_with)).
+    pub(crate) fn encode_prepared(&mut self, id: usize, extras: &[Formula]) -> Encoding {
+        let (len, mut falsified) = self.flatten(id);
+        let mut own: Vec<Formula> = Vec::new();
+        for extra in extras {
+            match flat_conjuncts(extra) {
+                Some(conjuncts) => own.extend(conjuncts),
+                None => falsified = true,
+            }
+        }
+        if falsified {
+            return self.encode(&Formula::False);
+        }
+        if len + own.len() < 2 {
+            let mut all = self.chain_conjuncts(id);
+            all.extend(own);
+            return self.encode(&Formula::and(all));
+        }
+        let mut encoding = self.template(id).clone();
+        let mut encoder = Encoder::new(&mut encoding, self.theory.atoms(), &mut self.slots);
+        for c in &own {
+            let root = encoder.encode(c);
+            encoder.encoding.roots.push(root);
+        }
+        let roots = std::mem::take(&mut encoder.encoding.roots);
+        let root = encoder.and_gate(&roots);
+        drop(encoder);
+        encoding.sat.add_clause(&[root]);
+        encoding
     }
 
     /// Runs one query, adding the theory solver's work on it to the stats.
-    fn run(&mut self, formula: &Formula, objective: Option<&LinExpr>) -> RunResult {
+    fn run(&mut self, encoding: Encoding, objective: Option<&LinExpr>) -> RunResult {
         let lp_solves = self.theory.lp_solves();
         let warm_checks = self.theory.warm_checks();
-        let result = self.search(formula, objective);
+        let result = self.search(encoding, objective);
         self.stats.theory_lp_solves += self.theory.lp_solves() - lp_solves;
         self.stats.theory_warm_checks += self.theory.warm_checks() - warm_checks;
         result
     }
 
+    /// The kept cores all of whose atoms the encoding has, each as (atom
+    /// index in the encoding, polarity) pairs by ascending index.
+    fn candidate_cores(&mut self, atoms: &[(TheoryLit, SatVar)]) -> Vec<Vec<(usize, bool)>> {
+        let slots = mark(&mut self.slots, atoms);
+        let candidates = (self.cores.iter())
+            .filter(|core| {
+                core.iter()
+                    .all(|lit| slots.get(lit.atom).is_some_and(|&s| s > 0))
+            })
+            .map(|core| {
+                let mut literals: Vec<(usize, bool)> = (core.iter())
+                    .map(|lit| (slots[lit.atom] - 1, lit.positive))
+                    .collect();
+                literals.sort_unstable();
+                literals
+            })
+            .collect();
+        unmark(slots, atoms);
+        candidates
+    }
+
     /// The DPLL(T) loop proper: SAT models checked by the theory solver.
-    fn search(&mut self, formula: &Formula, objective: Option<&LinExpr>) -> RunResult {
-        let nnf = formula.to_nnf();
-        let mut enc = Encoder::new();
-        let root = enc.encode(&nnf);
-        enc.sat.add_clause(&[root]);
-        // Each atom is interned once per query; a SAT model then picks one
-        // theory literal per atom.
-        let theory_lits = self
-            .theory
-            .intern_all(enc.atom_vars.iter().map(|(atom, _)| atom));
+    fn search(&mut self, mut encoding: Encoding, objective: Option<&LinExpr>) -> RunResult {
+        // Each atom is put on the tableau once per query; a SAT model then
+        // picks one theory literal per atom.
+        let theory_lits: Vec<TheoryLit> = encoding.atoms.iter().map(|&(lit, _)| lit).collect();
+        self.theory.intern_all(&theory_lits);
+        let mut candidates = self.candidate_cores(&encoding.atoms);
         let mut asserted: Vec<TheoryLit> = Vec::with_capacity(theory_lits.len());
         let mut asserted_lits: Vec<Lit> = Vec::with_capacity(theory_lits.len());
 
@@ -257,64 +499,122 @@ impl SmtContext {
             if self.theory.interrupt().is_raised() {
                 return RunResult::Interrupted;
             }
-            let SatResult::Sat(bool_model) = enc.sat.solve() else {
+            let SatResult::Sat(bool_model) = encoding.sat.solve() else {
                 return RunResult::Unsat;
             };
             self.stats.theory_checks += 1;
             asserted.clear();
             asserted_lits.clear();
-            for (lit, (_, var)) in theory_lits.iter().zip(&enc.atom_vars) {
+            for (lit, (_, var)) in theory_lits.iter().zip(&encoding.atoms) {
                 let value = bool_model[var.index()];
                 asserted.push(if value { *lit } else { lit.negate() });
                 asserted_lits.push(Lit::with_polarity(*var, value));
             }
-            // A consistent answer ends the search; a conflict blocks it.
-            let answer = match objective {
-                None => match self
-                    .theory
-                    .check_literals(&asserted, ModelSource::WarmIfIntegral)
-                {
-                    TheoryOutcome::Interrupted => return RunResult::Interrupted,
-                    TheoryOutcome::Inconsistent { conflict } => Err(conflict),
-                    TheoryOutcome::Consistent { model, integral } => Ok((model, integral, None)),
-                },
-                Some(obj) => match self.theory.minimize_literals(&asserted, obj) {
-                    MinimizeOutcome::Interrupted => return RunResult::Interrupted,
-                    MinimizeOutcome::Inconsistent { conflict } => Err(conflict),
-                    MinimizeOutcome::Unbounded {
-                        model,
-                        integral,
-                        ray,
-                    } => Ok((model, integral, Some(OptOutcome::Unbounded { ray }))),
-                    MinimizeOutcome::Optimal {
-                        model,
-                        value,
-                        integral,
-                    } => Ok((model, integral, Some(OptOutcome::Minimum(value)))),
-                },
+            // A kept core inside the model blocks it with no theory work.
+            // The blocking clause forbids that core for the rest of the
+            // query, so it is no longer a candidate.
+            let kept = (candidates.iter()).position(|core| {
+                (core.iter()).all(|&(index, positive)| asserted[index].positive == positive)
+            });
+            let conflict: Vec<usize> = if let Some(k) = kept {
+                let core = candidates.remove(k);
+                debug_assert!(
+                    (core.iter()).all(|&(index, positive)| {
+                        let lit = TheoryLit {
+                            atom: theory_lits[index].atom,
+                            positive,
+                        };
+                        asserted.contains(&lit)
+                    }),
+                    "a reused core lies outside the asserted literals"
+                );
+                self.stats.reused_cores += 1;
+                core.into_iter().map(|(index, _)| index).collect()
+            } else {
+                // A consistent answer ends the search; a conflict blocks it.
+                let answer = match objective {
+                    None => match self
+                        .theory
+                        .check_literals(&asserted, ModelSource::WarmIfIntegral)
+                    {
+                        TheoryOutcome::Interrupted => return RunResult::Interrupted,
+                        TheoryOutcome::Inconsistent { conflict } => Err(conflict),
+                        TheoryOutcome::Consistent { model, integral } => {
+                            Ok((model, integral, None))
+                        }
+                    },
+                    Some(obj) => match self.theory.minimize_literals(&asserted, obj) {
+                        MinimizeOutcome::Interrupted => return RunResult::Interrupted,
+                        MinimizeOutcome::Inconsistent { conflict } => Err(conflict),
+                        MinimizeOutcome::Unbounded {
+                            model,
+                            integral,
+                            ray,
+                        } => Ok((model, integral, Some(OptOutcome::Unbounded { ray }))),
+                        MinimizeOutcome::Optimal {
+                            model,
+                            value,
+                            integral,
+                        } => Ok((model, integral, Some(OptOutcome::Minimum(value)))),
+                    },
+                };
+                match answer {
+                    Ok((values, integral, outcome)) => {
+                        if !integral {
+                            self.stats.non_integral_models += 1;
+                        }
+                        return RunResult::Sat {
+                            model: Model { values, integral },
+                            outcome,
+                        };
+                    }
+                    Err(conflict) => {
+                        let mut core: Vec<TheoryLit> =
+                            conflict.iter().map(|&i| asserted[i]).collect();
+                        core.sort_unstable();
+                        self.cores.push(core);
+                        conflict
+                    }
+                }
             };
-            match answer {
-                Ok((values, integral, outcome)) => {
-                    if !integral {
-                        self.stats.non_integral_models += 1;
-                    }
-                    return RunResult::Sat {
-                        model: Model { values, integral },
-                        outcome,
-                    };
-                }
-                Err(conflict) => {
-                    self.stats.blocking_clauses += 1;
-                    let clause: Vec<Lit> = conflict
-                        .iter()
-                        .map(|&i| asserted_lits[i].negate())
-                        .collect();
-                    if !enc.sat.add_clause(&clause) {
-                        return RunResult::Unsat;
-                    }
-                }
+            self.stats.blocking_clauses += 1;
+            let clause: Vec<Lit> = conflict
+                .iter()
+                .map(|&i| asserted_lits[i].negate())
+                .collect();
+            if !encoding.sat.add_clause(&clause) {
+                return RunResult::Unsat;
             }
         }
+    }
+}
+
+/// The top-level conjuncts of `formula` in negation normal form, flattened
+/// as `Formula::and` flattens them; `None` when one of them is `false`.
+fn flat_conjuncts(formula: &Formula) -> Option<Vec<Formula>> {
+    match formula.to_nnf() {
+        Formula::False => None,
+        Formula::True => Some(Vec::new()),
+        Formula::And(conjuncts) => Some(conjuncts),
+        other => Some(vec![other]),
+    }
+}
+
+/// Sets the slot of each atom of an encoding to one plus its index.
+fn mark<'a>(slots: &'a mut Vec<usize>, atoms: &[(TheoryLit, SatVar)]) -> &'a mut Vec<usize> {
+    for (index, (lit, _)) in atoms.iter().enumerate() {
+        if slots.len() <= lit.atom {
+            slots.resize(lit.atom + 1, 0);
+        }
+        slots[lit.atom] = index + 1;
+    }
+    slots
+}
+
+/// Clears the slots [`mark`] set.
+fn unmark(slots: &mut [usize], atoms: &[(TheoryLit, SatVar)]) {
+    for (lit, _) in atoms {
+        slots[lit.atom] = 0;
     }
 }
 
@@ -327,33 +627,74 @@ enum RunResult {
     Interrupted,
 }
 
-/// Tseitin encoder: maps the NNF formula to CNF over a CDCL solver, keeping
-/// the correspondence between SAT variables and theory atoms.
-struct Encoder {
-    sat: SatSolver,
-    atom_vars: Vec<(Atom, SatVar)>,
-    atom_index: HashMap<Atom, usize>,
-    true_lit: Option<Lit>,
+impl RunResult {
+    fn into_smt(self) -> SmtResult {
+        match self {
+            RunResult::Unsat => SmtResult::Unsat,
+            RunResult::Sat { model, .. } => SmtResult::Sat(model),
+            RunResult::Interrupted => SmtResult::Interrupted,
+        }
+    }
+
+    fn into_opt(self) -> OptResult {
+        match self {
+            RunResult::Unsat => OptResult::Unsat,
+            RunResult::Sat { model, outcome } => OptResult::Sat {
+                model,
+                outcome: outcome.expect("optimization run always produces an outcome"),
+            },
+            RunResult::Interrupted => OptResult::Interrupted,
+        }
+    }
 }
 
-impl Encoder {
-    fn new() -> Self {
+/// A CNF encoding: the SAT solver, the theory atom each atom variable
+/// stands for, and the literals of the top-level conjuncts a template has
+/// encoded so far.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct Encoding {
+    pub(crate) sat: SatSolver,
+    /// Each atom's literal, in the polarity it was first seen in, and the
+    /// SAT variable whose positive literal stands for it; in first-seen
+    /// order.
+    pub(crate) atoms: Vec<(TheoryLit, SatVar)>,
+    pub(crate) true_lit: Option<Lit>,
+    roots: Vec<Lit>,
+}
+
+/// Tseitin encoder: maps NNF formulas to CNF over an [`Encoding`]'s CDCL
+/// solver, numbering atoms in the context's table and keeping the
+/// correspondence between SAT variables and theory atoms.
+struct Encoder<'a> {
+    encoding: &'a mut Encoding,
+    table: &'a mut AtomTable,
+    /// The context's slots, marked for the encoding's atoms until the
+    /// encoder is dropped.
+    slots: &'a mut Vec<usize>,
+}
+
+impl<'a> Encoder<'a> {
+    fn new(
+        encoding: &'a mut Encoding,
+        table: &'a mut AtomTable,
+        slots: &'a mut Vec<usize>,
+    ) -> Self {
+        mark(slots, &encoding.atoms);
         Encoder {
-            sat: SatSolver::new(),
-            atom_vars: Vec::new(),
-            atom_index: HashMap::new(),
-            true_lit: None,
+            encoding,
+            table,
+            slots,
         }
     }
 
     fn constant(&mut self, value: bool) -> Lit {
-        let t = match self.true_lit {
+        let t = match self.encoding.true_lit {
             Some(t) => t,
             None => {
-                let v = self.sat.new_var();
+                let v = self.encoding.sat.new_var();
                 let l = Lit::pos(v);
-                self.sat.add_clause(&[l]);
-                self.true_lit = Some(l);
+                self.encoding.sat.add_clause(&[l]);
+                self.encoding.true_lit = Some(l);
                 l
             }
         };
@@ -365,19 +706,36 @@ impl Encoder {
     }
 
     fn atom_lit(&mut self, atom: Atom) -> Lit {
-        // Canonical polarity: keep the atom and its negation on one SAT
-        // variable by storing whichever form was seen first.
-        if let Some(&i) = self.atom_index.get(&atom) {
-            return Lit::pos(self.atom_vars[i].1);
+        // Canonical polarity: the atom and its negation share one table id
+        // and one SAT variable, which stands for whichever form was seen
+        // first.
+        let lit = self.table.literal(atom);
+        if self.slots.len() < self.table.len() {
+            self.slots.resize(self.table.len(), 0);
         }
-        let negated = atom.negate();
-        if let Some(&i) = self.atom_index.get(&negated) {
-            return Lit::neg(self.atom_vars[i].1);
+        let slot = self.slots[lit.atom];
+        if slot > 0 {
+            let (first, var) = self.encoding.atoms[slot - 1];
+            return Lit::with_polarity(var, first.positive == lit.positive);
         }
-        let v = self.sat.new_var();
-        self.atom_index.insert(atom.clone(), self.atom_vars.len());
-        self.atom_vars.push((atom, v));
+        let v = self.encoding.sat.new_var();
+        self.encoding.atoms.push((lit, v));
+        self.slots[lit.atom] = self.encoding.atoms.len();
         Lit::pos(v)
+    }
+
+    /// `p ↔ ⋀ lits` for a fresh `p`.
+    fn and_gate(&mut self, lits: &[Lit]) -> Lit {
+        let sat = &mut self.encoding.sat;
+        let p = Lit::pos(sat.new_var());
+        // p -> each child ; (all children) -> p
+        let mut back: Vec<Lit> = vec![p];
+        for &l in lits {
+            sat.add_clause(&[p.negate(), l]);
+            back.push(l.negate());
+        }
+        sat.add_clause(&back);
+        p
     }
 
     fn encode(&mut self, f: &Formula) -> Lit {
@@ -391,29 +749,28 @@ impl Encoder {
             },
             Formula::And(children) => {
                 let lits: Vec<Lit> = children.iter().map(|c| self.encode(c)).collect();
-                let p = Lit::pos(self.sat.new_var());
-                // p -> each child ; (all children) -> p
-                let mut back: Vec<Lit> = vec![p];
-                for &l in &lits {
-                    self.sat.add_clause(&[p.negate(), l]);
-                    back.push(l.negate());
-                }
-                self.sat.add_clause(&back);
-                p
+                self.and_gate(&lits)
             }
             Formula::Or(children) => {
                 let lits: Vec<Lit> = children.iter().map(|c| self.encode(c)).collect();
-                let p = Lit::pos(self.sat.new_var());
+                let sat = &mut self.encoding.sat;
+                let p = Lit::pos(sat.new_var());
                 // child -> p ; p -> (some child)
                 let mut fwd: Vec<Lit> = vec![p.negate()];
                 for &l in &lits {
-                    self.sat.add_clause(&[p, l.negate()]);
+                    sat.add_clause(&[p, l.negate()]);
                     fwd.push(l);
                 }
-                self.sat.add_clause(&fwd);
+                sat.add_clause(&fwd);
                 p
             }
         }
+    }
+}
+
+impl Drop for Encoder<'_> {
+    fn drop(&mut self) {
+        unmark(self.slots, &self.encoding.atoms);
     }
 }
 

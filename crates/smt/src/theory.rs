@@ -41,18 +41,21 @@
 //! Every term variable is a free column, and every atom `Σ aᵢ·xᵢ ≥ b` one
 //! row `s = Σ aᵢ·xᵢ`, oriented so that the leading coefficient is positive.
 //! The atom is the lower bound `s ≥ b`; its negation `−Σ aᵢ·xᵢ ≥ 1 − b`
-//! shares the row as the upper bound `s ≤ b − 1`. A query interns each
-//! oriented atom once: its id names the row and the bound of each
-//! polarity, so every literal set of the query is loaded as
-//! `(id, polarity)` pairs without building, negating or hashing an atom.
-//! The atoms themselves are rebuilt from the table only for the cold LPs
-//! of a feasible set. Rows outlive their query, so later queries over the
-//! same atoms start warm; a query whose atoms would hold less than half
-//! the rows rebuilds the tableau from them alone
-//! ([`TheorySolver::intern_all`]). A literal set that bounds one row twice
-//! (a duplicate atom, or an atom with its negation) puts the extra literal
-//! on a spare row with the same expression, so every row carries one
-//! literal and the blocking rows of a check name its support.
+//! shares the row as the upper bound `s ≤ b − 1`. The solver's atom table
+//! numbers each oriented atom once for the solver's lifetime, with a
+//! fixed, unrandomised hasher (the table is only looked up, never iterated
+//! into output). The SMT encoder, the tableau and the kept conflict cores
+//! all name atoms by these ids, so every literal set of a query is loaded
+//! as `(id, polarity)` pairs without building, negating or hashing an
+//! atom. The atoms themselves are rebuilt from the table only for the cold
+//! LPs of a feasible set. Rows outlive their query, so later queries over
+//! the same atoms start warm; a query whose atoms would hold less than
+//! half the rows rebuilds the tableau from them alone
+//! ([`TheorySolver::intern_all`]), and the ids survive the rebuild. A
+//! literal set that bounds one row twice (a duplicate atom, or an atom with
+//! its negation) puts the extra literal on a spare row with the same
+//! expression, so every row carries one literal and the blocking rows of a
+//! check name its support.
 //!
 //! # Conflict cores from warm certificates
 //!
@@ -73,8 +76,8 @@
 //! the tableau has collected.
 
 use crate::{Atom, LinExpr, TermVar};
-use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::hash::{BuildHasherDefault, Hasher};
 use termite_lp::{
     Bound, BoundedTableau, Constraint as LpConstraint, Interrupt, Interrupted, LinearProgram,
     LpOutcome, LpSolution, Relation, VarId,
@@ -138,11 +141,13 @@ pub enum MinimizeOutcome {
 /// Branch-and-bound node budget (per theory call).
 const BB_NODE_LIMIT: usize = 400;
 
-/// A theory literal: an atom interned on a [`TheorySolver`] and a polarity.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+/// A theory literal: an atom of a [`TheorySolver`]'s table and a polarity.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub(crate) struct TheoryLit {
-    atom: usize,
-    positive: bool,
+    /// The atom's id in the solver's [`AtomTable`].
+    pub(crate) atom: usize,
+    /// Whether the literal is the atom (or its negation).
+    pub(crate) positive: bool,
 }
 
 impl TheoryLit {
@@ -155,11 +160,90 @@ impl TheoryLit {
     }
 }
 
-/// One interned atom (see the module documentation).
+/// A fixed, unkeyed hasher (the multiply-rotate of rustc's `FxHasher`).
+/// Atom tables are only looked up, never iterated into output, so a
+/// deterministic hash needs no random keys.
+#[derive(Clone, Copy, Debug, Default)]
+struct FixedHasher(u64);
+
+impl FixedHasher {
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+    }
+}
+
+impl Hasher for FixedHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.add(u64::from_le_bytes(word));
+        }
+    }
+
+    fn write_u64(&mut self, word: u64) {
+        self.add(word);
+    }
+
+    fn write_usize(&mut self, word: usize) {
+        self.add(word as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// Every atom a solver has seen, positively oriented (leading coefficient
+/// positive) and numbered once for the solver's lifetime: the encoder, the
+/// tableau and the kept conflict cores all name atoms by these ids.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct AtomTable {
+    keys: Vec<Atom>,
+    ids: HashMap<Atom, usize, BuildHasherDefault<FixedHasher>>,
+}
+
+impl AtomTable {
+    /// The literal `atom` is: its oriented form's id, numbered on first
+    /// sight, and whether `atom` is that form or its negation.
+    pub(crate) fn literal(&mut self, mut atom: Atom) -> TheoryLit {
+        // `e ≥ b` with a negative leading coefficient is the negation of
+        // `−e ≥ 1 − b`, whose leading coefficient is positive.
+        let positive = !atom.coeffs.values().next().is_some_and(|c| c.is_negative());
+        if !positive {
+            atom.negate_in_place();
+        }
+        let id = match self.ids.get(&atom) {
+            Some(&id) => id,
+            None => {
+                let id = self.keys.len();
+                self.ids.insert(atom.clone(), id);
+                self.keys.push(atom);
+                id
+            }
+        };
+        TheoryLit { atom: id, positive }
+    }
+
+    /// Number of atoms numbered so far.
+    pub(crate) fn len(&self) -> usize {
+        self.keys.len()
+    }
+
+    /// The literal as an atom.
+    fn atom(&self, lit: TheoryLit) -> Atom {
+        let key = &self.keys[lit.atom];
+        if lit.positive {
+            key.clone()
+        } else {
+            key.negate()
+        }
+    }
+}
+
+/// The rows and bounds of one atom on an [`AtomTableau`].
 #[derive(Clone, Debug)]
 struct InternedAtom {
-    /// The atom with a positive leading coefficient, `e ≥ b`.
-    key: Atom,
     /// The rows `s = e`: one, plus the spares literal sets have needed.
     rows: Vec<usize>,
     /// `s ≥ b`, the bound of the positive literal.
@@ -168,17 +252,15 @@ struct InternedAtom {
     fails: Bound,
 }
 
-/// The atoms interned so far, their rows on a [`BoundedTableau`], and the
+/// The rows of the atoms interned so far on a [`BoundedTableau`], and the
 /// literal set loaded on it.
 #[derive(Clone, Debug, Default)]
 struct AtomTableau {
     tableau: BoundedTableau,
     /// The column of each term variable.
     columns: HashMap<TermVar, usize>,
-    /// The interned atoms, by id.
-    atoms: Vec<InternedAtom>,
-    /// The id of each positively oriented atom.
-    ids: HashMap<Atom, usize>,
+    /// The rows and bounds of each table atom on this tableau, by atom id.
+    atoms: Vec<Option<InternedAtom>>,
     /// Each loaded literal and the row that carries it, in load order.
     loaded: Vec<(TheoryLit, usize)>,
     /// The loaded literal whose bound each variable carries, if any.
@@ -186,38 +268,32 @@ struct AtomTableau {
 }
 
 impl AtomTableau {
-    /// The literal `atom`, interning its oriented form (and adding its row)
-    /// on first sight.
-    fn intern(&mut self, atom: &Atom) -> TheoryLit {
-        // `e ≥ b` with a negative leading coefficient is the negation of
-        // `−e ≥ 1 − b`, whose leading coefficient is positive.
-        let positive = !atom.coeffs.values().next().is_some_and(|c| c.is_negative());
-        let key = if positive {
-            Cow::Borrowed(atom)
-        } else {
-            Cow::Owned(atom.negate())
-        };
-        let id = match self.ids.get(key.as_ref()) {
-            Some(&id) => id,
-            None => self.add_atom(key.into_owned()),
-        };
-        TheoryLit { atom: id, positive }
-    }
-
-    /// Interns a positively oriented atom: its row, and both bounds.
-    fn add_atom(&mut self, key: Atom) -> usize {
-        let id = self.atoms.len();
-        let row = self.add_row(&key);
+    /// Puts table atom `id` on the tableau (its row and both bounds), unless
+    /// it is there already.
+    fn intern(&mut self, table: &AtomTable, id: usize) {
+        if self.atoms.len() <= id {
+            self.atoms.resize(id + 1, None);
+        }
+        if self.atoms[id].is_some() {
+            return;
+        }
+        let key = &table.keys[id];
+        let row = self.add_row(key);
         let b = Rational::from_int(key.rhs.clone());
         let fails = Bound::Upper(&b - &Rational::one());
-        self.ids.insert(key.clone(), id);
-        self.atoms.push(InternedAtom {
-            key,
+        self.atoms[id] = Some(InternedAtom {
             rows: vec![row],
             holds: Bound::Lower(b),
             fails,
         });
-        id
+    }
+
+    /// The rows and bounds of table atom `id`, which a literal to load
+    /// names.
+    fn interned(&self, id: usize) -> &InternedAtom {
+        self.atoms[id]
+            .as_ref()
+            .expect("a query interns its literals' atoms before loading them")
     }
 
     /// Adds a row for `key`'s expression, and the columns of its variables
@@ -237,20 +313,20 @@ impl AtomTableau {
 
     /// Replaces the loaded literal set by `literals`: retracts the bounds of
     /// the previous set and asserts one bound per literal.
-    fn load(&mut self, literals: &[TheoryLit]) {
+    fn load(&mut self, table: &AtomTable, literals: &[TheoryLit]) {
         for &(_, row) in &self.loaded {
             self.tableau.retract(row);
             self.owner[row] = None;
         }
         self.loaded.clear();
         for (index, &lit) in literals.iter().enumerate() {
-            let rows = &self.atoms[lit.atom].rows;
+            let rows = &self.interned(lit.atom).rows;
             let row = match rows.iter().copied().find(|&r| self.owner[r].is_none()) {
                 Some(row) => row,
                 None => {
-                    let key = self.atoms[lit.atom].key.clone();
-                    let row = self.add_row(&key);
-                    self.atoms[lit.atom].rows.push(row);
+                    let row = self.add_row(&table.keys[lit.atom]);
+                    let atom = self.atoms[lit.atom].as_mut().expect("interned above");
+                    atom.rows.push(row);
                     row
                 }
             };
@@ -268,33 +344,26 @@ impl AtomTableau {
     /// Puts the bound of loaded literal `index` (back) on its row.
     fn reassert(&mut self, index: usize) {
         let (lit, row) = self.loaded[index];
-        let atom = &self.atoms[lit.atom];
+        let atom = self.interned(lit.atom);
         let bound = if lit.positive {
-            &atom.holds
+            atom.holds.clone()
         } else {
-            &atom.fails
+            atom.fails.clone()
         };
-        self.tableau.assert_bound(row, bound.clone());
+        self.tableau.assert_bound(row, bound);
     }
 
     /// The loaded literals as atoms, in load order.
-    fn loaded_atoms(&self) -> Vec<Atom> {
+    fn loaded_atoms(&self, table: &AtomTable) -> Vec<Atom> {
         (self.loaded.iter())
-            .map(|&(lit, _)| {
-                let key = &self.atoms[lit.atom].key;
-                if lit.positive {
-                    key.clone()
-                } else {
-                    key.negate()
-                }
-            })
+            .map(|&(lit, _)| table.atom(lit))
             .collect()
     }
 
     /// The variables of the loaded literals, ascending.
-    fn loaded_vars(&self) -> Vec<TermVar> {
+    fn loaded_vars(&self, table: &AtomTable) -> Vec<TermVar> {
         let vars: BTreeSet<TermVar> = (self.loaded.iter())
-            .flat_map(|&(lit, _)| self.atoms[lit.atom].key.vars())
+            .flat_map(|&(lit, _)| table.keys[lit.atom].vars())
             .collect();
         vars.into_iter().collect()
     }
@@ -335,8 +404,9 @@ pub(crate) enum ModelSource {
     WarmIfIntegral,
 }
 
-/// The LIA theory solver: a warm tableau over every atom it has interned,
-/// the interrupt source, and its work counters.
+/// The LIA theory solver: the table of every atom it has seen, a warm
+/// tableau over the atoms of recent queries, the interrupt source, and its
+/// work counters.
 #[derive(Debug, Default, Clone)]
 pub struct TheorySolver {
     interrupt: Interrupt,
@@ -344,6 +414,7 @@ pub struct TheorySolver {
     lp_solves: usize,
     /// Warm checks and probes so far (see [`TheorySolver::warm_checks`]).
     warm_checks: usize,
+    table: AtomTable,
     tableau: AtomTableau,
 }
 
@@ -387,24 +458,37 @@ impl TheorySolver {
         self.warm_checks
     }
 
-    /// Interns the atoms a query is about to load, in order. A tableau more
-    /// than half of whose rows would then belong to other atoms is rebuilt
-    /// from these alone: stale rows cost every check and pivot, and a
-    /// rebuild is paid for by the rows added since the last one. Answers do
-    /// not depend on the rows a tableau holds (see the module
-    /// documentation).
-    pub(crate) fn intern_all<'a, I>(&mut self, atoms: I) -> Vec<TheoryLit>
-    where
-        I: IntoIterator<Item = &'a Atom>,
-        I::IntoIter: Clone,
-    {
-        let atoms = atoms.into_iter();
-        let literals: Vec<TheoryLit> = atoms.clone().map(|a| self.tableau.intern(a)).collect();
+    /// The table that numbers every atom this solver has seen.
+    pub(crate) fn atoms(&mut self) -> &mut AtomTable {
+        &mut self.table
+    }
+
+    /// Puts the atoms of the literals a query is about to load on the
+    /// tableau, in order. A tableau more than half of whose rows would then
+    /// belong to other atoms is rebuilt from these alone: stale rows cost
+    /// every check and pivot, and a rebuild is paid for by the rows added
+    /// since the last one. Answers do not depend on the rows a tableau holds
+    /// (see the module documentation), and atom ids outlive a rebuild.
+    pub(crate) fn intern_all(&mut self, literals: &[TheoryLit]) {
+        for lit in literals {
+            self.tableau.intern(&self.table, lit.atom);
+        }
         if self.tableau.owner.len() <= 2 * literals.len() {
-            return literals;
+            return;
         }
         self.tableau = AtomTableau::default();
-        atoms.map(|a| self.tableau.intern(a)).collect()
+        for lit in literals {
+            self.tableau.intern(&self.table, lit.atom);
+        }
+    }
+
+    /// Numbers `atoms` in the table and puts them on the tableau.
+    fn literals_of(&mut self, atoms: &[Atom]) -> Vec<TheoryLit> {
+        let literals: Vec<TheoryLit> = (atoms.iter())
+            .map(|a| self.table.literal(a.clone()))
+            .collect();
+        self.intern_all(&literals);
+        literals
     }
 
     /// Runs one LP through the interruptible simplex.
@@ -498,7 +582,7 @@ impl TheorySolver {
     /// Checks consistency of a conjunction of atoms over the integers; a
     /// consistent answer carries the cold model.
     pub fn check(&mut self, atoms: &[Atom]) -> TheoryOutcome {
-        let literals = self.intern_all(atoms);
+        let literals = self.literals_of(atoms);
         self.check_literals(&literals, ModelSource::Cold)
     }
 
@@ -506,14 +590,14 @@ impl TheorySolver {
     /// [`check`](Self::check) does; a consistent answer may carry the warm
     /// tableau's (integral) point instead of the cold model.
     pub fn decide(&mut self, atoms: &[Atom]) -> TheoryOutcome {
-        let literals = self.intern_all(atoms);
+        let literals = self.literals_of(atoms);
         self.check_literals(&literals, ModelSource::WarmIfIntegral)
     }
 
     /// Minimises `objective` over the conjunction of atoms (integer
     /// variables).
     pub fn minimize(&mut self, atoms: &[Atom], objective: &LinExpr) -> MinimizeOutcome {
-        let literals = self.intern_all(atoms);
+        let literals = self.literals_of(atoms);
         self.minimize_literals(&literals, objective)
     }
 
@@ -523,7 +607,7 @@ impl TheorySolver {
         &mut self,
         literals: &[TheoryLit],
     ) -> Result<Option<Vec<usize>>, Interrupted> {
-        self.tableau.load(literals);
+        self.tableau.load(&self.table, literals);
         // Atoms are never variable-free, so an empty set is the only one
         // that needs no check.
         if literals.is_empty() {
@@ -546,7 +630,7 @@ impl TheorySolver {
             Ok(Some(conflict)) => return TheoryOutcome::Inconsistent { conflict },
             Ok(None) => {}
         }
-        let vars = self.tableau.loaded_vars();
+        let vars = self.tableau.loaded_vars(&self.table);
         if source == ModelSource::WarmIfIntegral {
             if let Some(model) = self.tableau.integral_point(&vars) {
                 return TheoryOutcome::Consistent {
@@ -555,7 +639,7 @@ impl TheorySolver {
                 };
             }
         }
-        let atoms = self.tableau.loaded_atoms();
+        let atoms = self.tableau.loaded_atoms(&self.table);
         self.cold_model(&atoms.iter().collect::<Vec<_>>(), &vars)
     }
 
@@ -624,7 +708,7 @@ impl TheorySolver {
         // blocking clause: re-check the core (outside the solve count).
         debug_assert!(
             {
-                let atoms = self.tableau.loaded_atoms();
+                let atoms = self.tableau.loaded_atoms(&self.table);
                 self.relaxation_infeasible(active.iter().map(|&j| &atoms[j]))
             },
             "conflict core {active:?} has a rational solution"
@@ -710,9 +794,9 @@ impl TheorySolver {
             Ok(Some(conflict)) => return MinimizeOutcome::Inconsistent { conflict },
             Ok(None) => {}
         }
-        let atoms = self.tableau.loaded_atoms();
+        let atoms = self.tableau.loaded_atoms(&self.table);
         let refs: Vec<&Atom> = atoms.iter().collect();
-        let check_vars = self.tableau.loaded_vars();
+        let check_vars = self.tableau.loaded_vars(&self.table);
         // Objective variables that do not occur in the atoms are represented
         // too (they are then unconstrained).
         let vars: Vec<TermVar> = (check_vars.iter().copied())
