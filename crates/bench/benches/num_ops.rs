@@ -1,10 +1,13 @@
 //! Micro-benchmarks for the exact-arithmetic hot path: the small-value
-//! (inline `i64`) fast path of `termite_num::Int`/`Rational` and the
-//! in-place `QVector` row operations the simplex pivot is built from.
+//! (inline `i64`) fast path of `termite_num::Int`/`Rational`, the
+//! in-place `QVector` row operations the simplex pivot is built from, and
+//! the per-pivot and per-constraint normalisations (reciprocal, machine-word
+//! gcd, constraint canonicalisation).
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use termite_linalg::QVector;
-use termite_num::{Int, Rational};
+use termite_num::{gcd, lcm, Int, Rational};
+use termite_polyhedra::Constraint;
 
 /// Small-int arithmetic: every operand fits the inline representation, so no
 /// heap allocation should happen at all.
@@ -133,5 +136,57 @@ fn qvector_row_ops(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, int_ops, rational_ops, qvector_row_ops);
+/// The normalisations of the inner loops: a reciprocal per simplex pivot
+/// (only the sign moves), gcd and lcm of small integers (machine-word
+/// Euclid), and a constraint's canonical form on every join and reduction.
+fn normalisations(c: &mut Criterion) {
+    let mut group = c.benchmark_group("normalise");
+    group.sample_size(30);
+    let fractions: Vec<Rational> = (1..500i64)
+        .map(|i| Rational::from_ints(i % 23 - 11, i % 17 + 1))
+        .filter(|x| !x.is_zero())
+        .collect();
+    group.bench_function("recip", |b| {
+        b.iter(|| {
+            for x in &fractions {
+                black_box(x.recip());
+            }
+        })
+    });
+    let ints: Vec<Int> = (1..500i64)
+        .map(|i| Int::from(i * 7919 % 3571 - 1785))
+        .collect();
+    group.bench_function("gcd_lcm_small", |b| {
+        b.iter(|| {
+            for pair in ints.windows(2) {
+                black_box(gcd(&pair[0], &pair[1]));
+                black_box(lcm(&pair[0], &pair[1]));
+            }
+        })
+    });
+    let constraints: Vec<Constraint> = (1..100i64)
+        .map(|i| {
+            let coeffs: QVector = (0..8i64)
+                .map(|j| Rational::from_ints((i + j) % 9 - 4, (i * j) % 5 + 1))
+                .collect();
+            Constraint::ge(coeffs, Rational::from_ints(i % 7 - 3, i % 4 + 1))
+        })
+        .collect();
+    group.bench_function("canonicalize", |b| {
+        b.iter(|| {
+            for c in &constraints {
+                black_box(c.canonicalize());
+            }
+        })
+    });
+    group.finish();
+}
+
+criterion_group!(
+    benches,
+    int_ops,
+    rational_ops,
+    qvector_row_ops,
+    normalisations
+);
 criterion_main!(benches);

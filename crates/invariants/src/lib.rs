@@ -180,22 +180,20 @@ pub fn analyze_cfg_from(
                 continue;
             }
             // New value: join of the incoming edge posts (entry keeps its
-            // initial value as a lower bound).
-            let mut incoming = if node == cfg.entry() {
-                entry_state.clone()
-            } else {
-                Polyhedron::empty(n)
+            // initial value as a lower bound). No post at all is the empty
+            // set, which every state contains.
+            let entry = (node == cfg.entry()).then(|| entry_state.clone());
+            let Some(incoming) = join_posts(cfg, &state, node, entry, &join) else {
+                continue;
             };
-            for edge in cfg.predecessors(node) {
-                let post = transfer(&state[edge.from], &edge.op);
-                if !post.is_empty() {
-                    incoming = join(&incoming, &post);
-                }
+            if incoming.is_subset_of(&state[node]) {
+                continue;
             }
+            // Every new value below contains `incoming` (a join or widening
+            // with it contains it), which the state does not: the state
+            // changes, with no second inclusion test.
             let new_value = if state[node].is_empty() {
                 incoming
-            } else if incoming.is_subset_of(&state[node]) {
-                continue;
             } else if widening_points.contains(&node) && join_count[node] >= options.widening_delay
             {
                 let joined = join(&state[node], &incoming);
@@ -210,12 +208,10 @@ pub fn analyze_cfg_from(
             } else {
                 join(&state[node], &incoming)
             };
-            if !new_value.is_subset_of(&state[node]) {
-                join_count[node] += 1;
-                state[node] = new_value.light_reduce();
-                changed = true;
-                mark_successors(cfg, node, &mut dirty);
-            }
+            join_count[node] += 1;
+            state[node] = new_value.light_reduce();
+            changed = true;
+            mark_successors(cfg, node, &mut dirty);
         }
         if !changed || iteration >= options.max_iterations {
             break;
@@ -230,19 +226,38 @@ pub fn analyze_cfg_from(
             if node == cfg.entry() {
                 continue;
             }
-            let mut incoming = Polyhedron::empty(n);
-            for edge in cfg.predecessors(node) {
-                let post = transfer(&state[edge.from], &edge.op);
-                if !post.is_empty() {
-                    incoming = join(&incoming, &post);
-                }
-            }
-            let refined = incoming.intersection(&state[node]).minimize();
-            state[node] = refined;
+            state[node] = match join_posts(cfg, &state, node, None, &join) {
+                Some(incoming) => incoming.intersection(&state[node]).minimize(),
+                None => Polyhedron::empty(n),
+            };
         }
     }
 
     InvariantMap { per_node: state }
+}
+
+/// The join of `start` (if any) and the non-empty posts of `node`'s
+/// incoming edges, in edge order; `None` when there is nothing to join. The
+/// first value is moved in, not joined with an empty accumulator (a join
+/// with the empty set is the other operand).
+fn join_posts(
+    cfg: &Cfg,
+    state: &[Polyhedron],
+    node: usize,
+    start: Option<Polyhedron>,
+    join: &impl Fn(&Polyhedron, &Polyhedron) -> Polyhedron,
+) -> Option<Polyhedron> {
+    let mut incoming = start;
+    for edge in cfg.predecessors(node) {
+        let post = transfer(&state[edge.from], &edge.op);
+        if !post.is_empty() {
+            incoming = Some(match incoming {
+                Some(acc) => join(&acc, &post),
+                None => post,
+            });
+        }
+    }
+    incoming
 }
 
 /// Forward propagation that ignores loop back edges: the value at each node

@@ -59,10 +59,16 @@ pub struct BoundedTableau {
     /// The nonbasic variable of each column.
     nonbasic: Vec<usize>,
     /// Per variable: its slot, current value and bounds.
-    slot: Vec<Slot>,
-    value: Vec<Rational>,
-    lower: Vec<Option<Rational>>,
-    upper: Vec<Option<Rational>>,
+    vars: Vec<Var>,
+}
+
+/// One variable of a [`BoundedTableau`].
+#[derive(Clone, Debug)]
+struct Var {
+    slot: Slot,
+    value: Rational,
+    lower: Option<Rational>,
+    upper: Option<Rational>,
 }
 
 impl BoundedTableau {
@@ -74,7 +80,16 @@ impl BoundedTableau {
     /// The current value of `var`. After a feasible [`check`](Self::check)
     /// the values satisfy every bound and every row.
     pub fn value(&self, var: usize) -> &Rational {
-        &self.value[var]
+        &self.vars[var].value
+    }
+
+    /// Makes room for `columns` more columns and `rows` more rows, so a
+    /// loader that knows its size grows each of the tableau's vectors once.
+    pub fn reserve(&mut self, columns: usize, rows: usize) {
+        self.rows.reserve(rows);
+        self.basic.reserve(rows);
+        self.nonbasic.reserve(columns);
+        self.vars.reserve(columns + rows);
     }
 
     /// Adds an unbounded variable at value 0 and returns it.
@@ -87,11 +102,12 @@ impl BoundedTableau {
     /// Adds the slack `s = Σ a·x` of a linear form over existing variables,
     /// unbounded, and returns it.
     pub fn add_row(&mut self, terms: impl IntoIterator<Item = (usize, Rational)>) -> usize {
-        let mut entries = Vec::new();
+        let terms = terms.into_iter();
+        let mut entries = Vec::with_capacity(terms.size_hint().0);
         let mut value = Rational::zero();
         for (var, a) in terms {
-            value += &(&a * &self.value[var]);
-            match self.slot[var] {
+            value += &(&a * &self.vars[var].value);
+            match self.vars[var].slot {
                 Slot::Nonbasic(c) => entries.push((c, a)),
                 Slot::Basic(r) => entries.extend(self.rows[r].iter().map(|(c, b)| (*c, &a * b))),
             }
@@ -109,15 +125,15 @@ impl BoundedTableau {
     pub fn assert_bound(&mut self, var: usize, bound: Bound) {
         let lower = matches!(bound, Bound::Lower(_));
         match bound {
-            Bound::Lower(b) => self.lower[var] = Some(b),
-            Bound::Upper(b) => self.upper[var] = Some(b),
+            Bound::Lower(b) => self.vars[var].lower = Some(b),
+            Bound::Upper(b) => self.vars[var].upper = Some(b),
         }
-        let Slot::Nonbasic(column) = self.slot[var] else {
+        let Slot::Nonbasic(column) = self.vars[var].slot else {
             return;
         };
-        let value = &self.value[var];
-        let below = self.lower[var].as_ref().filter(|l| value < *l);
-        let above = self.upper[var].as_ref().filter(|u| value > *u);
+        let value = &self.vars[var].value;
+        let below = self.vars[var].lower.as_ref().filter(|l| value < *l);
+        let above = self.vars[var].upper.as_ref().filter(|u| value > *u);
         let target = match (below, above) {
             (Some(l), Some(_)) if lower => l,
             (_, Some(u)) => u,
@@ -129,14 +145,16 @@ impl BoundedTableau {
 
     /// Removes both bounds of `var`. No value moves.
     pub fn retract(&mut self, var: usize) {
-        self.lower[var] = None;
-        self.upper[var] = None;
+        self.vars[var].lower = None;
+        self.vars[var].upper = None;
     }
 
     /// Removes every bound. No value moves.
     pub fn retract_all(&mut self) {
-        self.lower.iter_mut().for_each(|b| *b = None);
-        self.upper.iter_mut().for_each(|b| *b = None);
+        for var in &mut self.vars {
+            var.lower = None;
+            var.upper = None;
+        }
     }
 
     /// Decides the rational feasibility of the asserted bounds, pivoting
@@ -146,8 +164,8 @@ impl BoundedTableau {
     pub fn check(&mut self, interrupt: &Interrupt) -> Result<Option<Vec<usize>>, Interrupted> {
         // Crossed bounds on one variable need no pivot (and would break the
         // invariant for a nonbasic one).
-        let crossed = (0..self.slot.len())
-            .find(|&v| matches!((&self.lower[v], &self.upper[v]), (Some(l), Some(u)) if l > u));
+        let crossed = (self.vars.iter())
+            .position(|v| matches!((&v.lower, &v.upper), (Some(l), Some(u)) if l > u));
         if let Some(var) = crossed {
             return Ok(Some(vec![var]));
         }
@@ -166,13 +184,15 @@ impl BoundedTableau {
                 .filter(|(column, a)| {
                     let var = self.nonbasic[*column];
                     if a.is_positive() == raise {
-                        self.upper[var]
+                        self.vars[var]
+                            .upper
                             .as_ref()
-                            .is_none_or(|u| &self.value[var] < u)
+                            .is_none_or(|u| &self.vars[var].value < u)
                     } else {
-                        self.lower[var]
+                        self.vars[var]
+                            .lower
                             .as_ref()
-                            .is_none_or(|l| &self.value[var] > l)
+                            .is_none_or(|l| &self.vars[var].value > l)
                     }
                 })
                 .map(|(column, _)| *column)
@@ -180,11 +200,13 @@ impl BoundedTableau {
             let Some(column) = entering else {
                 return Ok(Some(self.explain(row)));
             };
-            let leaving = self.basic[row];
-            let bound = if raise { &self.lower } else { &self.upper };
-            let target = bound[leaving]
-                .clone()
-                .expect("a violated variable has its bound");
+            let leaving = &self.vars[self.basic[row]];
+            let bound = if raise {
+                &leaving.lower
+            } else {
+                &leaving.upper
+            };
+            let target = bound.clone().expect("a violated variable has its bound");
             self.pivot_and_update(row, column, &target);
             pivots += 1;
         }
@@ -214,15 +236,18 @@ impl BoundedTableau {
                 return Err(Interrupted);
             }
             let Some((column, down)) = self.improving_column(var) else {
-                return Ok(Some(self.value[var].clone()));
+                return Ok(Some(self.vars[var].value.clone()));
             };
             let Some((leaving, row, falls)) = self.ratio_test(column, down) else {
                 return Ok(None);
             };
-            let bound = if falls { &self.lower } else { &self.upper };
-            let target = bound[leaving]
-                .clone()
-                .expect("a limiting variable has its bound");
+            let leaving = &self.vars[leaving];
+            let bound = if falls {
+                &leaving.lower
+            } else {
+                &leaving.upper
+            };
+            let target = bound.clone().expect("a limiting variable has its bound");
             match row {
                 None => self.update(column, &target),
                 Some(r) => self.pivot_and_update(r, column, &target),
@@ -237,12 +262,18 @@ impl BoundedTableau {
         let can_move = |column: usize, down: bool| {
             let x = self.nonbasic[column];
             if down {
-                self.lower[x].as_ref().is_none_or(|l| &self.value[x] > l)
+                self.vars[x]
+                    .lower
+                    .as_ref()
+                    .is_none_or(|l| &self.vars[x].value > l)
             } else {
-                self.upper[x].as_ref().is_none_or(|u| &self.value[x] < u)
+                self.vars[x]
+                    .upper
+                    .as_ref()
+                    .is_none_or(|u| &self.vars[x].value < u)
             }
         };
-        match self.slot[var] {
+        match self.vars[var].slot {
             Slot::Nonbasic(column) => can_move(column, true).then_some((column, true)),
             Slot::Basic(row) => self.rows[row]
                 .iter()
@@ -259,11 +290,11 @@ impl BoundedTableau {
     fn ratio_test(&self, column: usize, down: bool) -> Option<(usize, Option<usize>, bool)> {
         // How far `var` can move down (or up) before it meets its bound.
         let room = |var: usize, falls: bool| {
-            let value = &self.value[var];
+            let value = &self.vars[var].value;
             if falls {
-                self.lower[var].as_ref().map(|l| value - l)
+                self.vars[var].lower.as_ref().map(|l| value - l)
             } else {
-                self.upper[var].as_ref().map(|u| u - value)
+                self.vars[var].upper.as_ref().map(|u| u - value)
             }
         };
         let entering = self.nonbasic[column];
@@ -292,10 +323,10 @@ impl BoundedTableau {
         (0..self.rows.len())
             .filter_map(|r| {
                 let var = self.basic[r];
-                let value = &self.value[var];
-                if self.lower[var].as_ref().is_some_and(|l| value < l) {
+                let value = &self.vars[var].value;
+                if self.vars[var].lower.as_ref().is_some_and(|l| value < l) {
                     Some((var, r, true))
-                } else if self.upper[var].as_ref().is_some_and(|u| value > u) {
+                } else if self.vars[var].upper.as_ref().is_some_and(|u| value > u) {
                     Some((var, r, false))
                 } else {
                     None
@@ -319,13 +350,13 @@ impl BoundedTableau {
     /// with it.
     fn update(&mut self, column: usize, target: &Rational) {
         let var = self.nonbasic[column];
-        let delta = target - &self.value[var];
+        let delta = target - &self.vars[var].value;
         for (r, row) in self.rows.iter().enumerate() {
             if let Some(a) = row.get(column) {
-                self.value[self.basic[r]] += &(a * &delta);
+                self.vars[self.basic[r]].value += &(a * &delta);
             }
         }
-        self.value[var] = target.clone();
+        self.vars[var].value = target.clone();
     }
 
     /// Moves the basic variable of `row` onto `target` by moving the
@@ -335,56 +366,48 @@ impl BoundedTableau {
         let a = self.rows[row]
             .get(column)
             .expect("the entering column is non-zero");
-        let theta = &(target - &self.value[leaving]) / a;
-        let moved = &self.value[self.nonbasic[column]] + &theta;
+        let theta = &(target - &self.vars[leaving].value) / a;
+        let moved = &self.vars[self.nonbasic[column]].value + &theta;
         self.update(column, &moved);
         self.pivot(row, column);
     }
 
     /// Exchanges the basic variable of `row` with the nonbasic variable of
     /// `column`: solve the row for the column, substitute everywhere else.
+    ///
+    /// The row is rewritten where it stands, first into the step (the
+    /// solved row minus the unit entry of `column`), then into the solved
+    /// row.
     fn pivot(&mut self, row: usize, column: usize) {
-        let inverse = self.rows[row].get(column).expect("non-zero pivot").recip();
-        let solve = |unit: Rational| {
-            SparseRow::from_terms(
-                self.rows[row]
-                    .iter()
-                    .map(|(c, a)| {
-                        let entry = if *c == column {
-                            unit.clone()
-                        } else {
-                            -&(a * &inverse)
-                        };
-                        (*c, entry)
-                    })
-                    .collect(),
-            )
-        };
-        let solved = solve(inverse.clone());
+        let mut step = std::mem::take(&mut self.rows[row]);
+        step.make_pivot_step(column);
         // Substituting into a row with `f` in `column` adds `f·solved` and
-        // removes the old `f`: subtract `−f·(solved − e_column)`.
-        let step = solve(&inverse - &Rational::one());
-        for (r, other) in self.rows.iter_mut().enumerate() {
-            if let Some(f) = other.get(column).filter(|_| r != row) {
+        // removes the old `f`: subtract `−f·(solved − e_column)`. The taken
+        // row is empty, so it is skipped like any row without the column.
+        for other in self.rows.iter_mut() {
+            if let Some(f) = other.get(column) {
                 let factor = -f;
                 other.sub_scaled(&step, &factor);
             }
         }
-        self.rows[row] = solved;
+        step.add_unit(column);
+        self.rows[row] = step;
         let (leaving, entering) = (self.basic[row], self.nonbasic[column]);
         self.basic[row] = entering;
         self.nonbasic[column] = leaving;
-        self.slot[entering] = Slot::Basic(row);
-        self.slot[leaving] = Slot::Nonbasic(column);
+        self.vars[entering].slot = Slot::Basic(row);
+        self.vars[leaving].slot = Slot::Nonbasic(column);
     }
 
     /// A new unbounded variable.
     fn new_var(&mut self, slot: Slot, value: Rational) -> usize {
-        self.slot.push(slot);
-        self.value.push(value);
-        self.lower.push(None);
-        self.upper.push(None);
-        self.slot.len() - 1
+        self.vars.push(Var {
+            slot,
+            value,
+            lower: None,
+            upper: None,
+        });
+        self.vars.len() - 1
     }
 }
 

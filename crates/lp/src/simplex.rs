@@ -266,6 +266,15 @@ impl LinearProgram {
         let (mut t, plus_col, minus_col) = Tableau::build(self);
         t.first_solve(self, &plus_col, &minus_col, interrupt).ok()
     }
+
+    /// The name a variable was declared with; `x<index>` when that was
+    /// empty.
+    fn name(&self, v: VarId) -> String {
+        match self.names[v.0].as_str() {
+            "" => format!("x{}", v.0),
+            name => name.to_string(),
+        }
+    }
 }
 
 impl fmt::Display for LinearProgram {
@@ -279,7 +288,7 @@ impl fmt::Display for LinearProgram {
             if i > 0 {
                 write!(f, " + ")?;
             }
-            write!(f, "{c}*{}", self.names[v.0])?;
+            write!(f, "{c}*{}", self.name(*v))?;
         }
         writeln!(f)?;
         for c in &self.constraints {
@@ -288,7 +297,7 @@ impl fmt::Display for LinearProgram {
                 if i > 0 {
                     write!(f, " + ")?;
                 }
-                write!(f, "{k}*{}", self.names[v.0])?;
+                write!(f, "{k}*{}", self.name(*v))?;
             }
             let rel = match c.relation {
                 Relation::Le => "<=",
@@ -324,17 +333,27 @@ pub(crate) struct SparseRow(Vec<(usize, Rational)>);
 impl SparseRow {
     /// Builds a row from terms in any column order: sorts them, sums the
     /// coefficients of repeated columns and drops the zeros.
+    ///
+    /// The terms' own buffer becomes the row: a stable sort, then the sums
+    /// are merged towards the front in place.
     pub(crate) fn from_terms(mut terms: Vec<(usize, Rational)>) -> Self {
-        terms.sort_by_key(|(j, _)| *j);
-        let mut entries: Vec<(usize, Rational)> = Vec::with_capacity(terms.len());
-        for (j, k) in terms {
-            match entries.last_mut() {
-                Some((last, sum)) if *last == j => *sum += &k,
-                _ => entries.push((j, k)),
+        if !terms.is_sorted_by_key(|(j, _)| *j) {
+            terms.sort_by_key(|(j, _)| *j);
+        }
+        // `terms[..merged]` holds one summed entry per column seen so far.
+        let mut merged = 0;
+        for next in 0..terms.len() {
+            if merged > 0 && terms[merged - 1].0 == terms[next].0 {
+                let k = std::mem::take(&mut terms[next].1);
+                terms[merged - 1].1 += &k;
+            } else {
+                terms.swap(merged, next);
+                merged += 1;
             }
         }
-        entries.retain(|(_, k)| !k.is_zero());
-        SparseRow(entries)
+        terms.truncate(merged);
+        terms.retain(|(_, k)| !k.is_zero());
+        SparseRow(terms)
     }
 
     /// The coefficient in column `col`, `None` when it is zero.
@@ -343,6 +362,39 @@ impl SparseRow {
             .binary_search_by_key(&col, |(j, _)| *j)
             .ok()
             .map(|at| &self.0[at].1)
+    }
+
+    /// Rewrites the row `s = Σ a_j·x_j` of a pivot on column `col` (entry
+    /// `p`, non-zero) into the pivot's step: `−a_j/p` off `col`, and
+    /// `1/p − 1` on it, dropped when zero. That is the row solved for
+    /// `col`'s variable, whose entry in `col` now stands for `s`, minus the
+    /// unit entry of `col`; [`add_unit`](Self::add_unit) turns it into the
+    /// solved row.
+    pub(crate) fn make_pivot_step(&mut self, col: usize) {
+        let at = (self.0)
+            .binary_search_by_key(&col, |(j, _)| *j)
+            .expect("non-zero pivot");
+        let inverse = self.0[at].1.recip();
+        for (j, v) in &mut self.0 {
+            *v = if *j == col {
+                &inverse - &Rational::one()
+            } else {
+                -&(&*v * &inverse)
+            };
+        }
+        if self.0[at].1.is_zero() {
+            self.0.remove(at);
+        }
+    }
+
+    /// Adds 1 to the coefficient in column `col`, which must not become
+    /// zero.
+    pub(crate) fn add_unit(&mut self, col: usize) {
+        match self.0.binary_search_by_key(&col, |(j, _)| *j) {
+            Ok(at) => self.0[at].1 += &Rational::one(),
+            Err(at) => self.0.insert(at, (col, Rational::one())),
+        }
+        debug_assert!(self.get(col).is_some_and(|v| !v.is_zero()));
     }
 
     /// The non-zero entries in increasing column order.
@@ -425,13 +477,14 @@ impl SparseRow {
 
 /// The tableau terms of a linear form over user variables: each
 /// coefficient on its variable's Plus column, negated on its Minus column
-/// (free variables only), in the form's order.
+/// (free variables only), in the form's order. The buffer has room for the
+/// slack and artificial entries the row builders append to it.
 pub(crate) fn user_terms(
     terms: &[(VarId, Rational)],
     plus_col: &[usize],
     minus_col: &[Option<usize>],
 ) -> Vec<(usize, Rational)> {
-    let mut out = Vec::with_capacity(2 * terms.len());
+    let mut out = Vec::with_capacity(2 * terms.len() + 2);
     for (v, k) in terms {
         out.push((plus_col[v.0], k.clone()));
         if let Some(mc) = minus_col[v.0] {

@@ -1,6 +1,6 @@
 //! Exact rationals built on [`Int`].
 
-use crate::{gcd, Int};
+use crate::{gcd, gcd_u64, Int};
 use std::cmp::Ordering;
 use std::fmt;
 use std::hash::{Hash, Hasher};
@@ -108,7 +108,11 @@ impl Rational {
             return Rational::zero();
         }
         if den != 1 && num != 1 && num != -1 {
-            let g = gcd_u128(num.unsigned_abs(), den as u128) as i128;
+            let (n, d) = (num.unsigned_abs(), den as u128);
+            let g = match (u64::try_from(n), u64::try_from(d)) {
+                (Ok(n), Ok(d)) => gcd_u64(n, d) as i128,
+                _ => gcd_u128(n, d) as i128,
+            };
             if g > 1 {
                 num /= g;
                 den /= g;
@@ -184,7 +188,19 @@ impl Rational {
     /// Panics if the rational is zero.
     pub fn recip(&self) -> Rational {
         assert!(!self.is_zero(), "reciprocal of zero");
-        Rational::new(self.den.clone(), self.num.clone())
+        // `num/den` is in lowest terms, so `den/num` is too: only the sign
+        // moves to the new numerator.
+        if self.num.is_negative() {
+            Rational {
+                num: -&self.den,
+                den: -&self.num,
+            }
+        } else {
+            Rational {
+                num: self.den.clone(),
+                den: self.num.clone(),
+            }
+        }
     }
 
     /// Largest integer not greater than this rational.
@@ -570,6 +586,27 @@ mod tests {
         assert_eq!(q(-3, 4).recip(), q(-4, 3));
     }
 
+    /// The sign-moving reciprocal against the reducing constructor it
+    /// replaced, at the edges of the `i64` range and past them.
+    #[test]
+    fn recip_matches_the_reducing_constructor_at_the_edges() {
+        let huge = Int::from(i64::MAX) * Int::from(4);
+        let values = [
+            Rational::from(i64::MIN),
+            Rational::from(i64::MAX),
+            Rational::new(Int::from(i64::MIN), Int::from(i64::MAX)),
+            Rational::new(Int::from(-1), Int::from(i64::MAX)),
+            Rational::new(huge.clone(), Int::from(3)),
+            Rational::new(-huge, Int::from(7)),
+        ];
+        for x in values {
+            assert_eq!(
+                x.recip(),
+                Rational::new(x.denom().clone(), x.numer().clone())
+            );
+        }
+    }
+
     #[test]
     fn to_i64_accessor() {
         assert_eq!(q(42, 1).to_i64(), Some(42));
@@ -655,6 +692,16 @@ mod tests {
             prop_assert!(fl <= x);
             prop_assert!(x <= ce);
             prop_assert!(&ce - &fl <= Rational::one());
+        }
+
+        #[test]
+        fn prop_recip_matches_the_reducing_constructor(
+            a in any::<i64>().prop_filter("non-zero", |v| *v != 0),
+            b in any::<i64>().prop_filter("non-zero", |v| *v != 0),
+        ) {
+            let x = Rational::new(Int::from(a), Int::from(b));
+            let reference = Rational::new(x.denom().clone(), x.numer().clone());
+            prop_assert_eq!(x.recip(), reference);
         }
 
         #[test]

@@ -2,7 +2,7 @@
 
 use std::fmt;
 use termite_linalg::QVector;
-use termite_num::Rational;
+use termite_num::{gcd, lcm, Int, Rational};
 
 /// Kind of a linear constraint.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -114,20 +114,42 @@ impl Constraint {
 
     /// Canonicalises the constraint so that coefficients are coprime integers
     /// with a sign-normalised leading coefficient (useful for deduplication).
+    ///
+    /// The coefficients and the right-hand side are scaled together, keeping
+    /// their orientation, by the lcm of their denominators over the gcd of
+    /// the scaled numerators: one pass for each, and one allocation, for the
+    /// new coefficient vector.
     pub fn canonicalize(&self) -> Constraint {
         if self.coeffs.is_zero() {
             return self.clone();
         }
-        // Scale so that the coefficient vector becomes primitive integer,
-        // preserving orientation for inequalities.
-        let with_rhs = self
-            .coeffs
-            .concat(&QVector::from_vec(vec![self.rhs.clone()]));
-        let canon = with_rhs.canonical_direction();
-        let dim = self.coeffs.dim();
+        let entries = || self.coeffs.iter().chain(std::iter::once(&self.rhs));
+        let mut l = Int::one();
+        for e in entries() {
+            if !e.denom().is_one() {
+                l = lcm(&l, e.denom());
+            }
+        }
+        let scaled = |e: &Rational| {
+            if l.is_one() {
+                e.numer().clone()
+            } else {
+                e.numer() * &(&l / e.denom())
+            }
+        };
+        let mut g = Int::zero();
+        for e in entries() {
+            if !e.is_zero() && !g.is_one() {
+                g = gcd(&g, &scaled(e));
+            }
+        }
+        let reduce = |e: &Rational| {
+            let n = scaled(e);
+            Rational::from_int(if g.is_one() { n } else { &n / &g })
+        };
         Constraint {
-            coeffs: canon.slice(0, dim),
-            rhs: canon[dim].clone(),
+            coeffs: self.coeffs.iter().map(reduce).collect(),
+            rhs: reduce(&self.rhs),
             kind: self.kind,
         }
     }
@@ -163,6 +185,72 @@ impl fmt::Display for Constraint {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The route [`Constraint::canonicalize`] replaced: append the
+    /// right-hand side to the coefficients, take the vector's canonical
+    /// direction, and split it again.
+    fn reference_canonicalize(c: &Constraint) -> Constraint {
+        if c.coeffs.is_zero() {
+            return c.clone();
+        }
+        let with_rhs = c.coeffs.concat(&QVector::from_vec(vec![c.rhs.clone()]));
+        let canon = with_rhs.canonical_direction();
+        let dim = c.coeffs.dim();
+        Constraint {
+            coeffs: canon.slice(0, dim),
+            rhs: canon[dim].clone(),
+            kind: c.kind,
+        }
+    }
+
+    /// A rational with a small numerator and denominator; zero one time in
+    /// three, so zero coefficients and zero right-hand sides are common.
+    fn entry() -> impl Strategy<Value = Rational> {
+        (-6i64..=6, 1i64..=6, 0u8..3).prop_map(|(n, d, zero)| {
+            if zero == 0 {
+                Rational::zero()
+            } else {
+                Rational::from_ints(n, d)
+            }
+        })
+    }
+
+    proptest! {
+        #[test]
+        fn prop_canonicalize_matches_the_vector_route(
+            coeffs in prop::collection::vec(entry(), 1..6),
+            rhs in entry(),
+            equality in any::<bool>(),
+        ) {
+            let coeffs = QVector::from_vec(coeffs);
+            let c = if equality {
+                Constraint::eq(coeffs, rhs)
+            } else {
+                Constraint::ge(coeffs, rhs)
+            };
+            prop_assert_eq!(c.canonicalize(), reference_canonicalize(&c));
+        }
+    }
+
+    #[test]
+    fn canonicalize_matches_the_vector_route_past_the_i64_range() {
+        let huge = Rational::from_int(Int::from(i64::MAX) * Int::from(6));
+        let c = Constraint::ge(
+            QVector::from_vec(vec![
+                huge.clone(),
+                Rational::from_ints(3, 4),
+                Rational::zero(),
+            ]),
+            Rational::from_ints(-9, 2),
+        );
+        assert_eq!(c.canonicalize(), reference_canonicalize(&c));
+        let d = Constraint::eq(
+            QVector::from_vec(vec![Rational::zero(), huge]),
+            Rational::zero(),
+        );
+        assert_eq!(d.canonicalize(), reference_canonicalize(&d));
+    }
 
     #[test]
     fn le_is_flipped() {

@@ -765,10 +765,20 @@ impl Polyhedron {
         }
         let mut kept: Vec<Constraint> = Vec::new();
         // Each operand's constraints go to the other operand's session.
+        // An equality goes as its two inequalities; an inequality is only
+        // cloned when it is kept.
         for (from, session) in [self, other].into_iter().zip(sessions.iter_mut().rev()) {
-            for c in from.constraints.iter().flat_map(|c| c.as_inequalities()) {
-                if session.entails(&c) {
-                    kept.push(c);
+            for c in &from.constraints {
+                if c.kind == ConstraintKind::GreaterEq {
+                    if session.entails(c) {
+                        kept.push(c.clone());
+                    }
+                    continue;
+                }
+                for ineq in c.as_inequalities() {
+                    if session.entails(&ineq) {
+                        kept.push(ineq);
+                    }
                 }
             }
         }
@@ -840,7 +850,11 @@ impl Entailment<'_> {
             // 0 ≥ b for b ≤ 0 holds everywhere.
             ConstraintKind::GreaterEq if c.coeffs.is_zero() && !c.rhs.is_positive() => true,
             // The empty set entails everything.
-            ConstraintKind::GreaterEq => self.loaded().is_none_or(|loaded| loaded.entails(c)),
+            ConstraintKind::GreaterEq => {
+                let constraints = &self.polyhedron.constraints;
+                self.loaded()
+                    .is_none_or(|loaded| loaded.entails(c, constraints))
+            }
         }
     }
 
@@ -872,8 +886,8 @@ struct Loaded {
     tableau: BoundedTableau,
     /// The row variable of each constraint.
     rows: Vec<usize>,
-    /// A row variable for each direction minimized so far (the
-    /// constraints' own rows first).
+    /// A row variable for each direction minimized so far that is not the
+    /// direction of a loaded constraint (those minimize their own rows).
     directions: Vec<(QVector, usize)>,
 }
 
@@ -885,6 +899,7 @@ impl Loaded {
             return None;
         }
         let mut tableau = BoundedTableau::new();
+        tableau.reserve(dim, constraints.len());
         for _ in 0..dim {
             tableau.add_column();
         }
@@ -903,27 +918,22 @@ impl Loaded {
         if check.expect("an unarmed interrupt never fires").is_some() {
             return None;
         }
-        let directions = constraints
-            .iter()
-            .zip(&rows)
-            .map(|(c, &row)| (c.coeffs.clone(), row))
-            .collect();
         Some(Loaded {
             tableau,
             rows,
-            directions,
+            directions: Vec::new(),
         })
     }
 
-    /// Whether the loaded constraints entail the inequality `c`.
-    fn entails(&mut self, c: &Constraint) -> bool {
+    /// Whether the loaded `constraints` entail the inequality `c`.
+    fn entails(&mut self, c: &Constraint, constraints: &[Constraint]) -> bool {
         let at_point = nonzero_terms(&c.coeffs)
             .map(|(i, a)| &a * self.tableau.value(i))
             .fold(Rational::zero(), |sum, term| &sum + &term);
         if at_point < c.rhs {
             return false;
         }
-        let row = self.direction(&c.coeffs);
+        let row = self.direction(&c.coeffs, constraints);
         self.minimum(row).is_some_and(|min| min >= c.rhs)
     }
 
@@ -942,8 +952,14 @@ impl Loaded {
         false
     }
 
-    /// The row variable of direction `coeffs`, added on first use.
-    fn direction(&mut self, coeffs: &QVector) -> usize {
+    /// The row variable of direction `coeffs`: the first loaded
+    /// constraint's row with those coefficients, or the row added for them
+    /// on first use.
+    fn direction(&mut self, coeffs: &QVector, constraints: &[Constraint]) -> usize {
+        let mut own = constraints.iter().zip(&self.rows);
+        if let Some((_, row)) = own.find(|(c, _)| c.coeffs == *coeffs) {
+            return *row;
+        }
         if let Some((_, row)) = self.directions.iter().find(|(d, _)| d == coeffs) {
             return *row;
         }

@@ -90,9 +90,12 @@ impl SatResult {
     }
 }
 
-#[derive(Clone, Debug, PartialEq)]
+/// A stored clause: the range of its literals in the solver's arena.
+/// Clauses are never deleted, so the ranges tile the arena in order.
+#[derive(Clone, Copy, Debug, PartialEq)]
 struct Clause {
-    lits: Vec<Lit>,
+    start: usize,
+    end: usize,
 }
 
 const UNASSIGNED: i8 = 0;
@@ -106,6 +109,9 @@ const UNASSIGNED: i8 = 0;
 /// See the crate documentation for an example.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Solver {
+    /// The literals of every stored clause, clause after clause: adding,
+    /// learning and cloning clauses allocates nothing per clause.
+    lits: Vec<Lit>,
     clauses: Vec<Clause>,
     /// For each literal code, the clauses in which that literal is watched.
     watches: Vec<Vec<usize>>,
@@ -146,6 +152,7 @@ impl Solver {
     /// Creates a solver with no variables and no clauses.
     pub fn new() -> Self {
         Solver {
+            lits: Vec::new(),
             clauses: Vec::new(),
             watches: Vec::new(),
             assign: Vec::new(),
@@ -222,32 +229,39 @@ impl Solver {
             return false;
         }
         self.cancel_until(0);
-        // Simplify: sort, dedupe, detect tautologies, drop false literals
-        // already falsified at level 0, detect satisfied clauses.
-        let mut ls: Vec<Lit> = lits.to_vec();
-        ls.sort();
-        ls.dedup();
-        let mut simplified: Vec<Lit> = Vec::with_capacity(ls.len());
-        for (i, &l) in ls.iter().enumerate() {
-            if i + 1 < ls.len() && ls[i + 1] == l.negate() {
-                return true; // tautology: x ∨ ¬x
+        // Simplify in the arena's free tail: sort, dedupe, detect
+        // tautologies, drop literals already falsified at level 0, detect
+        // satisfied clauses. A clause that is not stored is cut off again.
+        let start = self.lits.len();
+        self.lits.extend_from_slice(lits);
+        self.lits[start..].sort_unstable();
+        let mut kept = start;
+        for i in start..self.lits.len() {
+            let l = self.lits[i];
+            if i > start && self.lits[i - 1] == l {
+                continue; // duplicate
             }
-            if i > 0 && ls[i - 1] == l.negate() {
+            let tautology = (i + 1 < self.lits.len() && self.lits[i + 1] == l.negate())
+                || (i > start && self.lits[i - 1] == l.negate());
+            // A tautology (x ∨ ¬x) or a clause already satisfied at level 0.
+            if tautology || self.value_lit(l) == 1 {
+                self.lits.truncate(start);
                 return true;
             }
-            match self.value_lit(l) {
-                1 => return true, // already satisfied at level 0
-                -1 => continue,   // falsified at level 0: drop the literal
-                _ => simplified.push(l),
+            if self.value_lit(l) == UNASSIGNED {
+                self.lits[kept] = l;
+                kept += 1;
             }
         }
-        match simplified.len() {
+        self.lits.truncate(kept);
+        match kept - start {
             0 => {
                 self.ok = false;
                 false
             }
             1 => {
-                self.enqueue(simplified[0], None);
+                let unit = self.lits.pop().expect("one literal kept");
+                self.enqueue(unit, None);
                 // Propagate eagerly so that later `value_lit` queries in
                 // add_clause see the consequences.
                 if self.propagate().is_some() {
@@ -257,9 +271,9 @@ impl Solver {
             }
             _ => {
                 let ci = self.clauses.len();
-                self.watches[simplified[0].code()].push(ci);
-                self.watches[simplified[1].code()].push(ci);
-                self.clauses.push(Clause { lits: simplified });
+                self.watches[self.lits[start].code()].push(ci);
+                self.watches[self.lits[start + 1].code()].push(ci);
+                self.clauses.push(Clause { start, end: kept });
                 true
             }
         }
@@ -291,50 +305,53 @@ impl Solver {
     }
 
     /// Unit propagation. Returns the index of a conflicting clause, if any.
+    ///
+    /// The falsified literal's watch list is compacted in place: the
+    /// watchers it keeps stay in their order, and the list's own buffer
+    /// goes back.
     fn propagate(&mut self) -> Option<usize> {
         while self.qhead < self.trail.len() {
             let p = self.trail[self.qhead];
             self.qhead += 1;
             self.propagations += 1;
             let false_lit = p.negate();
-            let watchers = std::mem::take(&mut self.watches[false_lit.code()]);
+            let mut watchers = std::mem::take(&mut self.watches[false_lit.code()]);
             let mut conflict: Option<usize> = None;
-            let mut idx = 0;
-            while idx < watchers.len() {
-                let ci = watchers[idx];
-                idx += 1;
+            // `watchers[..kept]` are kept; `watchers[next..]` are unvisited.
+            let (mut kept, mut next) = (0, 0);
+            while next < watchers.len() {
+                let ci = watchers[next];
+                next += 1;
+                let Clause { start, end } = self.clauses[ci];
                 // Make sure the falsified literal is in position 1.
-                if self.clauses[ci].lits[0] == false_lit {
-                    self.clauses[ci].lits.swap(0, 1);
+                if self.lits[start] == false_lit {
+                    self.lits.swap(start, start + 1);
                 }
-                let first = self.clauses[ci].lits[0];
+                let first = self.lits[start];
                 if self.value_lit(first) == 1 {
                     // Clause already satisfied; keep watching false_lit.
-                    self.watches[false_lit.code()].push(ci);
+                    watchers[kept] = ci;
+                    kept += 1;
                     continue;
                 }
                 // Look for a new literal to watch.
-                let mut new_watch = None;
-                for k in 2..self.clauses[ci].lits.len() {
-                    if self.value_lit(self.clauses[ci].lits[k]) != -1 {
-                        new_watch = Some(k);
-                        break;
-                    }
-                }
+                let new_watch = (start + 2..end).find(|&k| self.value_lit(self.lits[k]) != -1);
                 match new_watch {
                     Some(k) => {
-                        self.clauses[ci].lits.swap(1, k);
-                        let w = self.clauses[ci].lits[1];
+                        self.lits.swap(start + 1, k);
+                        let w = self.lits[start + 1];
                         self.watches[w.code()].push(ci);
                     }
                     None => {
                         // Clause is unit or conflicting under the current assignment.
-                        self.watches[false_lit.code()].push(ci);
+                        watchers[kept] = ci;
+                        kept += 1;
                         if self.value_lit(first) == -1 {
-                            // Conflict: restore the remaining watchers and stop.
-                            while idx < watchers.len() {
-                                self.watches[false_lit.code()].push(watchers[idx]);
-                                idx += 1;
+                            // Conflict: keep the unvisited watchers and stop.
+                            while next < watchers.len() {
+                                watchers[kept] = watchers[next];
+                                kept += 1;
+                                next += 1;
                             }
                             conflict = Some(ci);
                         } else {
@@ -343,6 +360,8 @@ impl Solver {
                     }
                 }
             }
+            watchers.truncate(kept);
+            self.watches[false_lit.code()] = watchers;
             if conflict.is_some() {
                 return conflict;
             }
@@ -376,23 +395,22 @@ impl Solver {
         let current = self.current_level();
 
         loop {
-            {
-                let lits: Vec<Lit> = self.clauses[confl].lits.clone();
-                for q in lits {
-                    // When resolving on the reason clause of `p`, skip the
-                    // implied literal `p` itself.
-                    if Some(q) == p {
-                        continue;
-                    }
-                    let v = q.var().index();
-                    if !seen[v] && self.level[v] > 0 {
-                        seen[v] = true;
-                        self.bump_var(v);
-                        if self.level[v] >= current {
-                            counter += 1;
-                        } else {
-                            learnt.push(q);
-                        }
+            let Clause { start, end } = self.clauses[confl];
+            for k in start..end {
+                let q = self.lits[k];
+                // When resolving on the reason clause of `p`, skip the
+                // implied literal `p` itself.
+                if Some(q) == p {
+                    continue;
+                }
+                let v = q.var().index();
+                if !seen[v] && self.level[v] > 0 {
+                    seen[v] = true;
+                    self.bump_var(v);
+                    if self.level[v] >= current {
+                        counter += 1;
+                    } else {
+                        learnt.push(q);
                     }
                 }
             }
@@ -422,7 +440,7 @@ impl Solver {
         (learnt, bt)
     }
 
-    fn record_learnt(&mut self, learnt: Vec<Lit>) {
+    fn record_learnt(&mut self, learnt: &[Lit]) {
         if learnt.len() == 1 {
             self.enqueue(learnt[0], None);
             return;
@@ -431,7 +449,9 @@ impl Solver {
         // Watch the asserting literal and a literal of the backjump level so
         // that the clause becomes unit immediately.
         let asserting = learnt[0];
-        let mut lits = learnt;
+        let start = self.lits.len();
+        self.lits.extend_from_slice(learnt);
+        let lits = &mut self.lits[start..];
         // Put a literal with maximal level in position 1.
         let mut best = 1;
         for k in 2..lits.len() {
@@ -442,7 +462,8 @@ impl Solver {
         lits.swap(1, best);
         self.watches[lits[0].code()].push(ci);
         self.watches[lits[1].code()].push(ci);
-        self.clauses.push(Clause { lits });
+        let end = self.lits.len();
+        self.clauses.push(Clause { start, end });
         self.enqueue(asserting, Some(ci));
     }
 
@@ -510,7 +531,7 @@ impl Solver {
                     }
                     let (learnt, bt) = self.analyze(conflict);
                     self.cancel_until(bt);
-                    self.record_learnt(learnt);
+                    self.record_learnt(&learnt);
                     self.decay_activity();
                 }
                 None => {
@@ -548,6 +569,7 @@ impl Solver {
 
     fn clone_for_assumptions(&self) -> Solver {
         Solver {
+            lits: self.lits.clone(),
             clauses: self.clauses.clone(),
             watches: self.watches.clone(),
             assign: vec![UNASSIGNED; self.assign.len()],
@@ -761,6 +783,54 @@ mod tests {
                     prop_assert!(any);
                 }
                 SatResult::Unsat => prop_assert!(!any, "solver said unsat but a model exists"),
+            }
+        }
+
+        /// Clauses added in batches with a solve after each (learnt clauses
+        /// and watch lists carry over): every answer agrees with brute force,
+        /// and a clone taken after any batch, given the same later batches,
+        /// finds the same models and ends in the same state.
+        #[test]
+        fn prop_incremental_solver_and_its_clone_agree(
+            batches in prop::collection::vec(
+                prop::collection::vec(
+                    prop::collection::vec((1i32..=6).prop_flat_map(|v| prop_oneof![Just(v), Just(-v)]), 1..5),
+                    1..6,
+                ),
+                1..5,
+            ),
+            split in 0usize..5,
+        ) {
+            let n = 6usize;
+            let mut solver = Solver::new();
+            let vars: Vec<Var> = (0..n).map(|_| solver.new_var()).collect();
+            let mut clone: Option<Solver> = None;
+            let mut so_far: Vec<Vec<i32>> = Vec::new();
+            for (b, batch) in batches.iter().enumerate() {
+                if b == split % batches.len() {
+                    clone = Some(solver.clone());
+                }
+                for c in batch {
+                    let lits: Vec<Lit> = c.iter().map(|&i| lit(&vars, i)).collect();
+                    solver.add_clause(&lits);
+                    if let Some(other) = clone.as_mut() {
+                        other.add_clause(&lits);
+                    }
+                    so_far.push(c.clone());
+                }
+                let result = solver.solve();
+                let any = (0..(1u32 << n)).any(|bits| {
+                    let model: Vec<bool> = (0..n).map(|i| bits & (1 << i) != 0).collect();
+                    check_model(&so_far, &model)
+                });
+                match &result {
+                    SatResult::Sat(m) => prop_assert!(any && check_model(&so_far, m)),
+                    SatResult::Unsat => prop_assert!(!any, "unsat but a model exists"),
+                }
+                if let Some(other) = clone.as_mut() {
+                    prop_assert_eq!(other.solve(), result);
+                    prop_assert!(*other == solver, "the clone's state diverged");
+                }
             }
         }
     }

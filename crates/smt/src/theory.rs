@@ -244,8 +244,11 @@ impl AtomTable {
 /// The rows and bounds of one atom on an [`AtomTableau`].
 #[derive(Clone, Debug)]
 struct InternedAtom {
-    /// The rows `s = e`: one, plus the spares literal sets have needed.
-    rows: Vec<usize>,
+    /// The row `s = e`.
+    row: usize,
+    /// The spare rows with the same expression that literal sets have
+    /// needed (most atoms need none).
+    spares: Vec<usize>,
     /// `s ≥ b`, the bound of the positive literal.
     holds: Bound,
     /// `s ≤ b − 1`, the bound of the negative literal.
@@ -268,6 +271,19 @@ struct AtomTableau {
 }
 
 impl AtomTableau {
+    /// An empty tableau with room for `columns` columns and `rows` atoms'
+    /// rows.
+    fn with_capacity(columns: usize, rows: usize) -> Self {
+        let mut tableau = BoundedTableau::new();
+        tableau.reserve(columns, rows);
+        AtomTableau {
+            tableau,
+            columns: HashMap::with_capacity(columns),
+            owner: Vec::with_capacity(columns + rows),
+            ..AtomTableau::default()
+        }
+    }
+
     /// Puts table atom `id` on the tableau (its row and both bounds), unless
     /// it is there already.
     fn intern(&mut self, table: &AtomTable, id: usize) {
@@ -282,7 +298,8 @@ impl AtomTableau {
         let b = Rational::from_int(key.rhs.clone());
         let fails = Bound::Upper(&b - &Rational::one());
         self.atoms[id] = Some(InternedAtom {
-            rows: vec![row],
+            row,
+            spares: Vec::new(),
             holds: Bound::Lower(b),
             fails,
         });
@@ -299,13 +316,13 @@ impl AtomTableau {
     /// Adds a row for `key`'s expression, and the columns of its variables
     /// not seen yet.
     fn add_row(&mut self, key: &Atom) -> usize {
-        let terms: Vec<(usize, Rational)> = (key.coeffs.iter())
-            .map(|(v, a)| {
-                let column = self.columns.entry(*v);
-                let column = *column.or_insert_with(|| self.tableau.add_column());
-                (column, Rational::from_int(a.clone()))
-            })
-            .collect();
+        for v in key.coeffs.keys() {
+            if !self.columns.contains_key(v) {
+                self.columns.insert(*v, self.tableau.add_column());
+            }
+        }
+        let columns = &self.columns;
+        let terms = (key.coeffs.iter()).map(|(v, a)| (columns[v], Rational::from_int(a.clone())));
         let row = self.tableau.add_row(terms);
         self.owner.resize(row + 1, None);
         row
@@ -320,13 +337,14 @@ impl AtomTableau {
         }
         self.loaded.clear();
         for (index, &lit) in literals.iter().enumerate() {
-            let rows = &self.interned(lit.atom).rows;
-            let row = match rows.iter().copied().find(|&r| self.owner[r].is_none()) {
+            let atom = self.interned(lit.atom);
+            let mut rows = std::iter::once(atom.row).chain(atom.spares.iter().copied());
+            let row = match rows.find(|&r| self.owner[r].is_none()) {
                 Some(row) => row,
                 None => {
                     let row = self.add_row(&table.keys[lit.atom]);
                     let atom = self.atoms[lit.atom].as_mut().expect("interned above");
-                    atom.rows.push(row);
+                    atom.spares.push(row);
                     row
                 }
             };
@@ -476,7 +494,8 @@ impl TheorySolver {
         if self.tableau.owner.len() <= 2 * literals.len() {
             return;
         }
-        self.tableau = AtomTableau::default();
+        // The rebuilt tableau's columns are among the old one's.
+        self.tableau = AtomTableau::with_capacity(self.tableau.columns.len(), literals.len());
         for lit in literals {
             self.tableau.intern(&self.table, lit.atom);
         }
@@ -522,7 +541,8 @@ impl TheorySolver {
         let mut lp = LinearProgram::new();
         let mut ids: BTreeMap<TermVar, VarId> = BTreeMap::new();
         for v in vars {
-            ids.insert(*v, lp.add_free_var(format!("v{}", v.0)));
+            // Unnamed: names are only read by `Display`.
+            ids.insert(*v, lp.add_free_var(String::new()));
         }
         for a in atoms {
             let terms: Vec<(VarId, Rational)> = a
